@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-import numpy as np
-
 from .lie_action import TangentMatrix, tangent_matrix
 from .rank import (
     DEFAULT_TOL,
@@ -27,8 +25,6 @@ from .rank import (
     span_dim,
 )
 from .states import (
-    EXACT,
-    FLOAT,
     StateVector,
     ZeroResidualError,
     canonical_pair_state,
@@ -264,63 +260,40 @@ class Factorization:
 def factor_state(psi: StateVector, tol: float = DEFAULT_TOL) -> Factorization:
     """Split a minimal state into canonical pair factors and a lone residual.
 
-    Repeatedly contracts the first detected pair against the canonical
-    pair state.  The input must actually be a product of canonical pair
-    states (up to a global phase, with anything allowed on the lone
-    qubit); merely LU-equivalent states raise NonCanonicalFactorError.
-    Re-tensoring the returned factors reproduces the input up to phase.
+    Classifies the state once, then contracts its pairs in sorted order
+    against the canonical pair state.  The input must actually be a
+    product of canonical pair states (up to a global phase, with anything
+    allowed on the lone qubit); merely LU-equivalent states raise
+    NonCanonicalFactorError.  Re-tensoring the returned factors reproduces
+    the input up to phase.
     """
-    verdict = is_minimum_orbit(psi, tol=tol)
-    if not verdict:
+    pairing = classify_min_orbit(tangent_matrix(psi), tol=tol)
+    if isinstance(pairing, NotMinimal):
         raise NotMinimalError(
-            f"orbit dimension {verdict.orbit_dimension} exceeds the minimum "
-            f"{verdict.min_orbit_dimension}; only minimal states factor into pairs"
+            f"orbit dimension {pairing.orbit_dimension} exceeds the minimum "
+            f"{pairing.min_orbit_dimension}; only minimal states factor into pairs"
         )
+    pairs = pairing.sorted_pairs
     labels = list(range(1, psi.n + 1))
     current = psi
-    pairs: list = []
-    factors: list = []
-    while current.n >= 2:
-        if current.n == 2:
-            canonical = canonical_pair_state(mode=current.mode)
-            if not current.proportional_to(canonical, tol=tol):
-                raise NonCanonicalFactorError(
-                    f"pair on qubits ({labels[0]},{labels[1]}) is entangled like "
-                    "the canonical pair state but is not proportional to it"
-                )
-            pairs.append((labels[0], labels[1]))
-            factors.append(canonical)
-            labels = []
-            current = None
-            break
-        detected = detect_singlet_pairs(current, tol=tol)
-        if not detected:
-            raise InconsistentStructureError(
-                "minimal residual exposes no three-dimensional pair span"
-            )
-        l, lp = detected[0]
+    for a, b in pairs:
+        l, lp = labels.index(a) + 1, labels.index(b) + 1
         try:
-            residual = contract_pair(current, l, lp)
+            current = contract_pair(current, l, lp)
         except ZeroResidualError as exc:
             raise NonCanonicalFactorError(str(exc)) from exc
-        pairs.append((labels[l - 1], labels[lp - 1]))
-        factors.append(canonical_pair_state(mode=current.mode))
-        labels = [lab for i, lab in enumerate(labels, start=1) if i not in (l, lp)]
-        current = residual
-    lone = labels[0] if labels else None
+        labels.remove(a)
+        labels.remove(b)
     result = Factorization(
         n=psi.n,
-        pairs=tuple(pairs),
-        pair_factors=tuple(factors),
-        lone=lone,
-        residual=current if lone is not None else None,
+        pairs=pairs,
+        pair_factors=(canonical_pair_state(mode=psi.mode),) * len(pairs),
+        lone=pairing.lone,
+        residual=current if pairing.lone is not None else None,
     )
     rebuilt = embed_product(psi.n, result.placements)
-    if psi.mode == EXACT:
-        ok = rebuilt.proportional_to(psi, tol=tol)
-    else:
-        ok = rebuilt.proportional_to(psi, tol=max(tol, 1e-8))
-    if not ok:
+    # proportional_to ignores tol in exact mode
+    if not rebuilt.proportional_to(psi, tol=max(tol, 1e-8)):
         raise NonCanonicalFactorError(
             "contracted factors do not reassemble to the input state; "
             "it is LU-equivalent to a canonical pair product but not equal to one"

@@ -17,7 +17,7 @@ which is pure index arithmetic — no Kronecker products are ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -106,11 +106,13 @@ class TangentMatrix:
     For qubit k (1-based), columns 3k-3, 3k-2, 3k-1 hold the z, y, x
     generator actions; column 3n holds -i psi.  The real rank of this
     matrix equals the orbit dimension of the state under the local
-    unitary group, plus one.
+    unitary group, plus one.  ``ranks`` memoizes rank verdicts by
+    ``(ColumnSelector, tol)``; see ``rank.real_rank``.
     """
 
     state: StateVector
     columns: Union[np.ndarray, tuple]
+    ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -177,17 +177,20 @@ def real_rank(
     """Real rank of the selected tangent-matrix columns.
 
     ``selector=None`` selects the whole matrix.  The backend follows the
-    matrix's numeric mode.
+    matrix's numeric mode.  Each verdict is computed once per matrix and
+    kept in ``tm.ranks``, so repeated queries within a report reuse it.
     """
     if selector is None:
         selector = ColumnSelector.full(tm.n)
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
-    cols = tm.select(selector.column_indices(tm.n))
-    view = real_view(cols)
-    if tm.mode == FLOAT:
-        return _float_rank(view, tol)
-    return _exact_rank(view)
+    key = (selector, tol)
+    result = tm.ranks.get(key)
+    if result is None:
+        view = real_view(tm.select(selector.column_indices(tm.n)))
+        result = _float_rank(view, tol) if tm.mode == FLOAT else _exact_rank(view)
+        tm.ranks[key] = result
+    return result
 
 
 def span_dim(

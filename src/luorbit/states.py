@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -40,77 +39,12 @@ class ZeroResidualError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# multi-indices
+# basis codes
 # ---------------------------------------------------------------------------
 
 
-def _mask(n: int, k: int) -> int:
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index {k} out of range 1..{n}")
-    return 1 << (n - k)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Binary multi-index (i_1, ..., i_n); bit 1 is the most significant.
-
-    Also usable as a plain integer code via ``.code`` or ``int(idx)``.
-    """
-
-    n: int
-    code: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("qubit count must be nonnegative")
-        if not 0 <= self.code < (1 << self.n):
-            raise ValueError(f"code {self.code} out of range for {self.n} qubits")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "MultiIndex":
-        code = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {b!r}")
-            code = (code << 1) | b
-        return cls(len(bits), code)
-
-    @property
-    def bits(self) -> tuple:
-        return tuple((self.code >> (self.n - k)) & 1 for k in range(1, self.n + 1))
-
-    def bit(self, k: int) -> int:
-        """The k-th bit (1-based from the left)."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"qubit index {k} out of range 1..{self.n}")
-        return (self.code >> (self.n - k)) & 1
-
-    def flip(self, k: int) -> "MultiIndex":
-        return MultiIndex(self.n, self.code ^ _mask(self.n, k))
-
-    def flip2(self, k: int, l: int) -> "MultiIndex":
-        if k == l:
-            raise ValueError("flip2 needs two distinct qubit positions")
-        return MultiIndex(self.n, self.code ^ _mask(self.n, k) ^ _mask(self.n, l))
-
-    def __int__(self) -> int:
-        return self.code
-
-    def __index__(self) -> int:
-        return self.code
-
-
-def flip_bit(index: MultiIndex, k: int) -> MultiIndex:
-    """Flip the k-th bit of a multi-index."""
-    return index.flip(k)
-
-
 def as_code(index, n: int) -> int:
-    """Coerce a MultiIndex, integer code, bit sequence, or bit string to a code."""
-    if isinstance(index, MultiIndex):
-        if index.n != n:
-            raise ValueError(f"multi-index is for {index.n} qubits, expected {n}")
-        return index.code
+    """Coerce an integer code, bit sequence, or bit string to a code."""
     if isinstance(index, str):
         if len(index) != n or any(c not in "01" for c in index):
             raise ValueError(f"bit string {index!r} does not describe {n} qubits")
@@ -118,7 +52,12 @@ def as_code(index, n: int) -> int:
     if isinstance(index, (tuple, list)):
         if len(index) != n:
             raise ValueError(f"expected {n} bits, got {len(index)}")
-        return MultiIndex.from_bits(index).code
+        code = 0
+        for b in index:
+            if b not in (0, 1):
+                raise ValueError(f"bits must be 0 or 1, got {b!r}")
+            code = (code << 1) | b
+        return code
     code = int(index)
     if not 0 <= code < (1 << n):
         raise ValueError(f"basis code {code} out of range for {n} qubits")
@@ -146,9 +85,17 @@ class StateVector:
         if mode == FLOAT:
             vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
             n = _qubit_count(vec.size)
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise ZeroStateError("state vector must be nonzero")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("state amplitudes must be finite")
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(vec))
+            if norm == 0.0 or math.isinf(norm):
+                # The norm over- or underflowed; rescale by the largest part first.
+                scale = max(np.abs(vec.real).max(), np.abs(vec.imag).max())
+                if scale == 0.0:
+                    raise ZeroStateError("state vector must be nonzero")
+                vec = vec / scale
+                norm = float(np.linalg.norm(vec))
             vec = vec / norm
             vec.flags.writeable = False
             self._vec = vec
@@ -320,28 +267,36 @@ def load_state(path) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
+def _amplitudes(psi: StateVector) -> np.ndarray:
+    """The amplitudes as a (2,)*n array, axis k-1 indexed by the bit of qubit k.
+
+    complex128 in float mode; object dtype holding RationalComplex in exact
+    mode, so numpy reshapes and products serve both backends alike.
+    """
+    if psi.mode == FLOAT:
+        return psi.vector.reshape((2,) * psi.n)
+    return np.fromiter(psi.vector, dtype=object, count=psi.dim).reshape((2,) * psi.n)
+
+
+def _indicator(mask: np.ndarray, mode: str) -> StateVector:
+    """Amplitude one wherever ``mask`` holds and zero elsewhere."""
+    one, zero = (RC_ONE, RC_ZERO) if mode == EXACT else (1.0, 0.0)
+    return StateVector(np.where(mask, one, zero).reshape(-1), mode=mode)
+
+
 def basis_state(n: int, index, mode: str = FLOAT) -> StateVector:
     """The computational basis state |index> on n qubits."""
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
-    code = as_code(index, n)
-    if mode == FLOAT:
-        vec = np.zeros(1 << n, dtype=np.complex128)
-        vec[code] = 1.0
-        return StateVector(vec, mode=FLOAT)
-    entries = [RC_ONE if i == code else RC_ZERO for i in range(1 << n)]
-    return StateVector(entries, mode=EXACT)
+    return _indicator(np.arange(1 << n) == as_code(index, n), mode)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; the first factor supplies the leading (leftmost) qubits."""
     if a.mode != b.mode:
         raise ValueError("tensor factors must share a numeric mode")
-    if a.mode == FLOAT:
-        return StateVector(np.kron(a.vector, b.vector), mode=FLOAT)
-    nb = b.dim
-    entries = [a.vector[i] * b.vector[j] for i in range(a.dim) for j in range(nb)]
-    return StateVector(entries, mode=EXACT)
+    product = np.multiply.outer(_amplitudes(a), _amplitudes(b))
+    return StateVector(np.reshape(product, -1), mode=a.mode)
 
 
 def embed_product(n: int, placements) -> StateVector:
@@ -368,31 +323,16 @@ def embed_product(n: int, placements) -> StateVector:
     if len(modes) > 1:
         raise ValueError("all factors must share a numeric mode")
     mode = modes.pop()
-
-    def sub_code(code: int, pos: tuple) -> int:
-        sub = 0
-        for p in pos:
-            sub = (sub << 1) | ((code >> (n - p)) & 1)
-        return sub
-
-    if mode == FLOAT:
-        out = np.ones(1 << n, dtype=np.complex128)
-        for pos, st in placements:
-            vec = st.vector
-            out *= np.array([vec[sub_code(c, pos)] for c in range(1 << n)])
-        return StateVector(out, mode=FLOAT)
-    out = [RC_ONE] * (1 << n)
-    for pos, st in placements:
-        vec = st.vector
-        out = [out[c] * vec[sub_code(c, pos)] for c in range(1 << n)]
-    return StateVector(out, mode=EXACT)
+    out = 1
+    for _, st in placements:
+        out = np.multiply.outer(out, _amplitudes(st))
+    order = np.argsort([p for pos, _ in placements for p in pos])
+    return StateVector(np.reshape(np.transpose(out, order), -1), mode=mode)
 
 
 def canonical_pair_state(mode: str = FLOAT) -> StateVector:
     """The canonical two-qubit pair state (|00> + |11>)/sqrt(2)."""
-    if mode == FLOAT:
-        return StateVector([1.0, 0.0, 0.0, 1.0], mode=FLOAT)
-    return StateVector([RC_ONE, RC_ZERO, RC_ZERO, RC_ONE], mode=EXACT)
+    return _indicator(np.array([True, False, False, True]), mode)
 
 
 def _check_pairing(n: int, pairs, lone) -> list:
@@ -440,24 +380,13 @@ def singlet_product(n: int, pairs, lone: Optional[int] = None, mode: str = FLOAT
     if n < 1:
         raise ValueError("qubit count must be at least 1")
     norm_pairs = _check_pairing(n, pairs, lone)
-    size = 1 << n
-
-    def occupied(code: int) -> bool:
-        if lone is not None and (code >> (n - lone)) & 1:
-            return False
-        for lo, hi in norm_pairs:
-            if ((code >> (n - lo)) & 1) != ((code >> (n - hi)) & 1):
-                return False
-        return True
-
-    hits = [code for code in range(size) if occupied(code)]
-    if mode == EXACT:
-        hit_set = set(hits)
-        entries = [RC_ONE if code in hit_set else RC_ZERO for code in range(size)]
-        return StateVector(entries, mode=EXACT)
-    vec = np.zeros(size, dtype=np.complex128)
-    vec[hits] = 1.0
-    return StateVector(vec, mode=FLOAT)
+    bits = np.indices((2,) * n, sparse=True)
+    mask = np.ones((2,) * n, dtype=bool)
+    if lone is not None:
+        mask &= bits[lone - 1] == 0
+    for lo, hi in norm_pairs:
+        mask &= bits[lo - 1] == bits[hi - 1]
+    return _indicator(mask, mode)
 
 
 def random_state(n: int, seed) -> StateVector:
@@ -494,12 +423,14 @@ def random_rational_state(n: int, seed, span: int = 9) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-def _insert_bit(code: int, m: int, p: int, b: int) -> int:
-    """Insert bit ``b`` at 1-based position ``p`` of an m-bit code."""
-    shift = m - p + 1
-    upper = code >> shift
-    lower = code & ((1 << shift) - 1)
-    return (upper << (shift + 1)) | (b << shift) | lower
+def _pair_rows(psi: StateVector, l: int, lp: int) -> np.ndarray:
+    """Amplitudes as a 4 x 2**(n-2) array split across qubits (l, lp) and the rest.
+
+    Row 2*b + b' holds the bits (b, b') of the lower and higher of the two
+    qubits; columns run over the remaining qubits in their own order.
+    """
+    lo, hi = sorted((l, lp))
+    return np.moveaxis(_amplitudes(psi), (lo - 1, hi - 1), (0, 1)).reshape(4, -1)
 
 
 def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
@@ -517,20 +448,13 @@ def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
     for p in (l, lp):
         if not 1 <= p <= n:
             raise ValueError(f"qubit {p} out of range 1..{n}")
-    lo, hi = (l, lp) if l < lp else (lp, l)
-    rest = 1 << (n - 2)
-    codes0 = [_insert_bit(_insert_bit(j, n - 2, lo, 0), n - 1, hi, 0) for j in range(rest)]
-    codes1 = [_insert_bit(_insert_bit(j, n - 2, lo, 1), n - 1, hi, 1) for j in range(rest)]
+    rows = _pair_rows(psi, l, lp)
+    out = rows[0] + rows[3]
     if psi.mode == FLOAT:
-        vec = psi.vector
-        out = (vec[np.array(codes0)] + vec[np.array(codes1)]) / math.sqrt(2.0)
-        if float(np.linalg.norm(out)) <= CONTRACTION_ZERO_TOL:
-            raise ZeroResidualError(
-                f"contracting qubits ({l},{lp}) annihilated the state"
-            )
-        return StateVector(out, mode=FLOAT)
-    vec = psi.vector
-    out = [vec[c0] + vec[c1] for c0, c1 in zip(codes0, codes1)]
-    if all(a.is_zero for a in out):
+        out = out / math.sqrt(2.0)
+        annihilated = float(np.linalg.norm(out)) <= CONTRACTION_ZERO_TOL
+    else:
+        annihilated = all(a.is_zero for a in out)
+    if annihilated:
         raise ZeroResidualError(f"contracting qubits ({l},{lp}) annihilated the state")
-    return StateVector(out, mode=EXACT)
+    return StateVector(out, mode=psi.mode)

@@ -29,7 +29,7 @@ from .states import (
     EXACT,
     FLOAT,
     StateVector,
-    _insert_bit,
+    _pair_rows,
     canonical_pair_state,
     embed_product,
     random_rational_state,
@@ -160,26 +160,9 @@ def _mixed_pool(n: int, rng) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-def _pair_rest_matrix(psi: StateVector, l: int, lp: int) -> np.ndarray:
-    """Amplitudes reshaped with qubits (l, lp) as rows and the rest as columns."""
-    n = psi.n
-    vec = psi.vector
-    rest = 1 << (n - 2)
-    out = np.empty((4, rest), dtype=np.complex128)
-    lo, hi = sorted((l, lp))
-    for b_lo in (0, 1):
-        for b_hi in (0, 1):
-            codes = [
-                _insert_bit(_insert_bit(j, n - 2, lo, b_lo), n - 1, hi, b_hi)
-                for j in range(rest)
-            ]
-            out[(b_lo << 1) | b_hi] = vec[np.array(codes)]
-    return out
-
-
 def _pair_factor_evidence(psi: StateVector, l: int, lp: int) -> tuple:
     """(product_across_cut, schmidt_balanced): the tangent-free factor oracle."""
-    mat = _pair_rest_matrix(psi, l, lp)
+    mat = _pair_rows(psi, l, lp)
     u, s, _ = np.linalg.svd(mat)
     is_product = len(s) < 2 or s[1] <= 1e-8 * s[0]
     chi = u[:, 0].reshape(2, 2)

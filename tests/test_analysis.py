@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import luorbit.analysis as analysis_mod
+import luorbit.rank as rank_mod
 from luorbit import (
     EXACT,
+    FLOAT,
     InconsistentStructureError,
     LocalUnitary,
     NonCanonicalFactorError,
@@ -287,6 +289,30 @@ def test_factor_state_single_qubit():
     assert out.residual.n == 1
 
 
+def _count_calls(monkeypatch, module, *names) -> list:
+    """Wrap each module.<name> so that every call appends its name to the returned list."""
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_factor_state_builds_one_tangent_matrix(monkeypatch, mode):
+    calls = _count_calls(monkeypatch, analysis_mod, "tangent_matrix")
+    out = factor_state(singlet_product(7, [(1, 5), (2, 7), (3, 4)], 6, mode=mode))
+    assert out.pairs == ((1, 5), (2, 7), (3, 4))
+    assert calls == ["tangent_matrix"]
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -349,6 +375,17 @@ def test_report_captures_pairing_errors(monkeypatch):
     assert rep.is_minimal
     assert rep.pairing is None
     assert "pairing_error" in rep.diagnostics
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_report_computes_each_rank_once(monkeypatch, mode):
+    # full rank, every pair span and every lone span, even though the
+    # report and the classification it embeds both ask for all of them
+    calls = _count_calls(monkeypatch, rank_mod, "_float_rank", "_exact_rank")
+    n = 5
+    rep = orbit_report(singlet_product(n, [(1, 3), (2, 5)], 4, mode=mode))
+    assert rep.pairing.sorted_pairs == ((1, 3), (2, 5))
+    assert len(calls) == 1 + math.comb(n, 2) + n
 
 
 def test_dimensions_add_across_tensor_products():

@@ -133,6 +133,27 @@ def test_analyze_zero_vector_is_analysis_error():
     assert "nonzero" in err
 
 
+def _pair_blob(value):
+    """Float state file holding value * (|00> + |11>)."""
+    amps = [[value, 0.0], [0.0, 0.0], [0.0, 0.0], [value, 0.0]]
+    return json.dumps({"n": 2, "mode": "float", "amplitudes": amps})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_analyze_rejects_non_finite_amplitudes(value):
+    code, out, err = run("analyze", "-", stdin=_pair_blob(value))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [1e308, 1e-200])
+def test_analyze_survives_norm_overflow_and_underflow(value):
+    want = run("analyze", "-", stdin=_pair_blob(1.0))
+    assert run("analyze", "-", stdin=_pair_blob(value)) == want
+    assert json.loads(want[1])["orbit_dimension"] == 3
+
+
 def test_backend_exact_requires_exact_file():
     _, psi, _ = run("generate", "w", "--qubits", "2")
     code, _, _ = run("analyze", "-", "--backend", "exact", stdin=psi)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from luorbit import (
     EXACT,
     FLOAT,
-    MultiIndex,
     RationalComplex,
     StateVector,
     ZeroResidualError,
@@ -25,7 +24,6 @@ from luorbit import (
     canonical_pair_state,
     contract_pair,
     embed_product,
-    flip_bit,
     load_state,
     random_rational_state,
     random_state,
@@ -38,45 +36,14 @@ RT2 = float(np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
-# multi-indices
+# basis codes
 # ---------------------------------------------------------------------------
-
-
-def test_bit_convention_is_msb_first():
-    # |i_1 i_2 i_3> with i_1 the most significant bit
-    idx = MultiIndex.from_bits([1, 0, 1])
-    assert int(idx) == 5
-    assert idx.bits == (1, 0, 1)
-    assert idx.bit(1) == 1 and idx.bit(2) == 0 and idx.bit(3) == 1
-
-
-def test_flip_targets_the_named_qubit():
-    idx = MultiIndex(3, 0)
-    assert int(flip_bit(idx, 1)) == 4
-    assert int(flip_bit(idx, 3)) == 1
-    assert int(idx.flip2(1, 3)) == 5
-
-
-@given(st.integers(min_value=1, max_value=8), st.data())
-def test_flip_is_an_involution(n, data):
-    code = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    k = data.draw(st.integers(min_value=1, max_value=n))
-    idx = MultiIndex(n, code)
-    assert flip_bit(flip_bit(idx, k), k) == idx
-
-
-@given(st.integers(min_value=1, max_value=8), st.data())
-def test_bits_roundtrip(n, data):
-    code = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    idx = MultiIndex(n, code)
-    assert MultiIndex.from_bits(idx.bits) == idx
 
 
 def test_as_code_accepts_bitstrings_and_sequences():
     assert as_code("101", 3) == 5
     assert as_code([1, 0, 1], 3) == 5
     assert as_code(5, 3) == 5
-    assert as_code(MultiIndex(3, 5), 3) == 5
     with pytest.raises(ValueError):
         as_code("10", 3)
     with pytest.raises(ValueError):
@@ -242,6 +209,74 @@ def test_contract_pair_to_scalar():
     psi = canonical_pair_state()
     got = contract_pair(psi, 1, 2)
     assert got.n == 0
+
+
+# ---------------------------------------------------------------------------
+# per-code references for the tensor-reshaping constructions
+# ---------------------------------------------------------------------------
+
+
+def _bit(code, n, k):
+    return (code >> (n - k)) & 1
+
+
+def _reference_embed(n, placements):
+    """Amplitude of each code as the product of each factor's sub-code amplitude."""
+    out = []
+    for code in range(1 << n):
+        amp = 1
+        for pos, factor in placements:
+            sub = 0
+            for p in pos:
+                sub = (sub << 1) | _bit(code, n, p)
+            amp = amp * factor.vector[sub]
+        out.append(amp)
+    return out
+
+
+def _reference_contract(psi, l, lp):
+    """<00| + <11| on qubits (l, lp), residual codes in ascending order."""
+    n = psi.n
+    partner = (1 << (n - l)) | (1 << (n - lp))
+    return [
+        psi.vector[code] + psi.vector[code | partner]
+        for code in range(1 << n)
+        if _bit(code, n, l) == _bit(code, n, lp) == 0
+    ]
+
+
+def _random_factor(m, seed, mode):
+    return random_rational_state(m, seed) if mode == EXACT else random_state(m, seed)
+
+
+def _same_amplitudes(got, reference):
+    if got.mode == EXACT:
+        return got.vector == tuple(reference)
+    return got.allclose(StateVector(reference, mode=FLOAT))
+
+
+@given(
+    st.sampled_from([FLOAT, EXACT]),
+    st.integers(min_value=1, max_value=6).flatmap(lambda n: st.permutations(range(n))),
+    st.data(),
+)
+def test_embed_product_matches_per_code_reference(mode, order, data):
+    n = len(order)
+    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    placements = []
+    for a, b in zip(bounds, bounds[1:]):
+        factor = _random_factor(b - a, data.draw(st.integers(0, 999)), mode)
+        placements.append((tuple(q + 1 for q in order[a:b]), factor))
+    assert _same_amplitudes(embed_product(n, placements), _reference_embed(n, placements))
+
+
+@given(st.sampled_from([FLOAT, EXACT]), st.integers(min_value=2, max_value=6), st.data())
+def test_contract_pair_matches_per_code_reference(mode, n, data):
+    l, lp = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    psi = _random_factor(n, data.draw(st.integers(0, 999)), mode)
+    reference = _reference_contract(psi, min(l, lp), max(l, lp))
+    assert _same_amplitudes(contract_pair(psi, l, lp), reference)
 
 
 # ---------------------------------------------------------------------------
