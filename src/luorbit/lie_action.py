@@ -12,91 +12,111 @@ Acting on qubit k of psi = sum_I c_I |I>, the coefficient of |I> becomes
     y:  (-1)**i_k * c_{I with bit k flipped}
     x:  i * c_{I with bit k flipped}
 
-which is pure index arithmetic — no Kronecker products are ever built.
+One tensor routine, ``_action``, computes all three on the state's real
+parts held as a (2,)*n + (2,) array: axis k-1 is qubit k's bit and the
+last axis is (re, im).  Flipping bit k is ``np.flip`` along axis k-1,
+(-1)**i_k is a +-1 vector along that axis, and multiplying by i acts on
+the last axis.  The same numpy operations run on float64 arrays and on
+object arrays of Python ints, so both backends share the routine, and no
+Kronecker products are ever built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
 
 import numpy as np
 
 from .rational import RationalComplex
-from .states import EXACT, FLOAT, StateVector
-
-#: Order of generator columns inside each qubit's triple.
-TRIPLE_ORDER = ("z", "y", "x")
+from .states import FLOAT, StateVector
 
 
-def _coerce(state_or_vec):
-    """Return (amplitudes, mode, n) for a StateVector or a bare vector."""
-    if isinstance(state_or_vec, StateVector):
-        return state_or_vec.vector, state_or_vec.mode, state_or_vec.n
-    if isinstance(state_or_vec, np.ndarray):
-        vec = np.asarray(state_or_vec, dtype=np.complex128).reshape(-1)
-        return vec, FLOAT, _log2(vec.size)
-    seq = tuple(state_or_vec)
-    if seq and isinstance(seq[0], RationalComplex):
-        return seq, EXACT, _log2(len(seq))
-    vec = np.asarray(seq, dtype=np.complex128)
-    return vec, FLOAT, _log2(vec.size)
+def _real_parts(psi: StateVector) -> tuple:
+    """``(parts, scale)``: psi's real and imaginary parts as a (2,)*n + (2,) array.
+
+    Flattened, the array has row ``2 * code + part`` (part 0 real, 1
+    imaginary).  Float mode views the amplitudes as float64 with scale 1.
+    Exact mode multiplies every part by ``scale``, the lcm of all their
+    denominators, and holds the resulting Python ints in an object array;
+    every rank is scale invariant, so this representative serves them all.
+    """
+    shape = (2,) * psi.n + (2,)
+    if psi.mode == FLOAT:
+        return psi.vector.view(np.float64).reshape(shape), 1
+    parts = [p for a in psi.vector for p in (a.re, a.im)]
+    scale = math.lcm(*(p.denominator for p in parts))
+    ints = np.array([p.numerator * (scale // p.denominator) for p in parts], dtype=object)
+    return ints.reshape(shape), scale
 
 
-def _log2(size: int) -> int:
-    n = size.bit_length() - 1
-    if size <= 0 or (1 << n) != size:
-        raise ValueError(f"vector length {size} is not a power of two")
-    return n
+def _amplitudes_of(parts: np.ndarray, mode: str, scale):
+    """Read real parts (last axis interleaved re, im) back as amplitudes.
+
+    Float mode gives a complex128 ndarray; exact mode a tuple of
+    RationalComplex, divided back by ``scale``.
+    """
+    flat = np.ascontiguousarray(parts).reshape(-1)
+    if mode == FLOAT:
+        return flat.view(np.complex128)
+    return tuple(
+        RationalComplex(Fraction(re, scale), Fraction(im, scale))
+        for re, im in zip(flat[0::2], flat[1::2])
+    )
 
 
-def _check_qubit(n: int, k: int) -> int:
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index {k} out of range 1..{n}")
-    return 1 << (n - k)
+def _times(parts: np.ndarray, re, im) -> np.ndarray:
+    """Multiply every complex number on the last axis by ``re + i*im``.
+
+    Spelled out as complex128 multiplication computes it, so float results
+    match numpy's complex product bit for bit, signed zeros included (a
+    matrix dump prints them); on Python ints it is exact.
+    """
+    a, b = parts[..., 0], parts[..., 1]
+    return np.stack((a * re - b * im, a * im + b * re), axis=-1)
 
 
-def _bit_signs(n: int, k: int) -> np.ndarray:
-    """Vector of (-1)**i_k over all codes."""
-    bits = (np.arange(1 << n) >> (n - k)) & 1
-    return 1.0 - 2.0 * bits
+def _times_i(parts: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Multiply every complex number on the last axis by ``sign * i`` (sign +-1)."""
+    # -1j has real part -0.0 in float mode, and 0 stays an int in exact mode
+    return _times(parts, sign * parts.dtype.type(0), sign)
 
 
-def apply_z(psi, k: int):
+def _action(parts: np.ndarray, i_parts: np.ndarray, k: int, g: int) -> np.ndarray:
+    """Generator g (0 = z, 1 = y, 2 = x) of qubit k on psi.
+
+    ``parts`` and ``i_parts`` are the real parts of psi and of i*psi.
+    """
+    if g == 2:
+        return np.flip(i_parts, k - 1)
+    # (-1)**i_k, shaped to broadcast against the (2,)*n real or imaginary parts
+    signs = np.array([1, -1], dtype=parts.dtype).reshape((2,) + (1,) * (parts.ndim - 1 - k))
+    if g == 0:
+        return _times(i_parts, signs, 0)
+    return _times(np.flip(parts, k - 1), signs, 0)
+
+
+def _apply(psi: StateVector, k: int, g: int):
+    if not 1 <= k <= psi.n:
+        raise ValueError(f"qubit index {k} out of range 1..{psi.n}")
+    parts, scale = _real_parts(psi)
+    return _amplitudes_of(_action(parts, _times_i(parts), k, g), psi.mode, scale)
+
+
+def apply_z(psi: StateVector, k: int):
     """Act with the z-generator (i*sigma_z) on qubit k; returns a bare vector."""
-    vec, mode, n = _coerce(psi)
-    _check_qubit(n, k)
-    if mode == FLOAT:
-        return 1j * vec * _bit_signs(n, k)
-    out = []
-    for code, c in enumerate(vec):
-        ic = c.times_i()
-        out.append(-ic if (code >> (n - k)) & 1 else ic)
-    return tuple(out)
+    return _apply(psi, k, 0)
 
 
-def apply_y(psi, k: int):
+def apply_y(psi: StateVector, k: int):
     """Act with the y-generator (i*sigma_y) on qubit k; returns a bare vector."""
-    vec, mode, n = _coerce(psi)
-    mask = _check_qubit(n, k)
-    if mode == FLOAT:
-        flipped = vec[np.arange(1 << n) ^ mask]
-        return flipped * _bit_signs(n, k)
-    out = []
-    for code in range(1 << n):
-        c = vec[code ^ mask]
-        out.append(-c if (code >> (n - k)) & 1 else c)
-    return tuple(out)
+    return _apply(psi, k, 1)
 
 
-def apply_x(psi, k: int):
+def apply_x(psi: StateVector, k: int):
     """Act with the x-generator (i*sigma_x) on qubit k; returns a bare vector."""
-    vec, mode, n = _coerce(psi)
-    mask = _check_qubit(n, k)
-    if mode == FLOAT:
-        return 1j * vec[np.arange(1 << n) ^ mask]
-    return tuple(vec[code ^ mask].times_i() for code in range(1 << n))
+    return _apply(psi, k, 2)
 
 
 @dataclass(frozen=True)
@@ -106,12 +126,19 @@ class TangentMatrix:
     For qubit k (1-based), columns 3k-3, 3k-2, 3k-1 hold the z, y, x
     generator actions; column 3n holds -i psi.  The real rank of this
     matrix equals the orbit dimension of the state under the local
-    unitary group, plus one.  ``ranks`` memoizes rank verdicts by
-    ``(ColumnSelector, tol)``; see ``rank.real_rank``.
+    unitary group, plus one.
+
+    ``real`` is the matrix's real view, 2**(n+1) x (3n+1) and read-only:
+    amplitude a + bi of basis code c fills rows 2c (a) and 2c+1 (b), so a
+    column dot product is Re<u|v>.  It is float64 in float mode and holds
+    Python ints in exact mode, every entry ``scale`` times the true one.
+    ``ranks`` memoizes rank verdicts by ``(ColumnSelector, tol)``; see
+    ``rank.real_rank``.
     """
 
     state: StateVector
-    columns: Union[np.ndarray, tuple]
+    real: np.ndarray
+    scale: int
     ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -138,15 +165,14 @@ class TangentMatrix:
         return (base, base + 1, base + 2)
 
     def column(self, j: int):
-        if self.mode == FLOAT:
-            return self.columns[:, j]
-        return self.columns[j]
+        """Column j as amplitudes: complex ndarray (float) or RationalComplex tuple (exact)."""
+        return _amplitudes_of(self.real[:, j], self.mode, self.scale)
 
-    def select(self, indices: Sequence[int]):
-        """Columns at the given indices: an ndarray (float) or column tuple (exact)."""
-        if self.mode == FLOAT:
-            return self.columns[:, list(indices)]
-        return tuple(self.columns[j] for j in indices)
+    @property
+    def columns(self):
+        """Every column: a 2**n x (3n+1) complex ndarray, or a tuple of column tuples."""
+        cols = [self.column(j) for j in range(self.column_count)]
+        return np.stack(cols, axis=1) if self.mode == FLOAT else tuple(cols)
 
 
 def tangent_matrix(psi: StateVector) -> TangentMatrix:
@@ -154,73 +180,14 @@ def tangent_matrix(psi: StateVector) -> TangentMatrix:
     n = psi.n
     if n < 1:
         raise ValueError("tangent matrix needs at least one qubit")
-    if psi.mode == FLOAT:
-        cols = np.empty((1 << n, 3 * n + 1), dtype=np.complex128)
-        for k in range(1, n + 1):
-            base = 3 * (k - 1)
-            cols[:, base] = apply_z(psi, k)
-            cols[:, base + 1] = apply_y(psi, k)
-            cols[:, base + 2] = apply_x(psi, k)
-        cols[:, 3 * n] = -1j * psi.vector
-        cols.flags.writeable = False
-        return TangentMatrix(state=psi, columns=cols)
-    cols = []
+    parts, scale = _real_parts(psi)
+    i_parts = _times_i(parts)
+    # Column j is written to row j of one buffer; ``real`` is its transpose.
+    buf = np.empty((3 * n + 1,) + parts.shape, dtype=parts.dtype)
     for k in range(1, n + 1):
-        cols.append(apply_z(psi, k))
-        cols.append(apply_y(psi, k))
-        cols.append(apply_x(psi, k))
-    cols.append(tuple(-(c.times_i()) for c in psi.vector))
-    return TangentMatrix(state=psi, columns=tuple(cols))
-
-
-def real_view(columns):
-    """Interleave real and imaginary parts: amplitude a+bi becomes rows (a, b).
-
-    The Euclidean dot product of two real views equals Re<u|v> of the
-    complex originals, so real spans and ranks reduce to ordinary real
-    linear algebra.  Accepts a complex ndarray (1-D vector or N x m column
-    stack) or exact columns (a single RationalComplex tuple, or a sequence
-    of them); exact input yields Fraction entries.
-    """
-    if isinstance(columns, np.ndarray):
-        arr = np.asarray(columns, dtype=np.complex128)
-        if arr.ndim == 1:
-            out = np.empty(2 * arr.size, dtype=np.float64)
-            out[0::2] = arr.real
-            out[1::2] = arr.imag
-            return out
-        if arr.ndim != 2:
-            raise ValueError("real_view expects a vector or a column stack")
-        out = np.empty((2 * arr.shape[0], arr.shape[1]), dtype=np.float64)
-        out[0::2] = arr.real
-        out[1::2] = arr.imag
-        return out
-    seq = tuple(columns)
-    if not seq:
-        raise ValueError("real_view of an empty selection")
-    if isinstance(seq[0], RationalComplex):
-        out_flat = []
-        for a in seq:
-            out_flat.extend((a.re, a.im))
-        return tuple(out_flat)
-    rows: list = []
-    length = len(seq[0])
-    for col in seq:
-        if len(col) != length:
-            raise ValueError("columns must share a length")
-    for j in range(length):
-        row_re = [col[j].re for col in seq]
-        row_im = [col[j].im for col in seq]
-        rows.append(row_re)
-        rows.append(row_im)
-    return rows
-
-
-def real_dot(u, v) -> Union[float, Fraction]:
-    """Re<u|v> computed directly on complex vectors (either backend)."""
-    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-        return float(np.real(np.vdot(np.asarray(u), np.asarray(v))))
-    total = Fraction(0)
-    for a, b in zip(u, v):
-        total += a.re * b.re + a.im * b.im
-    return total
+        for g in range(3):
+            buf[3 * (k - 1) + g] = _action(parts, i_parts, k, g)
+    buf[3 * n] = _times_i(parts, -1)
+    real = buf.reshape(3 * n + 1, -1).T
+    real.flags.writeable = False
+    return TangentMatrix(state=psi, real=real, scale=scale)

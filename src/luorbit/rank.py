@@ -8,19 +8,21 @@ Two interchangeable backends:
   the smallest retained to the largest discarded value is reported so
   callers can recognize ill-conditioned verdicts;
 * exact — fraction-free (Bareiss) integer elimination on the same real
-  view after clearing denominators row by row; tolerance-free.
+  view, whose denominators ``tangent_matrix`` cleared once per state;
+  tolerance-free.
+
+Both slice the columns they need out of ``TangentMatrix.real``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .lie_action import TangentMatrix, real_dot, real_view
+from .lie_action import TangentMatrix
 from .states import EXACT, FLOAT
 
 #: Default relative cutoff for the floating backend.
@@ -115,24 +117,13 @@ def _float_rank(view: np.ndarray, tol: float) -> RankResult:
 # ---------------------------------------------------------------------------
 
 
-def _rows_to_int(rows) -> list:
-    """Clear denominators row by row; row scaling does not change rank."""
-    out = []
-    for row in rows:
-        lcd = 1
-        for entry in row:
-            lcd = lcd * entry.denominator // math.gcd(lcd, entry.denominator)
-        out.append([int(entry * lcd) for entry in row])
-    return out
-
-
-def _bareiss_rank(rows: list) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def _bareiss_rank(matrix: np.ndarray) -> int:
+    """Rank of a matrix of Python ints by fraction-free elimination.
 
     Every division is exact, so the arithmetic stays in the integers and
     the verdict carries no tolerance at all.
     """
-    mat = [row[:] for row in rows]
+    mat = matrix.tolist()
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     rank = 0
@@ -159,8 +150,8 @@ def _bareiss_rank(rows: list) -> int:
     return rank
 
 
-def _exact_rank(rows) -> RankResult:
-    rank = _bareiss_rank(_rows_to_int(rows))
+def _exact_rank(view: np.ndarray) -> RankResult:
+    rank = _bareiss_rank(view)
     return RankResult(rank=rank, gap_ratio=math.inf, backend=EXACT, singular_values=None)
 
 
@@ -187,7 +178,7 @@ def real_rank(
     key = (selector, tol)
     result = tm.ranks.get(key)
     if result is None:
-        view = real_view(tm.select(selector.column_indices(tm.n)))
+        view = tm.real[:, list(selector.column_indices(tm.n))]
         result = _float_rank(view, tol) if tm.mode == FLOAT else _exact_rank(view)
         tm.ranks[key] = result
     return result
@@ -204,8 +195,7 @@ def span_dim(
 
 
 def _orthonormal_inside(tm: TangentMatrix, inside: int) -> np.ndarray:
-    view = real_view(tm.select(tm.triple_indices(inside)))
-    q, _ = np.linalg.qr(view)
+    q, _ = np.linalg.qr(tm.real[:, list(tm.triple_indices(inside))])
     return q
 
 
@@ -227,20 +217,19 @@ def complement_dim(
     if against.is_empty:
         return 3
     if tm.mode == FLOAT:
-        projected = _project_inside(tm, inside, against, tol)
+        projected = _project(tm, _orthonormal_inside(tm, inside), against, tol)
         s = np.linalg.svd(projected, compute_uv=False)
         return 3 - int(np.count_nonzero(s > tol))
-    inside_cols = tm.select(tm.triple_indices(inside))
-    against_cols = tm.select(against.column_indices(tm.n))
-    gram = [[real_dot(a, t) for t in inside_cols] for a in against_cols]
-    return 3 - _bareiss_rank(_rows_to_int(gram))
+    inside_view = tm.real[:, list(tm.triple_indices(inside))]
+    against_view = tm.real[:, list(against.column_indices(tm.n))]
+    return 3 - _bareiss_rank(against_view.T @ inside_view)
 
 
-def _project_inside(
-    tm: TangentMatrix, inside: int, against: ColumnSelector, tol: float
+def _project(
+    tm: TangentMatrix, basis_inside: np.ndarray, against: ColumnSelector, tol: float
 ) -> np.ndarray:
-    basis_inside = _orthonormal_inside(tm, inside)
-    against_view = real_view(tm.select(against.column_indices(tm.n)))
+    """Coordinates of ``basis_inside`` in an orthonormal basis of the ``against`` span."""
+    against_view = tm.real[:, list(against.column_indices(tm.n))]
     u, s, _ = np.linalg.svd(against_view, full_matrices=False)
     basis_against = u[:, s > tol * s[0]]
     return basis_against.T @ basis_inside
@@ -254,6 +243,9 @@ def complement_basis(
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the complement measured by complement_dim.
 
+    It has ``complement_dim`` columns, so a caller needing both the basis
+    and the dimension factorizes once by calling this alone.
+
     Floating backend only; used by the verification suites to check that
     complements drawn from different triples are jointly independent.
     """
@@ -264,7 +256,7 @@ def complement_basis(
     basis_inside = _orthonormal_inside(tm, inside)
     if against.is_empty:
         return basis_inside
-    projected = _project_inside(tm, inside, against, tol)
+    projected = _project(tm, basis_inside, against, tol)
     _, s, vt = np.linalg.svd(projected, full_matrices=True)
     rank = int(np.count_nonzero(s > tol))
     coeffs = vt[rank:]

@@ -83,10 +83,6 @@ class RationalComplex:
             )
         return NotImplemented
 
-    def times_i(self) -> "RationalComplex":
-        """Multiply by i: (a + bi) -> (-b + ai)."""
-        return RationalComplex(-self.im, self.re)
-
     def conjugate(self) -> "RationalComplex":
         return RationalComplex(self.re, -self.im)
 

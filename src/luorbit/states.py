@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -151,10 +152,19 @@ class StateVector:
         return self._vec[as_code(index, self._n)]
 
     def to_float(self) -> "StateVector":
-        """Convert to the floating backend (normalizing); no-op if already float."""
+        """Convert to the floating backend (normalizing); no-op if already float.
+
+        If the largest absolute part lies outside the normal float range,
+        every part is first divided by it, exactly, so the state converts
+        like its unit-scale equivalent; parts in range convert unscaled.
+        """
         if self._mode == FLOAT:
             return self
-        return StateVector([a.to_complex() for a in self._vec], mode=FLOAT)
+        vec = self._vec
+        top = max(max(abs(a.re), abs(a.im)) for a in vec)
+        if not sys.float_info.min <= top <= sys.float_info.max:
+            vec = [a / top for a in vec]
+        return StateVector([a.to_complex() for a in vec], mode=FLOAT)
 
     # -- comparisons --------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -22,9 +23,9 @@ from .analysis import (
     orbit_dimension,
     pairing_equal,
 )
-from .lie_action import apply_x, apply_y, apply_z, real_dot, tangent_matrix
+from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import DEFAULT_TOL, ColumnSelector, complement_basis, complement_dim, span_dim
+from .rank import DEFAULT_TOL, ColumnSelector, complement_basis, span_dim
 from .states import (
     EXACT,
     FLOAT,
@@ -179,13 +180,9 @@ def _purity(psi: StateVector, j: int) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def _column_dots_max(tm, first_indices, second_indices) -> float:
-    worst = 0.0
-    for a in first_indices:
-        ca = tm.column(a)
-        for b in second_indices:
-            worst = max(worst, abs(float(real_dot(ca, tm.column(b)))))
-    return worst
+def _column_dots(tm, first_indices, second_indices) -> np.ndarray:
+    """Re<u|v> for every listed column pair (times ``tm.scale**2`` in exact mode)."""
+    return tm.real[:, list(first_indices)].T @ tm.real[:, list(second_indices)]
 
 
 def _subset_floor(q: int) -> int:
@@ -211,9 +208,10 @@ def _suite_triplesprop(n, rng, tol):
     for k in range(1, n + 1):
         idx = tm.triple_indices(k)
         for a, b in combinations(idx, 2):
-            dot = real_dot(tm.column(a), tm.column(b))
+            dot = tm.real[:, a] @ tm.real[:, b]
             if psi.mode == EXACT:
                 if dot != 0:
+                    dot = Fraction(dot, tm.scale**2)
                     failures.append(f"triple {k}: exact columns {a},{b} not orthogonal ({dot})")
             elif abs(float(dot)) > ORTHO_TOL:
                 failures.append(f"triple {k}: columns {a},{b} have dot {float(dot):.3e}")
@@ -249,17 +247,17 @@ def _suite_twocommonstrong(n, rng, tol):
     tm = tangent_matrix(psi)
     failures = []
 
-    def _close(u, v, flip=False):
-        if exact:
-            return all((a == (-b if flip else b)) for a, b in zip(u, v))
-        vv = -np.asarray(v) if flip else np.asarray(v)
-        return bool(np.allclose(np.asarray(u), vv, atol=1e-12, rtol=0.0))
+    atol = 0 if exact else 1e-12
 
-    if not _close(apply_z(psi, l), apply_z(psi, lp)):
+    def _close(a, b, sign=1):
+        return np.abs(tm.real[:, a] - sign * tm.real[:, b]).max() <= atol
+
+    (zl, yl, xl), (zr, yr, xr) = tm.triple_indices(l), tm.triple_indices(lp)
+    if not _close(zl, zr):
         failures.append("z-generator columns of the paired qubits differ")
-    if not _close(apply_x(psi, l), apply_x(psi, lp)):
+    if not _close(xl, xr):
         failures.append("x-generator columns of the paired qubits differ")
-    if not _close(apply_y(psi, l), apply_y(psi, lp), flip=True):
+    if not _close(yl, yr, sign=-1):
         failures.append("y-generator columns of the paired qubits are not opposite")
     span = span_dim(tm, (l, lp), tol=tol)
     if span != 3:
@@ -271,14 +269,12 @@ def _suite_twocommonstrong(n, rng, tol):
         if k not in (l, lp)
         for c in tm.triple_indices(k)
     ] + [tm.last_index]
+    dots = _column_dots(tm, pair_cols, other_cols)
     if exact:
-        for a in pair_cols:
-            ca = tm.column(a)
-            for b in other_cols:
-                if real_dot(ca, tm.column(b)) != 0:
-                    failures.append(f"exact columns {a},{b} not orthogonal")
+        for i, j in zip(*np.nonzero(dots)):
+            failures.append(f"exact columns {pair_cols[i]},{other_cols[j]} not orthogonal")
     else:
-        worst = _column_dots_max(tm, pair_cols, other_cols)
+        worst = float(np.abs(dots).max())
         if worst > ORTHO_TOL:
             failures.append(f"pair span leaks onto other columns (dot {worst:.3e})")
     return failures, [psi]
@@ -298,7 +294,7 @@ def _suite_twocommonstronggen(n, rng, tol):
     other_cols = [
         c for k in range(1, n + 1) if k not in (l, lp) for c in tm.triple_indices(k)
     ] + [tm.last_index]
-    worst = _column_dots_max(tm, pair_cols, other_cols)
+    worst = float(np.abs(_column_dots(tm, pair_cols, other_cols)).max())
     if worst > ORTHO_TOL:
         failures.append(f"pair span leaks onto other columns (dot {worst:.3e})")
     return failures, [psi]
@@ -321,15 +317,15 @@ def _suite_twotripspan5(n, rng, tol):
     others = ColumnSelector(
         (k for k in range(1, n + 1) if k not in (l, lp)), include_last=True
     )
-    dims = {}
     bases = []
     for k in (l, lp):
-        dims[k] = complement_dim(tm, k, others, tol=tol)
-        if dims[k] < 2:
+        basis = complement_basis(tm, k, others, tol=tol)
+        if basis.shape[1] < 2:
             failures.append(
-                f"complement of triple {k} against the other columns is {dims[k]}-dimensional"
+                f"complement of triple {k} against the other columns is "
+                f"{basis.shape[1]}-dimensional"
             )
-        bases.append(complement_basis(tm, k, others, tol=tol))
+        bases.append(basis)
     stacked = np.hstack(bases)
     joint = int(np.count_nonzero(np.linalg.svd(stacked, compute_uv=False) > 1e-8))
     if joint < 4:

@@ -114,6 +114,14 @@ def test_analyze_dump_matrix():
     assert all(len(col) == 4 for col in dump["columns"])
     # last column is -i|00>
     assert dump["columns"][6][0] == [0.0, -1.0]
+    # exact columns print unscaled p/q parts
+    amps = [["1/2", "-3/4"], ["1/3", "0"], ["0", "0"], ["0", "1"]]
+    blob = json.dumps({"n": 2, "mode": "exact", "amplitudes": amps})
+    dump = run_json("analyze", "-", "--dump-matrix", stdin=blob)
+    # z on qubit 1 is i*psi on codes 0, 1 and -i*psi on codes 2, 3
+    assert dump["columns"][0] == [["3/4", "1/2"], ["0/1", "1/3"], ["0/1", "0/1"], ["1/1", "0/1"]]
+    # -i psi
+    assert dump["columns"][6] == [["-3/4", "-1/2"], ["0/1", "-1/3"], ["0/1", "0/1"], ["1/1", "0/1"]]
 
 
 def test_analyze_rejects_malformed_json():
@@ -151,6 +159,18 @@ def test_analyze_rejects_non_finite_amplitudes(value):
 def test_analyze_survives_norm_overflow_and_underflow(value):
     want = run("analyze", "-", stdin=_pair_blob(1.0))
     assert run("analyze", "-", stdin=_pair_blob(value)) == want
+    assert json.loads(want[1])["orbit_dimension"] == 3
+
+
+@pytest.mark.parametrize("value", [str(10**400), f"1/{10**400}"], ids=["huge", "tiny"])
+@pytest.mark.parametrize("flags", [("--backend", "float"), ("--lu-seed", "3")], ids=["float", "lu"])
+def test_float_conversion_survives_exact_parts_beyond_float_range(value, flags):
+    def blob(part):
+        amps = [[part, "0"], ["0", "0"], ["0", "0"], [part, "0"]]
+        return json.dumps({"n": 2, "mode": "exact", "amplitudes": amps})
+
+    want = run("analyze", "-", *flags, stdin=blob("1"))
+    assert run("analyze", "-", *flags, stdin=blob(value)) == want
     assert json.loads(want[1])["orbit_dimension"] == 3
 
 

@@ -1,8 +1,11 @@
 """Generator actions against a dense Kronecker-product oracle.
 
-The library applies generators by index arithmetic; the oracle here
-materializes the full 2^n x 2^n operator with np.kron and multiplies.
+The library applies generators with one tensor routine on the state's
+real and imaginary parts; the oracle here materializes the full
+2^n x 2^n operator with np.kron and multiplies.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +21,6 @@ from luorbit import (
     basis_state,
     random_rational_state,
     random_state,
-    real_dot,
-    real_view,
     tangent_matrix,
 )
 from luorbit.rational import RationalComplex
@@ -130,55 +131,35 @@ def test_every_column_has_unit_norm(n):
 
 
 def test_triple_orthogonality_float_and_exact():
+    # a dot product of two columns of the real view is Re<u|v>
     psi = random_state(3, 60)
     tm = tangent_matrix(psi)
     for k in (1, 2, 3):
-        a, b, c = (tm.column(j) for j in tm.triple_indices(k))
+        a, b, c = (tm.real[:, j] for j in tm.triple_indices(k))
         for u, v in [(a, b), (a, c), (b, c)]:
-            assert abs(real_dot(u, v)) <= 1e-10
+            assert abs(u @ v) <= 1e-10
 
     ex = tangent_matrix(random_rational_state(3, 61))
     for k in (1, 2, 3):
-        a, b, c = (ex.column(j) for j in ex.triple_indices(k))
+        a, b, c = (ex.real[:, j] for j in ex.triple_indices(k))
         for u, v in [(a, b), (a, c), (b, c)]:
-            assert real_dot(u, v) == 0
+            assert u @ v == 0
+
+
+def test_exact_matrix_holds_ints():
+    # denominators are cleared once per state, so rank work stays in the integers
+    psi = StateVector.from_rational([(Fraction(1, 2), Fraction(-3, 4)), (Fraction(1, 3), 0)])
+    tm = tangent_matrix(psi)
+    assert tm.scale == 12
+    assert all(type(x) is int for x in tm.real.ravel())
+    assert tm.real.shape == (4, 4)
+    # -i psi, row 2*code + part: -i(1/2 - 3/4 i) = -3/4 - 1/2 i, -i(1/3) = -1/3 i
+    assert list(tm.real[:, 3]) == [-9, -6, 0, -4]
 
 
 def test_zero_state_rejected_at_construction():
     with pytest.raises(ValueError):
         StateVector(np.zeros(4))
-
-
-# ---------------------------------------------------------------------------
-# real views
-# ---------------------------------------------------------------------------
-
-
-def test_real_view_interleaves():
-    got = real_view(np.array([1 + 2j, 3 + 0j]))
-    assert np.allclose(got, [1, 2, 3, 0], atol=0)
-
-
-def test_real_view_of_matrix_stacks_rows():
-    cols = np.array([[1 + 2j], [3 - 4j]])
-    got = real_view(cols)
-    assert got.shape == (4, 1)
-    assert np.allclose(got[:, 0], [1, 2, 3, -4], atol=0)
-
-
-def test_real_dot_is_re_inner_product():
-    rng = np.random.default_rng(70)
-    for _ in range(20):
-        u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        want = float(np.real(np.vdot(u, v)))
-        assert abs(real_dot(u, v) - want) < 1e-12
-        assert abs(float(np.dot(real_view(u), real_view(v))) - want) < 1e-12
-
-
-def test_i_psi_orthogonal_to_psi_as_real_vectors():
-    psi = random_state(2, 71).vector
-    assert abs(real_dot(1j * psi, psi)) < 1e-12
 
 
 @settings(max_examples=25)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luorbit import (
     ColumnSelector,
@@ -17,6 +19,7 @@ from luorbit import (
     canonical_pair_state,
     complement_basis,
     complement_dim,
+    orbit_report,
     random_rational_state,
     random_state,
     real_rank,
@@ -25,6 +28,7 @@ from luorbit import (
     tangent_matrix,
 )
 from luorbit.rank import retained_rank
+from luorbit.verify import _pair_product, _partial_pair_state, _random_pair_positions, _scramble
 
 
 def oracle_rank(psi: StateVector, indices=None) -> int:
@@ -138,6 +142,24 @@ def test_exact_matches_float_on_rational_states():
         assert real_rank(te).rank == real_rank(tf).rank
         for pair in [(1, 2), (1, 3), (2, 3)]:
             assert span_dim(te, pair) == span_dim(tf, pair)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=5, max_value=6), st.integers(0, 10**6), st.booleans())
+def test_exact_matches_float_beyond_criterion_4(n, seed, pair_product):
+    rng = np.random.default_rng(seed)
+    if pair_product:
+        psi = _pair_product(n, rng, *_random_pair_positions(n, rng), mode=EXACT)
+    else:
+        psi = random_rational_state(n, rng)
+    flt = psi.to_float()
+    ex, fl = orbit_report(psi), orbit_report(flt)
+    assert (ex.rank, ex.pair_span, ex.lone_span) == (fl.rank, fl.pair_span, fl.lone_span)
+    assert ex.pairing == fl.pairing
+    te, tf = tangent_matrix(psi), tangent_matrix(flt)
+    for inside in range(1, n + 1):
+        against = ColumnSelector((k for k in range(1, n + 1) if k != inside), include_last=True)
+        assert complement_dim(te, inside, against) == complement_dim(tf, inside, against)
 
 
 def test_exact_rank_is_scale_invariant():
@@ -267,3 +289,10 @@ def test_complement_basis_spans_the_complement():
         view = np.empty(16)
         view[0::2], view[1::2] = col.real, col.imag
         assert np.max(np.abs(basis.T @ view)) < 1e-10
+    # on a scrambled partial pair the basis has exactly complement_dim columns
+    rng = np.random.default_rng(255)
+    tm = tangent_matrix(_scramble(_partial_pair_state(4, rng, 1, 3), rng))
+    against = ColumnSelector((2, 4), include_last=True)
+    for inside in (1, 3):
+        basis = complement_basis(tm, inside, against)
+        assert basis.shape[1] == complement_dim(tm, inside, against) == 2

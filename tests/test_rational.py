@@ -37,7 +37,6 @@ def test_arithmetic_matches_complex():
         (a / b, a.to_complex() / b.to_complex()),
         (-a, -a.to_complex()),
         (a.conjugate(), a.to_complex().conjugate()),
-        (a.times_i(), 1j * a.to_complex()),
     ]:
         assert abs(got.to_complex() - want) < 1e-15
 
