@@ -21,7 +21,7 @@ from .analysis import (
 )
 from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import DEFAULT_TOL
+from .rank import DEFAULT_TOL, check_tol
 from .rational import fraction_str
 from .states import (
     EXACT,
@@ -95,6 +95,19 @@ def _prepare_state(args) -> StateVector:
     if lu_seed is not None:
         psi = apply_local(psi, LocalUnitary.random(psi.n, lu_seed))
     return psi
+
+
+def _tol(text: str) -> float:
+    """argparse type of --tol: a float that ``rank.check_tol`` accepts."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _parse_pairs(text: str):
@@ -301,7 +314,7 @@ def _cmd_verify(args) -> int:
 
 def _add_state_flags(sub, lu: bool = True):
     sub.add_argument("state", help="state JSON file, or - for stdin")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    sub.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
                      help="relative singular-value threshold (default 1e-10)")
     sub.add_argument("--backend", choices=[FLOAT, EXACT], default=None,
                      help="force a numeric backend (default: follow the file)")
@@ -331,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compare", help="whether two minimal states share a pairing")
     p.add_argument("state_a", help="first state JSON file")
     p.add_argument("state_b", help="second state JSON file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_compare)
 
@@ -354,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=int, default=3)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--out", default=None, help="also write a JSON report here")
     p.set_defaults(fn=_cmd_verify)
 

@@ -12,8 +12,8 @@ Acting on qubit k of psi = sum_I c_I |I>, the coefficient of |I> becomes
     y:  (-1)**i_k * c_{I with bit k flipped}
     x:  i * c_{I with bit k flipped}
 
-One tensor routine, ``_action``, computes all three on the state's real
-parts held as a (2,)*n + (2,) array: axis k-1 is qubit k's bit and the
+One tensor routine, ``_write_triple``, computes all three on the state's
+real parts held as a (2,)*n + (2,) array: axis k-1 is qubit k's bit and the
 last axis is (re, im).  Flipping bit k is ``np.flip`` along axis k-1,
 (-1)**i_k is a +-1 vector along that axis, and multiplying by i acts on
 the last axis.  The same numpy operations run on float64 arrays and on
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -66,42 +67,63 @@ def _amplitudes_of(parts: np.ndarray, mode: str, scale):
     )
 
 
-def _times(parts: np.ndarray, re, im) -> np.ndarray:
-    """Multiply every complex number on the last axis by ``re + i*im``.
+def _times_i(parts: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
+    """Write every complex number on the last axis, times ``sign * i`` (sign +-1), to ``out``.
 
-    Spelled out as complex128 multiplication computes it, so float results
-    match numpy's complex product bit for bit, signed zeros included (a
-    matrix dump prints them); on Python ints it is exact.
+    Each (a, b) becomes (a*re - b*sign, b*re + a*sign), with ``re`` the
+    real part of sign*i: complex128 multiplication spelled out, so float
+    results match numpy's complex product bit for bit, signed zeros
+    included (a matrix dump prints them); on Python ints it is exact.
+    Returns ``out``.
     """
-    a, b = parts[..., 0], parts[..., 1]
-    return np.stack((a * re - b * im, a * im + b * re), axis=-1)
-
-
-def _times_i(parts: np.ndarray, sign: int = 1) -> np.ndarray:
-    """Multiply every complex number on the last axis by ``sign * i`` (sign +-1)."""
     # -1j has real part -0.0 in float mode, and 0 stays an int in exact mode
-    return _times(parts, sign * parts.dtype.type(0), sign)
+    re = sign * parts.dtype.type(0)
+    np.multiply(parts, re, out=out)
+    out[..., 0] -= parts[..., 1] * sign
+    out[..., 1] += parts[..., 0] * sign
+    return out
 
 
-def _action(parts: np.ndarray, i_parts: np.ndarray, k: int, g: int) -> np.ndarray:
-    """Generator g (0 = z, 1 = y, 2 = x) of qubit k on psi.
+def _operands(parts: np.ndarray) -> tuple:
+    """``(parts, i_parts, zeros, i_zeros)``: what ``_write_triple`` reads.
 
-    ``parts`` and ``i_parts`` are the real parts of psi and of i*psi.
+    ``i_parts`` are the real parts of i*psi.  ``zeros`` holds (-(b*0), a*0)
+    for each (a, b) of ``parts``: the terms that a complex128 product by a
+    real s + 0i adds to (a*s, b*s).  They only ever carry signed zeros, but
+    a matrix dump prints those.  ``i_zeros`` holds the same for ``i_parts``.
+    Both are computed once per state, not once per column.
     """
-    if g == 2:
-        return np.flip(i_parts, k - 1)
-    # (-1)**i_k, shaped to broadcast against the (2,)*n real or imaginary parts
-    signs = np.array([1, -1], dtype=parts.dtype).reshape((2,) + (1,) * (parts.ndim - 1 - k))
-    if g == 0:
-        return _times(i_parts, signs, 0)
-    return _times(np.flip(parts, k - 1), signs, 0)
+    zero = parts.dtype.type(0)
+    swap_zero = np.array([-zero, zero], dtype=parts.dtype)
+    i_parts = _times_i(parts, 1, np.empty_like(parts))
+    return parts, i_parts, parts[..., ::-1] * swap_zero, i_parts[..., ::-1] * swap_zero
+
+
+def _write_triple(operands: tuple, k: int, out: np.ndarray) -> np.ndarray:
+    """Write the z, y and x generators of qubit k on psi to ``out[0:3]``; return ``out``.
+
+    z is i*psi times (-1)**i_k, y is psi with bit k flipped times
+    (-1)**i_k, and x is i*psi with bit k flipped; ``operands`` come from
+    ``_operands``.
+    """
+    parts, i_parts, zeros, i_zeros = operands
+    # (-1)**i_k, shaped to broadcast along qubit k's axis of the real parts
+    signs = np.array([1, -1], dtype=parts.dtype).reshape((2,) + (1,) * (parts.ndim - k))
+    z, y, x = out
+    np.multiply(i_parts, signs, out=z)
+    z += i_zeros
+    np.multiply(np.flip(parts, k - 1), signs, out=y)
+    y += np.flip(zeros, k - 1)
+    np.copyto(x, np.flip(i_parts, k - 1))
+    return out
 
 
 def _apply(psi: StateVector, k: int, g: int):
     if not 1 <= k <= psi.n:
         raise ValueError(f"qubit index {k} out of range 1..{psi.n}")
     parts, scale = _real_parts(psi)
-    return _amplitudes_of(_action(parts, _times_i(parts), k, g), psi.mode, scale)
+    triple = _write_triple(_operands(parts), k, np.empty((3,) + parts.shape, dtype=parts.dtype))
+    return _amplitudes_of(triple[g], psi.mode, scale)
 
 
 def apply_z(psi: StateVector, k: int):
@@ -133,13 +155,17 @@ class TangentMatrix:
     column dot product is Re<u|v>.  It is float64 in float mode and holds
     Python ints in exact mode, every entry ``scale`` times the true one.
     ``ranks`` memoizes rank verdicts by ``(ColumnSelector, tol)``; see
-    ``rank.real_rank``.
+    ``rank.real_rank``.  ``r_factor`` caches the (3n+1) x (3n+1)
+    Householder R of ``real`` (``np.linalg.qr(real, mode="r")``), computed
+    by the first floating rank query when ``real`` is at least twice as
+    tall as it is wide (n >= 4); it stays None otherwise.
     """
 
     state: StateVector
     real: np.ndarray
     scale: int
     ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    r_factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -181,13 +207,12 @@ def tangent_matrix(psi: StateVector) -> TangentMatrix:
     if n < 1:
         raise ValueError("tangent matrix needs at least one qubit")
     parts, scale = _real_parts(psi)
-    i_parts = _times_i(parts)
     # Column j is written to row j of one buffer; ``real`` is its transpose.
     buf = np.empty((3 * n + 1,) + parts.shape, dtype=parts.dtype)
+    operands = _operands(parts)
     for k in range(1, n + 1):
-        for g in range(3):
-            buf[3 * (k - 1) + g] = _action(parts, i_parts, k, g)
-    buf[3 * n] = _times_i(parts, -1)
+        _write_triple(operands, k, buf[3 * (k - 1) : 3 * k])
+    _times_i(parts, -1, buf[3 * n])
     real = buf.reshape(3 * n + 1, -1).T
     real.flags.writeable = False
     return TangentMatrix(state=psi, real=real, scale=scale)

@@ -2,16 +2,39 @@
 
 Two interchangeable backends:
 
-* floating — numpy SVD on the interleaved real view; singular values are
-  retained when strictly above ``tol`` times the largest one (ties at the
-  cutoff are discarded, so verdicts are deterministic), and the ratio of
-  the smallest retained to the largest discarded value is reported so
-  callers can recognize ill-conditioned verdicts;
-* exact — fraction-free (Bareiss) integer elimination on the same real
-  view, whose denominators ``tangent_matrix`` cleared once per state;
+* floating — numpy SVD; singular values are retained when strictly
+  above ``tol`` times the largest one (ties at the cutoff are discarded,
+  so verdicts are deterministic), and the ratio of the smallest retained
+  to the largest discarded value is reported so callers can recognize
+  ill-conditioned verdicts;
+* exact — fraction-free (Bareiss) integer elimination on the real view,
+  whose denominators ``tangent_matrix`` cleared once per state;
   tolerance-free.
 
-Both slice the columns they need out of ``TangentMatrix.real``.
+The exact backend, and the floating one for n <= 3, slice the columns
+they need out of ``TangentMatrix.real``.  For n >= 4 the real view is at
+least twice as tall as it is wide, and the first floating query factors
+it once, ``real = Q R`` with Q orthonormal and R of size (3n+1) x (3n+1)
+(``TangentMatrix.r_factor``).  Any column subset of ``real`` then has the
+singular values of the same columns of R, up to rounding at the 1e-16
+level; nothing is squared, so no precision is lost.
+
+* The full selection is answered from R itself.  LAPACK's SVD of a
+  matrix this tall starts with the same Householder QR, so the verdict,
+  its singular values and its gap ratio are bit-identical to those of the
+  real view.
+* A proper subset is answered from its R columns when they have full
+  column rank with the smallest singular value above
+  ``GAP_WARNING_THRESHOLD * tol`` times the largest: rounding cannot move
+  a value across a cutoff three orders of magnitude away, so the direct
+  verdict (full rank, gap ratio inf) is the same.  Every other subset,
+  rank-deficient or near the cutoff, falls back to its columns of the
+  real view, so deficient verdicts and their gap ratios come from the
+  same arithmetic as the direct route.
+
+``tol`` must be finite and lie in [eps, 1) with eps the float64 machine
+epsilon (``check_tol``): below eps the cutoff sits under rounding noise,
+and at 1 or above it discards every singular value.
 """
 
 from __future__ import annotations
@@ -30,6 +53,8 @@ DEFAULT_TOL = 1e-10
 
 #: Verdicts whose gap ratio falls below this are flagged as ill-conditioned.
 GAP_WARNING_THRESHOLD = 1e3
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -67,7 +92,14 @@ class ColumnSelector:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Verdict of one rank query."""
+    """Verdict of one rank query.
+
+    ``singular_values`` (floating backend only) are those of the matrix
+    the verdict was read from.  A proper subset certified from the columns
+    of ``TangentMatrix.r_factor`` carries the singular values of that R
+    slice: its rank and gap ratio equal the direct ones on the real view,
+    its singular values agree with them only to rounding.
+    """
 
     rank: int
     gap_ratio: float
@@ -77,6 +109,12 @@ class RankResult:
     @property
     def ill_conditioned(self) -> bool:
         return self.gap_ratio < GAP_WARNING_THRESHOLD
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is a finite relative cutoff in [eps, 1)."""
+    if not (math.isfinite(tol) and _EPS <= tol < 1.0):
+        raise ValueError(f"tol must be finite and in [eps, 1) with eps = {_EPS:g}; got {tol!r}")
 
 
 def retained_rank(singular_values, tol: float) -> int:
@@ -101,8 +139,10 @@ def _gap_ratio(s: np.ndarray, rank: int) -> float:
     return float(s[rank - 1] / largest_discarded)
 
 
-def _float_rank(view: np.ndarray, tol: float) -> RankResult:
-    s = np.linalg.svd(view, compute_uv=False)
+def _float_rank(view: np.ndarray, tol: float, s: Optional[np.ndarray] = None) -> RankResult:
+    """Verdict from the singular values ``s`` of ``view``, computed here unless given."""
+    if s is None:
+        s = np.linalg.svd(view, compute_uv=False)
     rank = retained_rank(s, tol)
     return RankResult(
         rank=rank,
@@ -175,13 +215,33 @@ def real_rank(
         selector = ColumnSelector.full(tm.n)
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
+    check_tol(tol)
     key = (selector, tol)
     result = tm.ranks.get(key)
     if result is None:
-        view = tm.real[:, list(selector.column_indices(tm.n))]
-        result = _float_rank(view, tol) if tm.mode == FLOAT else _exact_rank(view)
+        cols = list(selector.column_indices(tm.n))
+        if tm.mode == FLOAT:
+            result = _float_verdict(tm, cols, tol)
+        else:
+            result = _exact_rank(tm.real[:, cols])
         tm.ranks[key] = result
     return result
+
+
+def _float_verdict(tm: TangentMatrix, cols: list, tol: float) -> RankResult:
+    """Floating verdict on ``cols``, from R where that is safe (module docstring)."""
+    rows, width = tm.real.shape
+    if rows < 2 * width:
+        return _float_rank(tm.real[:, cols], tol)
+    if tm.r_factor is None:
+        object.__setattr__(tm, "r_factor", np.linalg.qr(tm.real, mode="r"))
+    if len(cols) == width:
+        return _float_rank(tm.r_factor, tol)
+    r_slice = tm.r_factor[:, cols]
+    s = np.linalg.svd(r_slice, compute_uv=False)
+    if s[-1] > GAP_WARNING_THRESHOLD * tol * s[0]:
+        return _float_rank(r_slice, tol, s)
+    return _float_rank(tm.real[:, cols], tol)
 
 
 def span_dim(
@@ -212,6 +272,7 @@ def complement_dim(
     projection's singular values live in [0, 1], so the floating cutoff is
     absolute there rather than relative.
     """
+    check_tol(tol)
     if inside in against.triples:
         raise ValueError(f"triple {inside} may not appear in the 'against' selection")
     if against.is_empty:
@@ -249,6 +310,7 @@ def complement_basis(
     Floating backend only; used by the verification suites to check that
     complements drawn from different triples are jointly independent.
     """
+    check_tol(tol)
     if tm.mode != FLOAT:
         raise ValueError("complement_basis requires the floating backend")
     if inside in against.triples:

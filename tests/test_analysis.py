@@ -388,6 +388,32 @@ def test_report_computes_each_rank_once(monkeypatch, mode):
     assert len(calls) == 1 + math.comb(n, 2) + n
 
 
+def _full_height_views(monkeypatch, psi) -> int:
+    """How many views passed to _float_rank during orbit_report(psi) have every row."""
+    heights = []
+    original = rank_mod._float_rank
+
+    def spy(view, *args, **kwargs):
+        heights.append(view.shape[0])
+        return original(view, *args, **kwargs)
+
+    monkeypatch.setattr(rank_mod, "_float_rank", spy)
+    orbit_report(psi)
+    return heights.count(2 ** (psi.n + 1))
+
+
+def test_report_slices_the_real_view_only_for_deficient_subsets(monkeypatch):
+    # every query is read from the state's R factor, except the subsets that
+    # are rank-deficient: the pair spans, and the lone qubit's span
+    assert _full_height_views(monkeypatch, random_state(8, 140)) == 0
+    pairs = [(1, 5), (2, 3), (4, 8), (6, 7)]
+    assert _full_height_views(monkeypatch, singlet_product(8, pairs)) == 4
+    lone_product = singlet_product(9, pairs, lone=9)
+    assert _full_height_views(monkeypatch, lone_product) == 5
+    scrambled = apply_local(lone_product, LocalUnitary.random(9, 141))
+    assert _full_height_views(monkeypatch, scrambled) == 5
+
+
 def test_dimensions_add_across_tensor_products():
     a, b = random_state(2, 130), random_state(2, 131)
     assert orbit_dimension(tensor(a, b)) == orbit_dimension(a) + orbit_dimension(b)

@@ -174,6 +174,31 @@ def test_float_conversion_survives_exact_parts_beyond_float_range(value, flags):
     assert json.loads(want[1])["orbit_dimension"] == 3
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "1e-300", "nan", "inf", "1"])
+def test_analyze_rejects_degenerate_tol(tol):
+    # a minimal 6-qubit state: a tol below rounding noise read it as full rank
+    # 19, and nan, inf or 1 dropped every singular value, all with exit 0
+    _, psi, _ = run("generate", "singlet-product", "--qubits", "6", "--pairs", "1:4,2:3,5:6")
+    code, out, err = run("analyze", "-", f"--tol={tol}", stdin=psi)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err and "Traceback" not in err
+
+
+def test_every_tol_flag_rejects_degenerate_values(tmp_path):
+    path = tmp_path / "s.json"
+    run("generate", "singlet-product", "--qubits", "2", "--pairs", "1:2", "--out", str(path))
+    for args in [
+        ("classify", str(path)),
+        ("compare", str(path), str(path)),
+        ("verify", "--suite", "triplesprop", "--trials", "1"),
+    ]:
+        code, out, err = run(*args, "--tol=0")
+        assert code == 2, args
+        assert out == "" and "Traceback" not in err
+    assert run("classify", str(path), "--tol=1e-15")[0] == 0
+
+
 def test_backend_exact_requires_exact_file():
     _, psi, _ = run("generate", "w", "--qubits", "2")
     code, _, _ = run("analyze", "-", "--backend", "exact", stdin=psi)

@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 
 from luorbit import (
     EXACT,
+    LocalUnitary,
     StateVector,
+    apply_local,
     apply_x,
     apply_y,
     apply_z,
     basis_state,
     random_rational_state,
     random_state,
+    singlet_product,
     tangent_matrix,
 )
 from luorbit.rational import RationalComplex
@@ -168,3 +171,29 @@ def test_last_column_is_minus_i_psi(n, seed):
     psi = random_state(n, seed)
     tm = tangent_matrix(psi)
     assert np.allclose(tm.column(tm.last_index), -1j * psi.vector, atol=0)
+
+
+def _complex_product_columns(psi: StateVector) -> np.ndarray:
+    """Every column as numpy complex128 products on the (2,)*n amplitude tensor."""
+    n = psi.n
+    amps = psi.vector.reshape((2,) * n)
+    i_amps = amps * 1j
+    cols = []
+    for k in range(n):
+        signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * (n - 1 - k))
+        cols += [i_amps * signs, np.flip(amps, k) * signs, np.flip(i_amps, k)]
+    cols.append(amps * -1j)
+    return np.stack([c.reshape(-1) for c in cols], axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_float_columns_are_complex_products_bit_for_bit(n):
+    # signed zeros included: a matrix dump prints them
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(n // 2)]
+    product = singlet_product(n, pairs, n if n % 2 else None)
+    for psi in [random_state(n, 70 + n), basis_state(n, n % (1 << n)), product,
+                apply_local(product, LocalUnitary.random(n, 80 + n))]:
+        got = tangent_matrix(psi).columns.view(np.float64)
+        want = _complex_product_columns(psi).view(np.float64)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -5,6 +5,7 @@ np.linalg.matrix_rank, so it shares no code with the implementation.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from luorbit import (
     canonical_pair_state,
     complement_basis,
     complement_dim,
+    embed_product,
     orbit_report,
     random_rational_state,
     random_state,
@@ -27,8 +29,14 @@ from luorbit import (
     span_dim,
     tangent_matrix,
 )
-from luorbit.rank import retained_rank
-from luorbit.verify import _pair_product, _partial_pair_state, _random_pair_positions, _scramble
+from luorbit.rank import DEFAULT_TOL, _float_rank, retained_rank
+from luorbit.verify import (
+    _pair_product,
+    _partial_pair_state,
+    _random_pair_positions,
+    _scramble,
+    _scrambled_singlet_product,
+)
 
 
 def oracle_rank(psi: StateVector, indices=None) -> int:
@@ -224,6 +232,86 @@ def test_tol_override_changes_verdict():
     tm = tangent_matrix(random_state(2, 241))
     # absurdly large tolerance collapses everything but the top direction
     assert real_rank(tm, tol=0.99).rank < real_rank(tm).rank
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-300, 1e-16, 1.0, 2.0, math.nan, math.inf])
+def test_degenerate_tol_is_rejected(tol):
+    # below eps the cutoff sits under rounding noise; at 1 it drops everything
+    tm = tangent_matrix(random_state(3, 242))
+    with pytest.raises(ValueError, match="tol"):
+        real_rank(tm, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        complement_dim(tm, 1, ColumnSelector((2,)), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        complement_basis(tm, 1, ColumnSelector((2,)), tol=tol)
+    assert tm.ranks == {}
+
+
+def test_tol_range_ends():
+    tm = tangent_matrix(random_state(3, 243))
+    eps = float(np.finfo(np.float64).eps)
+    assert real_rank(tm, tol=eps).rank == 10
+    assert real_rank(tm, tol=np.nextafter(1.0, 0.0)).rank >= 1
+
+
+# ---------------------------------------------------------------------------
+# the one-QR-per-state floating route against direct slices of the real view
+# ---------------------------------------------------------------------------
+
+
+def _near_pair_state(n: int, rng, eps: float) -> StateVector:
+    """cos(t)|00> + sin(t)|11> at t = pi/4 - eps on two random qubits, Haar elsewhere, scrambled."""
+    theta = math.pi / 4 - eps
+    l, lp = _random_pair_positions(n, rng)
+    chi = StateVector([math.cos(theta), 0.0, 0.0, math.sin(theta)])
+    rest = tuple(q for q in range(1, n + 1) if q not in (l, lp))
+    placements = [((l, lp), chi)]
+    if rest:
+        placements.append((rest, random_state(len(rest), rng)))
+    return _scramble(embed_product(n, placements), rng)
+
+
+def _route_state(kind: str, n: int, seed: int, eps: float) -> StateVector:
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        return random_state(n, rng)
+    if kind == "singlets":
+        return _scrambled_singlet_product(n, rng)
+    if kind == "near_pair":
+        return _near_pair_state(n, rng, eps)
+    if kind == "basis":
+        return basis_state(n, int(rng.integers(1 << n)))
+    return random_rational_state(n, rng).to_float()
+
+
+def _every_selector(n: int) -> list:
+    """What ranktripluinv asks for; orbit_report's full, pair and lone selectors are among them."""
+    return [
+        ColumnSelector(subset, include_last)
+        for size in range(1, n + 1)
+        for subset in combinations(range(1, n + 1), size)
+        for include_last in (False, True)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.sampled_from(["haar", "singlets", "near_pair", "basis", "rational"]),
+    st.integers(0, 10**6),
+    st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+)
+def test_float_route_matches_direct_slices(n, kind, seed, eps):
+    tm = tangent_matrix(_route_state(kind, n, seed, eps))
+    for sel in _every_selector(n):
+        got = real_rank(tm, sel)
+        want = _float_rank(tm.real[:, list(sel.column_indices(n))], DEFAULT_TOL)
+        assert (got.rank, got.gap_ratio) == (want.rank, want.gap_ratio), sel
+    if n >= 4:
+        # bit for bit: LAPACK's SVD of a matrix this tall starts with the same QR
+        full = np.array(real_rank(tm).singular_values)
+        direct = np.linalg.svd(tm.real, compute_uv=False)
+        assert np.array_equal(full.view(np.uint64), direct.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
