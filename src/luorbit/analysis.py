@@ -27,6 +27,7 @@ from .rank import (
 from .states import (
     StateVector,
     ZeroResidualError,
+    _check_pairing,
     canonical_pair_state,
     contract_pair,
     embed_product,
@@ -130,7 +131,7 @@ class SingletPairing:
     """A perfect pairing of qubits into maximally entangled two-qubit factors.
 
     For odd n exactly one qubit is left unpaired (``lone``); for even n
-    ``lone`` is None.
+    ``lone`` is None.  Validated by ``singlet_product``'s rule; pairs are stored sorted.
     """
 
     n: int
@@ -138,21 +139,8 @@ class SingletPairing:
     lone: Optional[int] = None
 
     def __post_init__(self):
-        normalized = frozenset(
-            (min(a, b), max(a, b)) for a, b in self.pairs
-        )
-        object.__setattr__(self, "pairs", normalized)
-        covered: set = set()
-        for a, b in normalized:
-            if a == b or a in covered or b in covered:
-                raise ValueError("pairs must be disjoint two-element sets")
-            covered.update((a, b))
-        if self.lone is not None:
-            if self.lone in covered:
-                raise ValueError("lone qubit collides with a pair")
-            covered.add(self.lone)
-        if covered != set(range(1, self.n + 1)):
-            raise ValueError("pairing must cover qubits 1..n exactly")
+        pairs = _check_pairing(self.n, self.pairs, self.lone)
+        object.__setattr__(self, "pairs", frozenset(pairs))
 
     @property
     def sorted_pairs(self) -> tuple:

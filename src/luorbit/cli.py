@@ -208,12 +208,12 @@ def _generate_state(args) -> StateVector:
     if kind == "ghz":
         amps = [0] * (1 << n)
         amps[0] = amps[-1] = 1
-        return StateVector(amps, mode=FLOAT) if mode == FLOAT else StateVector.from_rational(amps)
+        return StateVector(amps, mode=mode)
     if kind == "w":
         amps = [0] * (1 << n)
         for k in range(n):
             amps[1 << k] = 1
-        return StateVector(amps, mode=FLOAT) if mode == FLOAT else StateVector.from_rational(amps)
+        return StateVector(amps, mode=mode)
     if kind == "basis":
         if args.bits is not None:
             if args.index is not None:

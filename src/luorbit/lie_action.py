@@ -141,6 +141,13 @@ def apply_x(psi: StateVector, k: int):
     return _apply(psi, k, 2)
 
 
+def _triple_columns(k: int, n: int) -> tuple:
+    """Column indices of qubit k's z, y, x generators in an n-qubit tangent matrix."""
+    if not 1 <= k <= n:
+        raise ValueError(f"qubit index {k} out of range 1..{n}")
+    return (3 * k - 3, 3 * k - 2, 3 * k - 1)
+
+
 @dataclass(frozen=True)
 class TangentMatrix:
     """Generator actions on a state, column by column, plus -i psi.
@@ -156,9 +163,11 @@ class TangentMatrix:
     Python ints in exact mode, every entry ``scale`` times the true one.
     ``ranks`` memoizes rank verdicts by ``(ColumnSelector, tol)``; see
     ``rank.real_rank``.  ``r_factor`` caches the (3n+1) x (3n+1)
-    Householder R of ``real`` (``np.linalg.qr(real, mode="r")``), computed
-    by the first floating rank query when ``real`` is at least twice as
-    tall as it is wide (n >= 4); it stays None otherwise.
+    Householder R of ``real`` (``np.linalg.qr(real, mode="r")``), None
+    until first needed.  A floating complement (``rank.complement_dim``,
+    ``rank.complement_basis``) builds it at any n; floating rank verdicts
+    build and read it only when ``real`` is at least twice as tall as it
+    is wide (n >= 4).
     """
 
     state: StateVector
@@ -185,10 +194,7 @@ class TangentMatrix:
 
     def triple_indices(self, k: int) -> tuple:
         """Column indices of qubit k's generator triple."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"qubit index {k} out of range 1..{self.n}")
-        base = 3 * (k - 1)
-        return (base, base + 1, base + 2)
+        return _triple_columns(k, self.n)
 
     def column(self, j: int):
         """Column j as amplitudes: complex ndarray (float) or RationalComplex tuple (exact)."""

@@ -13,11 +13,11 @@ Two interchangeable backends:
 
 The exact backend, and the floating one for n <= 3, slice the columns
 they need out of ``TangentMatrix.real``.  For n >= 4 the real view is at
-least twice as tall as it is wide, and the first floating query factors
-it once, ``real = Q R`` with Q orthonormal and R of size (3n+1) x (3n+1)
-(``TangentMatrix.r_factor``).  Any column subset of ``real`` then has the
-singular values of the same columns of R, up to rounding at the 1e-16
-level; nothing is squared, so no precision is lost.
+least twice as tall as it is wide, and the first floating rank query
+factors it once, ``real = Q R`` with Q orthonormal and R of size
+(3n+1) x (3n+1) (``TangentMatrix.r_factor``).  Any column subset of
+``real`` then has the singular values of the same columns of R, up to
+rounding at the 1e-16 level; nothing is squared, so no precision is lost.
 
 * The full selection is answered from R itself.  LAPACK's SVD of a
   matrix this tall starts with the same Householder QR, so the verdict,
@@ -32,6 +32,16 @@ level; nothing is squared, so no precision is lost.
   real view, so deficient verdicts and their gap ratios come from the
   same arithmetic as the direct route.
 
+Float complements (``complement_dim``, ``complement_basis``) read R at
+every n (R is square for n >= 1): its columns have the inner products of
+the real view's.  An SVD of the ``against`` columns of R gives an
+orthonormal basis of their span (same relative cutoff as a verdict), and
+the triple's columns of R are projected onto it.  One qubit's z, y and x
+actions are orthonormal on a unit-norm state, so the triple needs no QR,
+and the projection's singular values are cosines in [0, 1]: their cutoff
+is the absolute ``s > tol``.  The right singular vectors at or below it
+are the complement's coefficients in the triple's columns of the real view.
+
 ``tol`` must be finite and lie in [eps, 1) with eps the float64 machine
 epsilon (``check_tol``): below eps the cutoff sits under rounding noise,
 and at 1 or above it discards every singular value.
@@ -45,7 +55,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .lie_action import TangentMatrix
+from .lie_action import TangentMatrix, _triple_columns
 from .states import EXACT, FLOAT
 
 #: Default relative cutoff for the floating backend.
@@ -78,13 +88,7 @@ class ColumnSelector:
 
     def column_indices(self, n: int) -> tuple:
         """Concrete column indices for an n-qubit tangent matrix."""
-        for k in self.triples:
-            if not 1 <= k <= n:
-                raise ValueError(f"triple index {k} out of range 1..{n}")
-        cols: list = []
-        for k in sorted(self.triples):
-            base = 3 * (k - 1)
-            cols.extend((base, base + 1, base + 2))
+        cols = [c for k in sorted(self.triples) for c in _triple_columns(k, n)]
         if self.include_last:
             cols.append(3 * n)
         return tuple(cols)
@@ -228,16 +232,22 @@ def real_rank(
     return result
 
 
+def _r_factor(tm: TangentMatrix) -> np.ndarray:
+    """``tm.r_factor``, the Householder R of ``tm.real``, computed on first use."""
+    if tm.r_factor is None:
+        object.__setattr__(tm, "r_factor", np.linalg.qr(tm.real, mode="r"))
+    return tm.r_factor
+
+
 def _float_verdict(tm: TangentMatrix, cols: list, tol: float) -> RankResult:
     """Floating verdict on ``cols``, from R where that is safe (module docstring)."""
     rows, width = tm.real.shape
     if rows < 2 * width:
         return _float_rank(tm.real[:, cols], tol)
-    if tm.r_factor is None:
-        object.__setattr__(tm, "r_factor", np.linalg.qr(tm.real, mode="r"))
+    r = _r_factor(tm)
     if len(cols) == width:
-        return _float_rank(tm.r_factor, tol)
-    r_slice = tm.r_factor[:, cols]
+        return _float_rank(r, tol)
+    r_slice = r[:, cols]
     s = np.linalg.svd(r_slice, compute_uv=False)
     if s[-1] > GAP_WARNING_THRESHOLD * tol * s[0]:
         return _float_rank(r_slice, tol, s)
@@ -254,11 +264,6 @@ def span_dim(
     return real_rank(tm, ColumnSelector(triples, include_last), tol=tol).rank
 
 
-def _orthonormal_inside(tm: TangentMatrix, inside: int) -> np.ndarray:
-    q, _ = np.linalg.qr(tm.real[:, list(tm.triple_indices(inside))])
-    return q
-
-
 def complement_dim(
     tm: TangentMatrix,
     inside: int,
@@ -267,10 +272,10 @@ def complement_dim(
 ) -> int:
     """Dimension of the part of triple ``inside``'s span orthogonal to ``against``.
 
-    Computed as 3 minus the rank of the projection of an orthonormal basis
-    of the triple's span onto the span of the ``against`` columns.  The
-    projection's singular values live in [0, 1], so the floating cutoff is
-    absolute there rather than relative.
+    3 minus the rank of the projection of the triple's orthonormal columns
+    onto the ``against`` span.  Floating mode reads it from R, with an
+    absolute cutoff since the projection's singular values are cosines in
+    [0, 1] (module docstring); exact mode ranks the integer cross Gram.
     """
     check_tol(tol)
     if inside in against.triples:
@@ -278,22 +283,21 @@ def complement_dim(
     if against.is_empty:
         return 3
     if tm.mode == FLOAT:
-        projected = _project(tm, _orthonormal_inside(tm, inside), against, tol)
-        s = np.linalg.svd(projected, compute_uv=False)
-        return 3 - int(np.count_nonzero(s > tol))
+        return len(_complement_coeffs(tm, inside, against, tol))
     inside_view = tm.real[:, list(tm.triple_indices(inside))]
     against_view = tm.real[:, list(against.column_indices(tm.n))]
     return 3 - _bareiss_rank(against_view.T @ inside_view)
 
 
-def _project(
-    tm: TangentMatrix, basis_inside: np.ndarray, against: ColumnSelector, tol: float
+def _complement_coeffs(
+    tm: TangentMatrix, inside: int, against: ColumnSelector, tol: float
 ) -> np.ndarray:
-    """Coordinates of ``basis_inside`` in an orthonormal basis of the ``against`` span."""
-    against_view = tm.real[:, list(against.column_indices(tm.n))]
-    u, s, _ = np.linalg.svd(against_view, full_matrices=False)
-    basis_against = u[:, s > tol * s[0]]
-    return basis_against.T @ basis_inside
+    """d x 3 rows C: ``tm.real[:, triple] @ C.T`` spans the complement; reads only R."""
+    r = _r_factor(tm)
+    u, s, _ = np.linalg.svd(r[:, list(against.column_indices(tm.n))], full_matrices=False)
+    projected = u[:, s > tol * s[0]].T @ r[:, list(tm.triple_indices(inside))]
+    _, s, vt = np.linalg.svd(projected)
+    return vt[np.count_nonzero(s > tol) :]
 
 
 def complement_basis(
@@ -304,8 +308,9 @@ def complement_basis(
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the complement measured by complement_dim.
 
-    It has ``complement_dim`` columns, so a caller needing both the basis
-    and the dimension factorizes once by calling this alone.
+    It has ``complement_dim`` columns: combinations of the triple's
+    orthonormal columns of the real view, with coefficients read from R
+    (module docstring).
 
     Floating backend only; used by the verification suites to check that
     complements drawn from different triples are jointly independent.
@@ -315,11 +320,5 @@ def complement_basis(
         raise ValueError("complement_basis requires the floating backend")
     if inside in against.triples:
         raise ValueError(f"triple {inside} may not appear in the 'against' selection")
-    basis_inside = _orthonormal_inside(tm, inside)
-    if against.is_empty:
-        return basis_inside
-    projected = _project(tm, basis_inside, against, tol)
-    _, s, vt = np.linalg.svd(projected, full_matrices=True)
-    rank = int(np.count_nonzero(s > tol))
-    coeffs = vt[rank:]
-    return basis_inside @ coeffs.T
+    coeffs = np.eye(3) if against.is_empty else _complement_coeffs(tm, inside, against, tol)
+    return tm.real[:, list(tm.triple_indices(inside))] @ coeffs.T

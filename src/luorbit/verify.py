@@ -20,6 +20,7 @@ from .analysis import (
     NotMinimal,
     SingletPairing,
     classify_min_orbit,
+    min_orbit_dimension,
     orbit_dimension,
     pairing_equal,
 )
@@ -75,10 +76,6 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _haar(n: int, rng) -> StateVector:
-    return random_state(n, rng)
-
-
 def _scramble(psi: StateVector, rng) -> StateVector:
     return apply_local(psi, LocalUnitary.random(psi.n, rng))
 
@@ -95,21 +92,19 @@ def _random_pair_positions(n: int, rng):
     return l, lp
 
 
-def _rest_positions(n: int, used) -> tuple:
-    return tuple(p for p in range(1, n + 1) if p not in used)
+def _with_rest(n: int, rng, placements: list, filler) -> StateVector:
+    """``embed_product`` of ``placements`` plus ``filler(m, rng)`` on the m qubits they leave."""
+    used = {p for positions, _ in placements for p in positions}
+    rest = tuple(p for p in range(1, n + 1) if p not in used)
+    if rest:
+        placements = placements + [(rest, filler(len(rest), rng))]
+    return embed_product(n, placements)
 
 
 def _pair_product(n: int, rng, l: int, lp: int, mode: str = FLOAT) -> StateVector:
     """Canonical pair on (l, lp) tensored with a random state on the rest."""
-    placements = [((l, lp), canonical_pair_state(mode=mode))]
-    rest = _rest_positions(n, {l, lp})
-    if rest:
-        if mode == EXACT:
-            filler = random_rational_state(len(rest), rng)
-        else:
-            filler = _haar(len(rest), rng)
-        placements.append((rest, filler))
-    return embed_product(n, placements)
+    filler = random_rational_state if mode == EXACT else random_state
+    return _with_rest(n, rng, [((l, lp), canonical_pair_state(mode=mode))], filler)
 
 
 def _partial_pair_state(n: int, rng, l: int, lp: int) -> StateVector:
@@ -120,20 +115,13 @@ def _partial_pair_state(n: int, rng, l: int, lp: int) -> StateVector:
         [math.cos(theta) * phases[0], 0.0, 0.0, math.sin(theta) * phases[1]],
         mode=FLOAT,
     )
-    placements = [((l, lp), chi)]
-    rest = _rest_positions(n, {l, lp})
-    if rest:
-        placements.append((rest, _haar(len(rest), rng)))
-    return embed_product(n, placements)
+    return _with_rest(n, rng, [((l, lp), chi)], random_state)
 
 
 def _unentangled_product(n: int, rng, positions) -> StateVector:
     """Independent single-qubit states on ``positions``, one random state on the rest."""
-    placements = [((p,), _haar(1, rng)) for p in positions]
-    rest = _rest_positions(n, set(positions))
-    if rest:
-        placements.append((rest, _haar(len(rest), rng)))
-    return embed_product(n, placements)
+    placements = [((p,), random_state(1, rng)) for p in positions]
+    return _with_rest(n, rng, placements, random_state)
 
 
 def _scrambled_singlet_product(n: int, rng) -> StateVector:
@@ -153,7 +141,7 @@ def _mixed_pool(n: int, rng) -> StateVector:
         k = int(rng.integers(1, n + 1))
         positions = sorted(int(q) + 1 for q in rng.choice(n, size=k, replace=False))
         return _scramble(_unentangled_product(n, rng, positions), rng)
-    return _haar(n, rng)
+    return random_state(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +168,23 @@ def _purity(psi: StateVector, j: int) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def _column_dots(tm, first_indices, second_indices) -> np.ndarray:
-    """Re<u|v> for every listed column pair (times ``tm.scale**2`` in exact mode)."""
-    return tm.real[:, list(first_indices)].T @ tm.real[:, list(second_indices)]
-
-
-def _subset_floor(q: int) -> int:
-    return (3 * q) // 2 + 1 if q % 2 == 0 else (3 * q + 1) // 2 + 1
+def _pair_isolation(tm, l: int, lp: int, tol) -> list:
+    """Failures of pair (l, lp) to span 3 dimensions orthogonal to all other columns."""
+    failures = []
+    span = span_dim(tm, (l, lp), tol=tol)
+    if span != 3:
+        failures.append(f"pair ({l},{lp}) spans {span} dimensions, expected 3")
+    pair_cols = [*tm.triple_indices(l), *tm.triple_indices(lp)]
+    other_cols = [c for c in range(tm.column_count) if c not in pair_cols]
+    dots = tm.real[:, pair_cols].T @ tm.real[:, other_cols]
+    if tm.mode == EXACT:
+        for i, j in zip(*np.nonzero(dots)):
+            failures.append(f"exact columns {pair_cols[i]},{other_cols[j]} not orthogonal")
+    else:
+        worst = float(np.abs(dots).max())
+        if worst > ORTHO_TOL:
+            failures.append(f"pair span leaks onto other columns (dot {worst:.3e})")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def _suite_triplesprop(n, rng, tol):
     elif kind == 1 and n >= 2:
         psi = _scrambled_singlet_product(n, rng)
     else:
-        psi = _haar(n, rng)
+        psi = random_state(n, rng)
     tm = tangent_matrix(psi)
     failures = []
     for k in range(1, n + 1):
@@ -259,25 +257,7 @@ def _suite_twocommonstrong(n, rng, tol):
         failures.append("x-generator columns of the paired qubits differ")
     if not _close(yl, yr, sign=-1):
         failures.append("y-generator columns of the paired qubits are not opposite")
-    span = span_dim(tm, (l, lp), tol=tol)
-    if span != 3:
-        failures.append(f"pair ({l},{lp}) spans {span} dimensions, expected 3")
-    pair_cols = list(tm.triple_indices(l)) + list(tm.triple_indices(lp))
-    other_cols = [
-        c
-        for k in range(1, n + 1)
-        if k not in (l, lp)
-        for c in tm.triple_indices(k)
-    ] + [tm.last_index]
-    dots = _column_dots(tm, pair_cols, other_cols)
-    if exact:
-        for i, j in zip(*np.nonzero(dots)):
-            failures.append(f"exact columns {pair_cols[i]},{other_cols[j]} not orthogonal")
-    else:
-        worst = float(np.abs(dots).max())
-        if worst > ORTHO_TOL:
-            failures.append(f"pair span leaks onto other columns (dot {worst:.3e})")
-    return failures, [psi]
+    return failures + _pair_isolation(tm, l, lp, tol), [psi]
 
 
 def _suite_twocommonstronggen(n, rng, tol):
@@ -285,19 +265,7 @@ def _suite_twocommonstronggen(n, rng, tol):
     orthogonality to all remaining columns."""
     l, lp = _random_pair_positions(n, rng)
     psi = _scramble(_pair_product(n, rng, l, lp), rng)
-    tm = tangent_matrix(psi)
-    failures = []
-    span = span_dim(tm, (l, lp), tol=tol)
-    if span != 3:
-        failures.append(f"pair ({l},{lp}) spans {span} dimensions, expected 3")
-    pair_cols = list(tm.triple_indices(l)) + list(tm.triple_indices(lp))
-    other_cols = [
-        c for k in range(1, n + 1) if k not in (l, lp) for c in tm.triple_indices(k)
-    ] + [tm.last_index]
-    worst = float(np.abs(_column_dots(tm, pair_cols, other_cols)).max())
-    if worst > ORTHO_TOL:
-        failures.append(f"pair span leaks onto other columns (dot {worst:.3e})")
-    return failures, [psi]
+    return _pair_isolation(tangent_matrix(psi), l, lp, tol), [psi]
 
 
 def _suite_twotripspan5(n, rng, tol):
@@ -340,7 +308,7 @@ def _suite_minrankMstrong(n, rng, tol):
     tm = tangent_matrix(psi)
     failures = []
     for q in range(1, n + 1):
-        floor = _subset_floor(q)
+        floor = min_orbit_dimension(q) + 1
         for subset in combinations(range(1, n + 1), q):
             got = span_dim(tm, subset, include_last=True, tol=tol)
             if got < floor:
@@ -361,7 +329,7 @@ def _suite_bipartiteranksadd(n, rng, tol):
     def _factor(m):
         if m >= 2 and rng.integers(2):
             return _scrambled_singlet_product(m, rng)
-        return _haar(m, rng)
+        return random_state(m, rng)
 
     psi1, psi2 = _factor(n1), _factor(n2)
     product = tensor(psi1, psi2)
@@ -421,7 +389,7 @@ def _suite_twotripspan3factors(n, rng, tol):
         if balanced:
             failures.append("oracle wrongly calls the unbalanced pair maximally entangled")
     else:
-        psi = _haar(n, rng)
+        psi = random_state(n, rng)
         tm = tangent_matrix(psi)
         for l in range(1, n + 1):
             for lp in range(l + 1, n + 1):
@@ -432,7 +400,6 @@ def _suite_twotripspan3factors(n, rng, tol):
                         f"pair ({l},{lp}): span-3 is {span3} but oracle says "
                         f"product={is_product}, balanced={balanced}"
                     )
-        return failures, [psi]
     return failures, [psi]
 
 
@@ -450,7 +417,7 @@ def _suite_trippluslonelyspan3(n, rng, tol):
         if abs(_purity(psi, j) - 1.0) > PURITY_TOL:
             failures.append(f"construction failed: qubit {j} purity {_purity(psi, j)}")
     else:
-        psi = _haar(n, rng)
+        psi = random_state(n, rng)
         tm = tangent_matrix(psi)
         for j in range(1, n + 1):
             span3 = span_dim(tm, (j,), include_last=True, tol=tol) == 3
@@ -494,7 +461,7 @@ def _suite_minorbclassthm_roundtrip(n, rng, tol):
     built from, and generic states classify as not minimal."""
     failures = []
     if n >= 2 and int(rng.integers(4)) == 3:
-        psi = _haar(n, rng)
+        psi = random_state(n, rng)
         outcome = classify_min_orbit(psi, tol=tol)
         if not isinstance(outcome, NotMinimal):
             failures.append("a generic random state classified as minimal")

@@ -147,6 +147,39 @@ def test_pairing_normalizes_and_validates():
         SingletPairing(n=5, pairs=frozenset({(1, 2), (3, 4)}))
 
 
+@pytest.mark.parametrize(
+    "n, pairs, lone, valid",
+    [
+        (4, [(1, 1), (3, 4)], None, False),  # repeated qubit
+        (4, [(1, 2), (2, 3)], None, False),  # overlapping pairs
+        (4, [(1, 5), (2, 3)], None, False),  # out-of-range qubit
+        (4, [(0, 1), (2, 3)], None, False),
+        (5, [(1, 2), (3, 4)], 6, False),  # out-of-range lone qubit
+        (4, [(1, 2), (3, 4)], 2, False),  # lone qubit with even n
+        (5, [(1, 2), (3, 4)], None, False),  # missing lone qubit with odd n
+        (5, [(1, 2), (3, 4)], 4, False),  # lone qubit inside a pair
+        (4, [(1, 2)], None, False),  # incomplete cover
+        (5, [(1, 2)], 3, False),
+        (1, [], 1, True),
+        (2, [(2, 1)], None, True),
+        (4, [(3, 1), (2, 4)], None, True),
+        (5, [(2, 5), (4, 1)], 3, True),
+    ],
+)
+def test_pairing_and_singlet_product_share_one_rule(n, pairs, lone, valid):
+    pairs = frozenset(pairs)
+    if valid:
+        singlet_product(n, pairs, lone)
+        pairing = SingletPairing(n=n, pairs=pairs, lone=lone)
+        assert pairing.pairs == frozenset((min(a, b), max(a, b)) for a, b in pairs)
+        return
+    with pytest.raises(ValueError) as product_error:
+        singlet_product(n, pairs, lone)
+    with pytest.raises(ValueError) as pairing_error:
+        SingletPairing(n=n, pairs=pairs, lone=lone)
+    assert str(pairing_error.value) == str(product_error.value)
+
+
 def test_pairing_equality():
     a = SingletPairing(n=4, pairs=frozenset({(1, 2), (3, 4)}))
     b = SingletPairing(n=4, pairs=frozenset({(4, 3), (2, 1)}))

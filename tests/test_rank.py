@@ -36,6 +36,7 @@ from luorbit.verify import (
     _random_pair_positions,
     _scramble,
     _scrambled_singlet_product,
+    _unentangled_product,
 )
 
 
@@ -273,15 +274,19 @@ def _near_pair_state(n: int, rng, eps: float) -> StateVector:
 
 def _route_state(kind: str, n: int, seed: int, eps: float) -> StateVector:
     rng = np.random.default_rng(seed)
-    if kind == "haar":
-        return random_state(n, rng)
     if kind == "singlets":
         return _scrambled_singlet_product(n, rng)
-    if kind == "near_pair":
+    if kind == "near_pair" and n >= 2:
         return _near_pair_state(n, rng, eps)
+    if kind == "unentangled":
+        k = int(rng.integers(1, n + 1))
+        positions = sorted(int(q) + 1 for q in rng.choice(n, size=k, replace=False))
+        return _scramble(_unentangled_product(n, rng, positions), rng)
     if kind == "basis":
         return basis_state(n, int(rng.integers(1 << n)))
-    return random_rational_state(n, rng).to_float()
+    if kind == "rational":
+        return random_rational_state(n, rng).to_float()
+    return random_state(n, rng)
 
 
 def _every_selector(n: int) -> list:
@@ -384,3 +389,81 @@ def test_complement_basis_spans_the_complement():
     for inside in (1, 3):
         basis = complement_basis(tm, inside, against)
         assert basis.shape[1] == complement_dim(tm, inside, against) == 2
+
+
+# ---------------------------------------------------------------------------
+# float complements from R against the full-height route
+# ---------------------------------------------------------------------------
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _full_height_complement(tm, inside, against, tol):
+    """The reference route on the real view, nothing read from R.
+
+    A QR of the triple's columns, then an SVD with U of the ``against``
+    columns.  Returns the complement basis, the projection's singular
+    values and the kept singular values of the ``against`` columns.
+    """
+    basis_inside, _ = np.linalg.qr(tm.real[:, list(tm.triple_indices(inside))])
+    u, s_against, _ = np.linalg.svd(
+        tm.real[:, list(against.column_indices(tm.n))], full_matrices=False
+    )
+    kept = s_against > tol * s_against[0]
+    _, s, vt = np.linalg.svd(u[:, kept].T @ basis_inside, full_matrices=True)
+    return basis_inside @ vt[np.count_nonzero(s > tol) :].T, s, s_against[kept]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from(["haar", "singlets", "near_pair", "unentangled", "rational"]),
+    st.integers(0, 10**6),
+    st.sampled_from([0.15, 1e-3, 1e-6, 1e-9, 1e-12]),
+)
+def test_float_complements_match_the_full_height_route(n, kind, seed, eps):
+    tm = tangent_matrix(_route_state(kind, n, seed, eps))
+    rng = np.random.default_rng(seed + 1)
+    for inside in range(1, n + 1):
+        others = [k for k in range(1, n + 1) if k != inside]
+        subset = [k for k in others if rng.integers(2)]
+        for against in (
+            ColumnSelector(others, include_last=True),
+            ColumnSelector(subset, include_last=not subset or bool(rng.integers(2))),
+        ):
+            want, s, s_against = _full_height_complement(tm, inside, against, DEFAULT_TOL)
+            # Either route's rounding moves the projection by about eps times
+            # the condition number of the kept ``against`` columns.  Where that,
+            # or a projection value, comes within 10x of the cutoff, either
+            # verdict is right.
+            noise = _EPS * s_against[0] / s_against[-1]
+            if 10 * noise > DEFAULT_TOL or np.any((s > DEFAULT_TOL / 10) & (s < DEFAULT_TOL * 10)):
+                continue
+            got = complement_basis(tm, inside, against)
+            assert complement_dim(tm, inside, against) == got.shape[1] == want.shape[1]
+            # The complement then turns by up to about the noise over the
+            # smallest kept projection value (Wedin): 2e-9 on a pair 1e-9
+            # short of maximal entanglement.
+            kept = s[s > DEFAULT_TOL]
+            bound = max(1e-8, 64 * noise / kept.min()) if kept.size else 1e-8
+            assert np.abs(got @ got.T - want @ want.T).max() <= bound
+
+
+def test_float_complements_factor_no_full_height_matrix(monkeypatch):
+    n = 8
+    tm = tangent_matrix(random_state(n, 260))
+    real_rank(tm)  # caches R
+    rows = []
+    for name in ("svd", "qr"):
+
+        def spy(a, *args, _factor=getattr(np.linalg, name), **kwargs):
+            rows.append(np.shape(a)[0])
+            return _factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    for against in (ColumnSelector(range(2, n + 1), include_last=True), ColumnSelector((3, 5))):
+        complement_dim(tm, 1, against)
+        complement_basis(tm, 1, against)
+    assert rows
+    assert max(rows) < 1 << (n + 1)
