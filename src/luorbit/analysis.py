@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .lie_action import TangentMatrix, tangent_matrix
-from .rank import (
-    DEFAULT_TOL,
-    GAP_WARNING_THRESHOLD,
-    ColumnSelector,
-    RankResult,
-    real_rank,
-    span_dim,
-)
+from .rank import ColumnSelector, RankResult, real_rank, span_dim
 from .states import (
     StateVector,
     ZeroResidualError,
@@ -32,6 +25,7 @@ from .states import (
     contract_pair,
     embed_product,
 )
+from .tolerance import DEFAULT_TOL, GAP_WARNING_THRESHOLD, ORACLE_TOL
 
 
 class NotMinimalError(ValueError):
@@ -281,7 +275,7 @@ def factor_state(psi: StateVector, tol: float = DEFAULT_TOL) -> Factorization:
     )
     rebuilt = embed_product(psi.n, result.placements)
     # proportional_to ignores tol in exact mode
-    if not rebuilt.proportional_to(psi, tol=max(tol, 1e-8)):
+    if not rebuilt.proportional_to(psi, tol=max(tol, ORACLE_TOL)):
         raise NonCanonicalFactorError(
             "contracted factors do not reassemble to the input state; "
             "it is LU-equivalent to a canonical pair product but not equal to one"

@@ -21,18 +21,18 @@ from .analysis import (
 )
 from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import DEFAULT_TOL, check_tol
-from .rational import fraction_str
 from .states import (
     EXACT,
     FLOAT,
     StateVector,
     ZeroStateError,
+    _json_amplitudes,
     basis_state,
     random_rational_state,
     random_state,
     singlet_product,
 )
+from .tolerance import DEFAULT_TOL, check_tol
 from .verify import SUITES, verify_proposition
 
 EXIT_OK = 0
@@ -73,11 +73,14 @@ def _read_state(path) -> StateVector:
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        return StateVector.from_json_dict(data)
+        psi = StateVector.from_json_dict(data)
     except ZeroStateError:
         raise
     except ValueError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
+    if psi.n < 1:
+        raise _UsageError(f"{path}: a state to analyze needs at least one qubit")
+    return psi
 
 
 def _prepare_state(args) -> StateVector:
@@ -98,7 +101,7 @@ def _prepare_state(args) -> StateVector:
 
 
 def _tol(text: str) -> float:
-    """argparse type of --tol: a float that ``rank.check_tol`` accepts."""
+    """argparse type of --tol: a float that ``tolerance.check_tol`` accepts."""
     try:
         value = float(text)
     except ValueError:
@@ -107,6 +110,17 @@ def _tol(text: str) -> float:
         check_tol(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of every seed flag: a nonnegative int, as numpy's seeding requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative; got {value}")
     return value
 
 
@@ -135,13 +149,7 @@ def _parse_pairs(text: str):
 
 def _matrix_dump(psi: StateVector) -> dict:
     tm = tangent_matrix(psi)
-    columns = []
-    for j in range(tm.column_count):
-        col = tm.column(j)
-        if tm.mode == FLOAT:
-            columns.append([[float(a.real), float(a.imag)] for a in col])
-        else:
-            columns.append([[fraction_str(a.re), fraction_str(a.im)] for a in col])
+    columns = [_json_amplitudes(tm.column(j), tm.mode) for j in range(tm.column_count)]
     return {"n": tm.n, "mode": tm.mode, "columns": columns}
 
 
@@ -315,11 +323,11 @@ def _cmd_verify(args) -> int:
 def _add_state_flags(sub, lu: bool = True):
     sub.add_argument("state", help="state JSON file, or - for stdin")
     sub.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
-                     help="relative singular-value threshold (default 1e-10)")
+                     help=f"relative singular-value threshold (default {DEFAULT_TOL:g})")
     sub.add_argument("--backend", choices=[FLOAT, EXACT], default=None,
                      help="force a numeric backend (default: follow the file)")
     if lu:
-        sub.add_argument("--lu-seed", type=int, default=None, dest="lu_seed",
+        sub.add_argument("--lu-seed", type=_seed, default=None, dest="lu_seed",
                          help="scramble with a seeded random local unitary first")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lone", type=int, default=None, help="unpaired qubit (odd n)")
     p.add_argument("--index", type=int, default=None, help="basis state by code")
     p.add_argument("--bits", default=None, help="basis state by bit string")
-    p.add_argument("--seed", type=int, default=0, help="seed for random kinds")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for random kinds")
     p.add_argument("--exact", action="store_true",
                    help="rational amplitudes (unnormalized representative)")
     p.add_argument("--out", default=None)
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registered suite name, or all (default)")
     p.add_argument("--qubits", type=int, default=3)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--out", default=None, help="also write a JSON report here")
     p.set_defaults(fn=_cmd_verify)

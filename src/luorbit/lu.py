@@ -8,9 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .states import FLOAT, StateVector
-
-#: Unitarity / determinant validation cutoff for supplied 2x2 factors.
-SU2_ATOL = 1e-12
+from .tolerance import ROUNDOFF_ATOL
 
 #: The per-qubit generator matrices in triple order (z, y, x).
 GENERATORS = (
@@ -23,9 +21,9 @@ GENERATORS = (
 def _is_su2(u: np.ndarray) -> bool:
     if u.shape != (2, 2):
         return False
-    if not np.allclose(u.conj().T @ u, np.eye(2), atol=SU2_ATOL, rtol=0.0):
+    if not np.allclose(u.conj().T @ u, np.eye(2), atol=ROUNDOFF_ATOL, rtol=0.0):
         return False
-    return abs(np.linalg.det(u) - 1.0) <= SU2_ATOL
+    return abs(np.linalg.det(u) - 1.0) <= ROUNDOFF_ATOL
 
 
 def random_su2(seed) -> np.ndarray:
@@ -48,7 +46,7 @@ class LocalUnitary:
             raise ValueError("a local unitary needs at least one factor")
         for i, u in enumerate(mats):
             if not _is_su2(u):
-                raise ValueError(f"factor {i + 1} is not special unitary within {SU2_ATOL}")
+                raise ValueError(f"factor {i + 1} is not special unitary within {ROUNDOFF_ATOL}")
         object.__setattr__(self, "factors", mats)
 
     @property

@@ -44,7 +44,9 @@ are the complement's coefficients in the triple's columns of the real view.
 
 ``tol`` must be finite and lie in [eps, 1) with eps the float64 machine
 epsilon (``check_tol``): below eps the cutoff sits under rounding noise,
-and at 1 or above it discards every singular value.
+and at 1 or above it discards every singular value.  ``DEFAULT_TOL``,
+``GAP_WARNING_THRESHOLD`` and ``check_tol`` come from ``tolerance``, which
+also records where this policy stops holding.
 """
 
 from __future__ import annotations
@@ -57,14 +59,7 @@ import numpy as np
 
 from .lie_action import TangentMatrix, _triple_columns
 from .states import EXACT, FLOAT
-
-#: Default relative cutoff for the floating backend.
-DEFAULT_TOL = 1e-10
-
-#: Verdicts whose gap ratio falls below this are flagged as ill-conditioned.
-GAP_WARNING_THRESHOLD = 1e3
-
-_EPS = float(np.finfo(np.float64).eps)
+from .tolerance import DEFAULT_TOL, GAP_WARNING_THRESHOLD, check_tol
 
 
 @dataclass(frozen=True)
@@ -113,12 +108,6 @@ class RankResult:
     @property
     def ill_conditioned(self) -> bool:
         return self.gap_ratio < GAP_WARNING_THRESHOLD
-
-
-def check_tol(tol: float) -> None:
-    """Raise ValueError unless ``tol`` is a finite relative cutoff in [eps, 1)."""
-    if not (math.isfinite(tol) and _EPS <= tol < 1.0):
-        raise ValueError(f"tol must be finite and in [eps, 1) with eps = {_EPS:g}; got {tol!r}")
 
 
 def retained_rank(singular_values, tol: float) -> int:

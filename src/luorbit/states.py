@@ -22,13 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .rational import RC_ONE, RC_ZERO, RationalComplex, as_fraction, fraction_str
+from .tolerance import INNER_PRODUCT_ATOL, ROUNDOFF_ATOL
 
 FLOAT = "float"
 EXACT = "exact"
-
-#: Amplitudes with squared norm at or below this are treated as annihilated
-#: by contract_pair in floating mode.
-CONTRACTION_ZERO_TOL = 1e-12
 
 
 class ZeroStateError(ValueError):
@@ -168,14 +165,14 @@ class StateVector:
 
     # -- comparisons --------------------------------------------------------
 
-    def allclose(self, other: "StateVector", tol: float = 1e-12) -> bool:
+    def allclose(self, other: "StateVector", tol: float = ROUNDOFF_ATOL) -> bool:
         if self._mode != FLOAT or other._mode != FLOAT:
             raise ValueError("allclose compares floating-mode states")
         return self._n == other._n and bool(
             np.allclose(self._vec, other._vec, atol=tol, rtol=0.0)
         )
 
-    def proportional_to(self, other: "StateVector", tol: float = 1e-10) -> bool:
+    def proportional_to(self, other: "StateVector", tol: float = INNER_PRODUCT_ATOL) -> bool:
         """True when the two states agree up to a global complex scale."""
         if self._n != other._n:
             return False
@@ -202,10 +199,7 @@ class StateVector:
         Amplitudes are ordered by integer code.  Exact mode writes 'p/q'
         strings; float mode writes numbers.
         """
-        if self._mode == FLOAT:
-            amps = [[float(a.real), float(a.imag)] for a in self._vec]
-        else:
-            amps = [[fraction_str(a.re), fraction_str(a.im)] for a in self._vec]
+        amps = _json_amplitudes(self._vec, self._mode)
         return {"n": self._n, "mode": self._mode, "amplitudes": amps}
 
     @classmethod
@@ -234,18 +228,31 @@ class StateVector:
                     raise ValueError("amplitude parts must be numbers")
                 if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
                     raise ValueError(f"float amplitudes must be numeric, got {pair!r}")
-                entries.append(complex(re, im))
+                try:
+                    entries.append(complex(re, im))
+                except OverflowError:  # an integer beyond float range
+                    raise ValueError("state amplitudes must be finite") from None
             else:
-                entries.append(RationalComplex(as_fraction(_exact_part(re)), as_fraction(_exact_part(im))))
+                entries.append(RationalComplex(_exact_part(re), _exact_part(im)))
         return cls(entries, mode=mode)
 
 
-def _exact_part(value):
+def _json_amplitudes(amplitudes, mode: str) -> list:
+    """Amplitudes as the state file writes them: [[re, im], ...], numbers or 'p/q' strings."""
+    if mode == FLOAT:
+        return [[float(a.real), float(a.imag)] for a in amplitudes]
+    return [[fraction_str(a.re), fraction_str(a.im)] for a in amplitudes]
+
+
+def _exact_part(value) -> Fraction:
     if isinstance(value, bool):
         raise ValueError("amplitude parts must be rationals, not booleans")
-    if isinstance(value, (str, int)):
-        return value
-    raise ValueError(f"exact amplitudes must be 'p/q' strings or integers, got {value!r}")
+    if not isinstance(value, (str, int)):
+        raise ValueError(f"exact amplitudes must be 'p/q' strings or integers, got {value!r}")
+    try:
+        return as_fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"exact amplitude part {value!r} has a zero denominator") from None
 
 
 def _infer_mode(amplitudes) -> str:
@@ -462,7 +469,7 @@ def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
     out = rows[0] + rows[3]
     if psi.mode == FLOAT:
         out = out / math.sqrt(2.0)
-        annihilated = float(np.linalg.norm(out)) <= CONTRACTION_ZERO_TOL
+        annihilated = float(np.linalg.norm(out)) <= ROUNDOFF_ATOL
     else:
         annihilated = all(a.is_zero for a in out)
     if annihilated:

@@ -1,0 +1,84 @@
+"""The tolerance policy: every numerical threshold of the package, with its reason.
+
+No other module defines a threshold; each imports the entry for its
+meaning from here, so one meaning has one value.  Exact verdicts use none
+of them: the exact backend is tolerance-free.
+
+Rank verdicts (floating backend):
+
+* ``DEFAULT_TOL`` is the relative cutoff: a singular value counts when it
+  is strictly above ``tol`` times the largest.  ``check_tol`` bounds any
+  ``tol`` to [``EPS``, 1).
+* ``GAP_WARNING_THRESHOLD`` flags a verdict as ill-conditioned when the
+  smallest kept singular value is less than this many times the largest
+  dropped one.  The same factor is the margin by which every singular
+  value of a column slice of the cached Householder factor R
+  (``TangentMatrix.r_factor``) must clear the cutoff before that slice
+  certifies a full-rank subset: rounding between R and the real view is
+  about ``EPS``, so it cannot move a value across a cutoff that far away.
+
+Slacks of the independent checks (verify oracles, state comparison,
+SU(2) validation, contraction).  They compare quantities of unit scale,
+so each is absolute (the Schmidt product test scales it by the largest
+coefficient, which lies in [1/sqrt(2), 1]).  They grow with the floating
+work that lies between the two sides being compared:
+
+* ``ROUNDOFF_ATOL``: equalities reached by a few roundings of unit-scale
+  numbers (entries of a unitary, of a normalized state or of its generator
+  columns), where the error is a small multiple of ``EPS``.
+* ``INNER_PRODUCT_ATOL``: inner products of unit vectors, and the
+  proportionality of two unit states, where each sum over 2**n terms adds
+  rounding.
+* ``ORACLE_TOL``: oracles that stack factorizations (an SVD of a Schmidt
+  vector, purity from a reduced density matrix, the joint rank of two
+  complement bases, the reassembly of contracted factors), each adding
+  error on the order of ``EPS`` times a condition number.
+
+Two limits of the policy, both measured:
+
+1. A floating verdict is the exact rank of the matrix after every
+   direction at or below ``tol * sigma_max`` is dropped.  The gap ratio
+   compares the smallest kept value with the largest dropped one; it says
+   nothing about the distance from either to the cutoff.  A state
+   ``|00> + (1 - delta)|11>`` on two qubits, tensored with a rational rest
+   (n = 2..5, every triple-union selector), has float verdicts equal to its
+   exact ranks for delta down to 1e-9.  From 1e-10 on, every verdict
+   equals the exact rank of the delta = 0 state instead, lower on some
+   selectors, and every gap ratio stays above 1e6, so none is flagged.
+2. A floating complement (``rank.complement_dim``) applies ``tol`` as an
+   absolute cutoff to cosines.  Rounding moves the projection behind them
+   by about ``EPS * cond(against)``, ``cond`` being the condition number of
+   the kept ``against`` columns, so the verdict holds only while about
+   ``10 * EPS * cond(against)`` stays below ``tol``.  It reports no gap
+   ratio, so a caller cannot see how close it came.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+#: float64 machine epsilon: the smallest ``tol`` that sits above rounding noise.
+EPS = float(np.finfo(np.float64).eps)
+
+#: Default relative singular-value cutoff of the floating backend.
+DEFAULT_TOL = 1e-10
+
+#: Gap ratios below this flag a verdict ill-conditioned; also R's certification margin.
+GAP_WARNING_THRESHOLD = 1e3
+
+#: Absolute slack for equalities of unit-scale numbers after a few roundings.
+ROUNDOFF_ATOL = 1e-12
+
+#: Absolute slack for inner products and proportionality of unit vectors.
+INNER_PRODUCT_ATOL = 1e-10
+
+#: Absolute slack for independent oracles that stack factorizations.
+ORACLE_TOL = 1e-8
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is a finite relative cutoff in [eps, 1)."""
+    if not (math.isfinite(tol) and EPS <= tol < 1.0):
+        raise ValueError(f"tol must be finite and in [eps, 1) with eps = {EPS:g}; got {tol!r}")

@@ -17,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .analysis import (
+    InconsistentStructureError,
     NotMinimal,
     SingletPairing,
     classify_min_orbit,
@@ -26,7 +27,7 @@ from .analysis import (
 )
 from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import DEFAULT_TOL, ColumnSelector, complement_basis, span_dim
+from .rank import ColumnSelector, complement_basis, span_dim
 from .states import (
     EXACT,
     FLOAT,
@@ -39,12 +40,7 @@ from .states import (
     singlet_product,
     tensor,
 )
-
-#: Orthogonality threshold for unit-norm floating states.
-ORTHO_TOL = 1e-10
-
-#: Purity within this of 1 counts a reduced single-qubit state as pure.
-PURITY_TOL = 1e-8
+from .tolerance import DEFAULT_TOL, INNER_PRODUCT_ATOL, ORACLE_TOL, ROUNDOFF_ATOL
 
 
 @dataclass(frozen=True)
@@ -153,10 +149,10 @@ def _pair_factor_evidence(psi: StateVector, l: int, lp: int) -> tuple:
     """(product_across_cut, schmidt_balanced): the tangent-free factor oracle."""
     mat = _pair_rows(psi, l, lp)
     u, s, _ = np.linalg.svd(mat)
-    is_product = len(s) < 2 or s[1] <= 1e-8 * s[0]
+    is_product = len(s) < 2 or s[1] <= ORACLE_TOL * s[0]
     chi = u[:, 0].reshape(2, 2)
     cs = np.linalg.svd(chi, compute_uv=False)
-    balanced = abs(cs[0] - cs[1]) <= 1e-8
+    balanced = abs(cs[0] - cs[1]) <= ORACLE_TOL
     return is_product, is_product and balanced
 
 
@@ -182,7 +178,7 @@ def _pair_isolation(tm, l: int, lp: int, tol) -> list:
             failures.append(f"exact columns {pair_cols[i]},{other_cols[j]} not orthogonal")
     else:
         worst = float(np.abs(dots).max())
-        if worst > ORTHO_TOL:
+        if worst > INNER_PRODUCT_ATOL:
             failures.append(f"pair span leaks onto other columns (dot {worst:.3e})")
     return failures
 
@@ -211,7 +207,7 @@ def _suite_triplesprop(n, rng, tol):
                 if dot != 0:
                     dot = Fraction(dot, tm.scale**2)
                     failures.append(f"triple {k}: exact columns {a},{b} not orthogonal ({dot})")
-            elif abs(float(dot)) > ORTHO_TOL:
+            elif abs(float(dot)) > INNER_PRODUCT_ATOL:
                 failures.append(f"triple {k}: columns {a},{b} have dot {float(dot):.3e}")
     return failures, [psi]
 
@@ -245,7 +241,7 @@ def _suite_twocommonstrong(n, rng, tol):
     tm = tangent_matrix(psi)
     failures = []
 
-    atol = 0 if exact else 1e-12
+    atol = 0 if exact else ROUNDOFF_ATOL
 
     def _close(a, b, sign=1):
         return np.abs(tm.real[:, a] - sign * tm.real[:, b]).max() <= atol
@@ -295,7 +291,7 @@ def _suite_twotripspan5(n, rng, tol):
             )
         bases.append(basis)
     stacked = np.hstack(bases)
-    joint = int(np.count_nonzero(np.linalg.svd(stacked, compute_uv=False) > 1e-8))
+    joint = int(np.count_nonzero(np.linalg.svd(stacked, compute_uv=False) > ORACLE_TOL))
     if joint < 4:
         failures.append(f"the two complements are jointly {joint}-dimensional, expected >= 4")
     return failures, [psi]
@@ -414,14 +410,14 @@ def _suite_trippluslonelyspan3(n, rng, tol):
         span = span_dim(tm, (j,), include_last=True, tol=tol)
         if span != 3:
             failures.append(f"unentangled qubit {j} has triple+last span {span}")
-        if abs(_purity(psi, j) - 1.0) > PURITY_TOL:
+        if abs(_purity(psi, j) - 1.0) > ORACLE_TOL:
             failures.append(f"construction failed: qubit {j} purity {_purity(psi, j)}")
     else:
         psi = random_state(n, rng)
         tm = tangent_matrix(psi)
         for j in range(1, n + 1):
             span3 = span_dim(tm, (j,), include_last=True, tol=tol) == 3
-            pure = _purity(psi, j) > 1.0 - PURITY_TOL
+            pure = _purity(psi, j) > 1.0 - ORACLE_TOL
             if span3 != pure:
                 failures.append(
                     f"qubit {j}: triple+last span-3 is {span3} but purity says {pure}"
@@ -461,16 +457,19 @@ def _suite_minorbclassthm_roundtrip(n, rng, tol):
     built from, and generic states classify as not minimal."""
     failures = []
     if n >= 2 and int(rng.integers(4)) == 3:
-        psi = random_state(n, rng)
+        psi, expected = random_state(n, rng), None
+    else:
+        pairs, lone = _random_pairing(n, rng)
+        psi = _scramble(singlet_product(n, pairs, lone), rng)
+        expected = SingletPairing(n=n, pairs=frozenset(pairs), lone=lone)
+    try:
         outcome = classify_min_orbit(psi, tol=tol)
+    except InconsistentStructureError as exc:
+        return [f"classification failed: {exc}"], [psi]
+    if expected is None:
         if not isinstance(outcome, NotMinimal):
             failures.append("a generic random state classified as minimal")
-        return failures, [psi]
-    pairs, lone = _random_pairing(n, rng)
-    psi = _scramble(singlet_product(n, pairs, lone), rng)
-    expected = SingletPairing(n=n, pairs=frozenset(pairs), lone=lone)
-    outcome = classify_min_orbit(psi, tol=tol)
-    if isinstance(outcome, NotMinimal):
+    elif isinstance(outcome, NotMinimal):
         failures.append(
             f"scrambled pair product classified as not minimal "
             f"(orbit dimension {outcome.orbit_dimension})"

@@ -199,6 +199,38 @@ def test_every_tol_flag_rejects_degenerate_values(tmp_path):
     assert run("classify", str(path), "--tol=1e-15")[0] == 0
 
 
+_ONE_QUBIT = {"n": 1, "mode": "float", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, state, message",
+    [
+        (("analyze", "STATE"), {"n": 0, "mode": "float", "amplitudes": [[1.0, 0.0]]}, "qubit"),
+        (("classify", "STATE"), {"n": 0, "mode": "exact", "amplitudes": [["1", "0"]]}, "qubit"),
+        (("compare", "STATE", "STATE"), {"n": 0, "mode": "float", "amplitudes": [[1, 0]]}, "qubit"),
+        (("analyze", "STATE"), {"n": 1, "mode": "exact", "amplitudes": [["1/0", "0"], ["1", "0"]]},
+         "zero denominator"),
+        (("analyze", "STATE"), {"n": 1, "mode": "float", "amplitudes": [[10**400, 0], [1, 0]]},
+         "finite"),
+        (("analyze", "STATE", "--lu-seed", "-1"), _ONE_QUBIT, "seed must be nonnegative"),
+        (("classify", "STATE", "--lu-seed", "-1"), _ONE_QUBIT, "seed must be nonnegative"),
+        (("generate", "random", "--qubits", "2", "--seed", "-1"), None, "seed must be nonnegative"),
+        (("verify", "--seed", "-1"), None, "seed must be nonnegative"),
+    ],
+    ids=["n0-analyze", "n0-classify", "n0-compare", "zero-denominator", "int-beyond-float",
+         "lu-seed-analyze", "lu-seed-classify", "generate-seed", "verify-seed"],
+)
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, command, state, message):
+    path = tmp_path / "s.json"
+    if state is not None:
+        path.write_text(json.dumps(state), encoding="utf-8")
+    code, out, err = run(*(str(path) if arg == "STATE" else arg for arg in command))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], err
+
+
 def test_backend_exact_requires_exact_file():
     _, psi, _ = run("generate", "w", "--qubits", "2")
     code, _, _ = run("analyze", "-", "--backend", "exact", stdin=psi)
@@ -303,6 +335,17 @@ def test_verify_failure_exits_1(tmp_path):
         report = json.load(fh)
     assert report["suites"][0]["passed"] is False
     assert report["suites"][0]["failures"][0]["states"]
+
+
+def test_verify_inconsistent_classification_is_a_failed_trial():
+    # at tol 0.45 a scrambled pair product looks minimal with no pair
+    # detected; that ends as a FAIL line, not a traceback
+    code, out, err = run("verify", "--suite", "all", "--qubits", "4", "--tol", "0.45",
+                         "--trials", "10", "--seed", "0")
+    assert code == 1
+    assert "FAIL (1 of 10 trials) minorbclassthm_roundtrip" in out
+    assert "classification failed" in out
+    assert "Traceback" not in err
 
 
 def test_verify_all_skips_out_of_range_suites():

@@ -5,6 +5,7 @@ np.linalg.matrix_rank, so it shares no code with the implementation.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +38,7 @@ from luorbit.verify import (
     _scramble,
     _scrambled_singlet_product,
     _unentangled_product,
+    _with_rest,
 )
 
 
@@ -317,6 +319,50 @@ def test_float_route_matches_direct_slices(n, kind, seed, eps):
         full = np.array(real_rank(tm).singular_values)
         direct = np.linalg.svd(tm.real, compute_uv=False)
         assert np.array_equal(full.view(np.uint64), direct.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# float verdicts against exact ranks, every selector
+# ---------------------------------------------------------------------------
+
+
+def _near_product_pair(n: int, rng, delta: Fraction) -> StateVector:
+    """Exact |00> + (1 - delta)|11> on two random qubits, a random rational state on the rest."""
+    pair = _random_pair_positions(n, rng)
+    chi = StateVector.from_rational([1, 0, 0, 1 - delta])
+    return _with_rest(n, rng, [(pair, chi)], random_rational_state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.sampled_from(["rational", "pair", "near_pair"]),
+    st.integers(0, 10**6),
+    st.integers(min_value=1, max_value=15),
+)
+def test_float_verdicts_match_exact_ranks(n, kind, seed, k):
+    rng = np.random.default_rng(seed)
+    boundary = None
+    if kind == "rational":
+        psi = random_rational_state(n, rng)
+    elif kind == "pair":
+        psi = _pair_product(n, rng, *_random_pair_positions(n, rng), mode=EXACT)
+    else:
+        psi = _near_product_pair(n, rng, Fraction(1, 10**k))
+        if k >= 10:
+            # the same state at delta = 0, from the same draws
+            boundary = tangent_matrix(_near_product_pair(n, np.random.default_rng(seed), 0))
+    exact, flt = tangent_matrix(psi), tangent_matrix(psi.to_float())
+    for sel in _every_selector(n):
+        got = real_rank(flt, sel)
+        # A delta at or below the cutoff is dropped with the noise: the
+        # verdict is then the exact rank of the delta = 0 state, and the
+        # gap ratio does not flag it (the tolerance module's first limit).
+        allowed = {real_rank(exact, sel).rank}
+        if boundary is not None:
+            allowed.add(real_rank(boundary, sel).rank)
+        assert got.rank in allowed, sel
+        assert not got.ill_conditioned, sel
 
 
 # ---------------------------------------------------------------------------

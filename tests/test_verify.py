@@ -80,3 +80,12 @@ def test_registry_is_complete():
         "pair_span_trichotomy",
         "minorbclassthm_roundtrip",
     }
+
+
+def test_inconsistent_classification_is_a_trial_failure():
+    # at tol 0.45 a scrambled pair product can look minimal with no pair
+    # detected; classify_min_orbit raises, and the suite must record that
+    report = verify_proposition("minorbclassthm_roundtrip", n=4, trials=10, seed=0, tol=0.45)
+    assert not report.passed
+    failure = next(f for f in report.failures if "classification failed" in f.messages[0])
+    assert StateVector.from_json_dict(failure.states[0]).n == 4
