@@ -167,7 +167,10 @@ class TangentMatrix:
     until first needed.  A floating complement (``rank.complement_dim``,
     ``rank.complement_basis``) builds it at any n; floating rank verdicts
     build and read it only when ``real`` is at least twice as tall as it
-    is wide (n >= 4).
+    is wide (n >= 4).  ``gram`` caches the exact backend's counterpart,
+    the integer Gram ``real.T @ real`` ((3n+1) x (3n+1) Python ints, entry
+    (i, j) is ``scale**2`` times Re<column i|column j>), None until an
+    exact query first needs it; see ``rank.exact_gram``.
     """
 
     state: StateVector
@@ -175,6 +178,7 @@ class TangentMatrix:
     scale: int
     ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     r_factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    gram: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -7,15 +7,29 @@ Two interchangeable backends:
   so verdicts are deterministic), and the ratio of the smallest retained
   to the largest discarded value is reported so callers can recognize
   ill-conditioned verdicts;
-* exact — fraction-free (Bareiss) integer elimination on the real view,
-  whose denominators ``tangent_matrix`` cleared once per state;
-  tolerance-free.
+* exact — fraction-free (Bareiss) integer elimination on the integer
+  Gram of the real view, whose denominators ``tangent_matrix`` cleared
+  once per state; tolerance-free.
 
-The exact backend, and the floating one for n <= 3, slice the columns
-they need out of ``TangentMatrix.real``.  For n >= 4 the real view is at
-least twice as tall as it is wide, and the first floating rank query
-factors it once, ``real = Q R`` with Q orthonormal and R of size
-(3n+1) x (3n+1) (``TangentMatrix.r_factor``).  Any column subset of
+The exact backend builds ``G = real.T @ real`` once per state
+(``TangentMatrix.gram``, ``exact_gram``), at most (3n+1) x (3n+1), and
+answers every query from it.  Over the rationals rank(A^T A) = rank(A)
+for any real A: A^T A x = 0 gives |A x|^2 = x^T A^T A x = 0, so both
+have the kernel of A.  Applied to A = ``real[:, S]``, whose Gram is the
+principal submatrix ``G[S, S]``, the rank of any column subset S is
+that of ``G[S, S]``; the arithmetic is exact, so squaring loses nothing
+(it is only in floating point that a Gram squares the noise floor).
+Exact complements rank the cross block ``G[against, inside]``.  G is an
+int64 matmul when ``rows * max|real|**2 <= 2**63 - 1``: every partial
+sum of an entry is at most that in magnitude, so none can overflow.
+Otherwise it is a matmul of Python ints; either way it holds Python
+ints, and elimination runs on them.
+
+The floating backend for n <= 3 slices the columns it needs out of
+``TangentMatrix.real``.  For n >= 4 the real view is at least twice as
+tall as it is wide, and the first floating rank query factors it once,
+``real = Q R`` with Q orthonormal and R of size (3n+1) x (3n+1)
+(``TangentMatrix.r_factor``).  Any column subset of
 ``real`` then has the singular values of the same columns of R, up to
 rounding at the 1e-16 level; nothing is squared, so no precision is lost.
 
@@ -188,6 +202,37 @@ def _exact_rank(view: np.ndarray) -> RankResult:
     return RankResult(rank=rank, gap_ratio=math.inf, backend=EXACT, singular_values=None)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def exact_gram(tm: TangentMatrix) -> np.ndarray:
+    """``tm.gram``, the integer Gram ``real.T @ real`` of an exact matrix, built on first use."""
+    if tm.mode != EXACT:
+        raise ValueError("exact_gram requires the exact backend")
+    if tm.gram is None:
+        gram = _int64_gram(tm.real)
+        if gram is None:
+            gram = tm.real.T @ tm.real
+        gram.flags.writeable = False
+        object.__setattr__(tm, "gram", gram)
+    return tm.gram
+
+
+def _int64_gram(real: np.ndarray) -> Optional[np.ndarray]:
+    """``real.T @ real`` as Python ints via an int64 matmul; None if a sum could overflow.
+
+    Each partial sum of an entry is at most ``rows * max|real|**2`` in magnitude.
+    """
+    try:
+        ints = real.astype(np.int64)
+    except OverflowError:
+        return None
+    peak = max(int(ints.max()), -int(ints.min()))
+    if real.shape[0] * peak * peak > _INT64_MAX:
+        return None
+    return (ints.T @ ints).astype(object)
+
+
 # ---------------------------------------------------------------------------
 # public queries
 # ---------------------------------------------------------------------------
@@ -216,7 +261,7 @@ def real_rank(
         if tm.mode == FLOAT:
             result = _float_verdict(tm, cols, tol)
         else:
-            result = _exact_rank(tm.real[:, cols])
+            result = _exact_rank(exact_gram(tm)[np.ix_(cols, cols)])
         tm.ranks[key] = result
     return result
 
@@ -264,7 +309,8 @@ def complement_dim(
     3 minus the rank of the projection of the triple's orthonormal columns
     onto the ``against`` span.  Floating mode reads it from R, with an
     absolute cutoff since the projection's singular values are cosines in
-    [0, 1] (module docstring); exact mode ranks the integer cross Gram.
+    [0, 1] (module docstring); exact mode ranks the cross block of the
+    integer Gram, ``G[against, inside]``.
     """
     check_tol(tol)
     if inside in against.triples:
@@ -273,9 +319,8 @@ def complement_dim(
         return 3
     if tm.mode == FLOAT:
         return len(_complement_coeffs(tm, inside, against, tol))
-    inside_view = tm.real[:, list(tm.triple_indices(inside))]
-    against_view = tm.real[:, list(against.column_indices(tm.n))]
-    return 3 - _bareiss_rank(against_view.T @ inside_view)
+    cross = exact_gram(tm)[np.ix_(against.column_indices(tm.n), tm.triple_indices(inside))]
+    return 3 - _bareiss_rank(cross)
 
 
 def _complement_coeffs(

@@ -27,6 +27,10 @@ from .tolerance import INNER_PRODUCT_ATOL, ROUNDOFF_ATOL
 FLOAT = "float"
 EXACT = "exact"
 
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+# A power of two that lifts every subnormal into the normal range.
+_SUBNORMAL_LIFT = 2.0**64
+
 
 class ZeroStateError(ValueError):
     """Raised when amplitudes describe the zero vector, which is not a state."""
@@ -92,6 +96,10 @@ class StateVector:
                 scale = max(np.abs(vec.real).max(), np.abs(vec.imag).max())
                 if scale == 0.0:
                     raise ZeroStateError("state vector must be nonzero")
+                if scale < _SMALLEST_NORMAL:
+                    # complex division multiplies by 1/scale, which overflows
+                    # here; lifting by a power of two first is exact
+                    vec, scale = vec * _SUBNORMAL_LIFT, scale * _SUBNORMAL_LIFT
                 vec = vec / scale
                 norm = float(np.linalg.norm(vec))
             vec = vec / norm
@@ -212,7 +220,7 @@ class StateVector:
             amps = data["amplitudes"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"state object missing field: {exc}") from exc
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"invalid qubit count {n!r}")
         if mode not in (FLOAT, EXACT):
             raise ValueError(f"invalid mode {mode!r}")

@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import ColumnSelector, complement_basis, span_dim
+from .rank import ColumnSelector, complement_basis, exact_gram, span_dim
 from .states import (
     EXACT,
     FLOAT,
@@ -172,11 +172,12 @@ def _pair_isolation(tm, l: int, lp: int, tol) -> list:
         failures.append(f"pair ({l},{lp}) spans {span} dimensions, expected 3")
     pair_cols = [*tm.triple_indices(l), *tm.triple_indices(lp)]
     other_cols = [c for c in range(tm.column_count) if c not in pair_cols]
-    dots = tm.real[:, pair_cols].T @ tm.real[:, other_cols]
     if tm.mode == EXACT:
+        dots = exact_gram(tm)[np.ix_(pair_cols, other_cols)]
         for i, j in zip(*np.nonzero(dots)):
             failures.append(f"exact columns {pair_cols[i]},{other_cols[j]} not orthogonal")
     else:
+        dots = tm.real[:, pair_cols].T @ tm.real[:, other_cols]
         worst = float(np.abs(dots).max())
         if worst > INNER_PRODUCT_ATOL:
             failures.append(f"pair span leaks onto other columns (dot {worst:.3e})")
@@ -202,13 +203,15 @@ def _suite_triplesprop(n, rng, tol):
     for k in range(1, n + 1):
         idx = tm.triple_indices(k)
         for a, b in combinations(idx, 2):
-            dot = tm.real[:, a] @ tm.real[:, b]
             if psi.mode == EXACT:
+                dot = exact_gram(tm)[a, b]
                 if dot != 0:
                     dot = Fraction(dot, tm.scale**2)
                     failures.append(f"triple {k}: exact columns {a},{b} not orthogonal ({dot})")
-            elif abs(float(dot)) > INNER_PRODUCT_ATOL:
-                failures.append(f"triple {k}: columns {a},{b} have dot {float(dot):.3e}")
+            else:
+                dot = tm.real[:, a] @ tm.real[:, b]
+                if abs(float(dot)) > INNER_PRODUCT_ATOL:
+                    failures.append(f"triple {k}: columns {a},{b} have dot {float(dot):.3e}")
     return failures, [psi]
 
 

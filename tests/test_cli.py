@@ -155,7 +155,7 @@ def test_analyze_rejects_non_finite_amplitudes(value):
     assert "finite" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", [1e308, 1e-200])
+@pytest.mark.parametrize("value", [1e308, 1e-200, 1e-320])
 def test_analyze_survives_norm_overflow_and_underflow(value):
     want = run("analyze", "-", stdin=_pair_blob(1.0))
     assert run("analyze", "-", stdin=_pair_blob(value)) == want
@@ -216,9 +216,13 @@ _ONE_QUBIT = {"n": 1, "mode": "float", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
         (("classify", "STATE", "--lu-seed", "-1"), _ONE_QUBIT, "seed must be nonnegative"),
         (("generate", "random", "--qubits", "2", "--seed", "-1"), None, "seed must be nonnegative"),
         (("verify", "--seed", "-1"), None, "seed must be nonnegative"),
+        (("analyze", "STATE"), {**_ONE_QUBIT, "n": True}, "qubit count"),
+        (("classify", "STATE"), {**_ONE_QUBIT, "n": True}, "qubit count"),
+        (("compare", "STATE", "STATE"), {**_ONE_QUBIT, "n": True}, "qubit count"),
     ],
     ids=["n0-analyze", "n0-classify", "n0-compare", "zero-denominator", "int-beyond-float",
-         "lu-seed-analyze", "lu-seed-classify", "generate-seed", "verify-seed"],
+         "lu-seed-analyze", "lu-seed-classify", "generate-seed", "verify-seed",
+         "n-true-analyze", "n-true-classify", "n-true-compare"],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, command, state, message):
     path = tmp_path / "s.json"

@@ -30,7 +30,9 @@ from luorbit import (
     span_dim,
     tangent_matrix,
 )
-from luorbit.rank import DEFAULT_TOL, _float_rank, retained_rank
+import luorbit.rank as rank_mod
+from luorbit.rank import DEFAULT_TOL, _bareiss_rank, _float_rank, exact_gram, retained_rank
+from luorbit.rational import RationalComplex
 from luorbit.verify import (
     _pair_product,
     _partial_pair_state,
@@ -39,6 +41,7 @@ from luorbit.verify import (
     _scrambled_singlet_product,
     _unentangled_product,
     _with_rest,
+    verify_proposition,
 )
 
 
@@ -513,3 +516,142 @@ def test_float_complements_factor_no_full_height_matrix(monkeypatch):
         complement_basis(tm, 1, against)
     assert rows
     assert max(rows) < 1 << (n + 1)
+
+
+# ---------------------------------------------------------------------------
+# the exact backend's integer Gram against direct elimination
+# ---------------------------------------------------------------------------
+
+
+_INT64_MAX = 2**63 - 1
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _from_parts(parts) -> StateVector:
+    """Exact state from its real parts, interleaved (re, im) by basis code."""
+    return StateVector.from_rational(
+        [RationalComplex(Fraction(re), Fraction(im)) for re, im in zip(parts[0::2], parts[1::2])]
+    )
+
+
+def _int64_peak(n: int) -> int:
+    """The largest |part| for which the int64 Gram of an n-qubit integer state is allowed."""
+    return math.isqrt(_INT64_MAX // (1 << (n + 1)))
+
+
+def _signed_state(n: int, rng, top: int) -> StateVector:
+    """Every real part +-top: each Gram diagonal entry is rows * top**2."""
+    return _from_parts([top * int(s) for s in rng.choice((-1, 1), size=1 << (n + 1))])
+
+
+def _gram_state(kind: str, n: int, rng) -> StateVector:
+    size = 1 << (n + 1)
+    if kind == "rational":
+        return random_rational_state(n, rng)
+    if kind == "singlets":
+        order = [int(q) + 1 for q in rng.permutation(n)]
+        pairs = list(zip(order[0::2], order[1::2]))
+        return singlet_product(n, pairs, order[-1] if n % 2 else None, mode=EXACT)
+    if kind == "pair":
+        return _pair_product(n, rng, *_random_pair_positions(n, rng), mode=EXACT)
+    if kind == "denominators":
+        # many unrelated denominators: their lcm scales every part (one per state)
+        nums = rng.integers(1, 10, size=size) * rng.choice((-1, 1), size=size)
+        return _from_parts(
+            [Fraction(int(p), int(q)) for p, q in zip(nums, rng.choice(_PRIMES, size=size))]
+        )
+    if kind == "huge":
+        # parts beyond int64 once scaled: the Gram is a matmul of Python ints
+        dens = [int(d) for d in rng.integers(10**8, 10**9, size=3)]
+        return _from_parts(
+            [Fraction(int(rng.integers(-(10**12), 10**12)), dens[int(rng.integers(3))])
+             for _ in range(size)]
+        )
+    # at the int64 bound, or one past it
+    return _signed_state(n, rng, _int64_peak(n) + (kind == "past_bound"))
+
+
+def _cross_product_complement(tm, inside, against) -> int:
+    """The reference exact complement: a fresh cross product of real-view columns."""
+    inside_view = tm.real[:, list(tm.triple_indices(inside))]
+    against_view = tm.real[:, list(against.column_indices(tm.n))]
+    return 3 - _bareiss_rank(against_view.T @ inside_view)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from(
+        ["rational", "singlets", "pair", "denominators", "huge", "at_bound", "past_bound"]
+    ),
+    st.integers(0, 10**6),
+)
+def test_exact_gram_ranks_match_direct_elimination(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    tm = tangent_matrix(_gram_state(kind, n, rng))
+    for sel in _every_selector(n):
+        got = real_rank(tm, sel)
+        assert got.rank == _bareiss_rank(tm.real[:, list(sel.column_indices(n))]), sel
+    for inside in range(1, n + 1):
+        others = [k for k in range(1, n + 1) if k != inside]
+        subset = [k for k in others if rng.integers(2)]
+        for against in (
+            ColumnSelector(others, include_last=True),
+            ColumnSelector(subset, include_last=not subset or bool(rng.integers(2))),
+        ):
+            want = _cross_product_complement(tm, inside, against)
+            assert complement_dim(tm, inside, against) == want, (inside, against)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_int64_gram_route_ends_exactly_at_the_bound(n):
+    rows, peak = 1 << (n + 1), _int64_peak(n)
+    assert rows * peak**2 <= _INT64_MAX < rows * (peak + 1) ** 2
+    rng = np.random.default_rng(270 + n)
+    for top, via_int64 in ((peak, True), (peak + 1, False), (2**63, False)):
+        tm = tangent_matrix(_signed_state(n, rng, top))
+        assert (rank_mod._int64_gram(tm.real) is not None) == via_int64, top
+        gram = exact_gram(tm)
+        assert all(type(x) is int for x in gram.flat)
+        assert np.array_equal(gram, tm.real.T @ tm.real)
+        assert gram[0, 0] == rows * top**2
+        assert exact_gram(tm) is gram
+
+
+def test_exact_gram_is_exact_only():
+    with pytest.raises(ValueError, match="exact"):
+        exact_gram(tangent_matrix(random_state(2, 280)))
+
+
+def test_exact_queries_eliminate_only_gram_blocks(monkeypatch):
+    # every exact rank is read from the (3n+1)^2 Gram, which each tangent
+    # matrix builds once; no 2^(n+1)-row matrix is ever eliminated
+    heights, built = [], []
+    bareiss, int64_gram = rank_mod._bareiss_rank, rank_mod._int64_gram
+
+    def bareiss_spy(matrix):
+        heights.append(len(matrix))
+        return bareiss(matrix)
+
+    def gram_spy(real):
+        built.append(real)
+        return int64_gram(real)
+
+    monkeypatch.setattr(rank_mod, "_bareiss_rank", bareiss_spy)
+    monkeypatch.setattr(rank_mod, "_int64_gram", gram_spy)
+
+    def check(n, run):
+        heights.clear()
+        built.clear()
+        run()
+        assert built, "no exact tangent matrix was analyzed"
+        assert len({id(real) for real in built}) == len(built)
+        assert max(heights, default=0) <= 3 * n + 1
+
+    for n in range(4, 8):
+        rng = np.random.default_rng(290 + n)
+        for kind in ("rational", "singlets", "pair"):
+            check(n, lambda: orbit_report(_gram_state(kind, n, rng)))
+    for n in (6, 8):
+        for suite in ("twocommonstrong", "triplesprop"):
+            check(n, lambda: verify_proposition(suite, n, trials=6, seed=3))

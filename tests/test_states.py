@@ -71,6 +71,18 @@ def test_exact_states_keep_the_representative():
     assert psi.amplitude(0) == RationalComplex(1, 0)
 
 
+@pytest.mark.parametrize("part", [1e-320, -4e-323, 1e-310j])
+def test_subnormal_largest_part_rescales_like_a_normal_one(part):
+    # complex division by a subnormal scale overflows on its reciprocal
+    normal = part * 1e120
+    got = StateVector([part, 0.0, 0.5 * part, 0.0]).vector
+    want = StateVector([normal, 0.0, 0.5 * normal, 0.0]).vector
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, want, rtol=0.0, atol=1e-3)
+    tiny, small = StateVector([part, 0.0]).vector, StateVector([part * 1e120, 0.0]).vector
+    assert tiny.tobytes() == small.tobytes()
+
+
 def test_zero_vector_rejected():
     with pytest.raises(ZeroStateError):
         StateVector([0.0, 0.0])
@@ -317,6 +329,12 @@ def test_json_rejects_malformed_input():
     ]:
         with pytest.raises(ValueError):
             StateVector.from_json_dict(corrupt)
+
+
+def test_json_rejects_a_boolean_qubit_count():
+    data = {"n": True, "mode": "float", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(ValueError, match="qubit count"):
+        StateVector.from_json_dict(data)
 
 
 def test_json_exact_rejects_float_parts():
