@@ -9,6 +9,7 @@ given their flags and seeds.  Exit codes: 0 success, 1 analysis errors
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -382,9 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built on the first ``main`` call and reused by later calls in
+#: the same process (a command line makes only one); ``prog`` is fixed, so
+#: the help and usage errors it prints do not depend on when it was built.
+_cached_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _cached_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _UsageError as exc:

@@ -45,6 +45,29 @@ rounding at the 1e-16 level; nothing is squared, so no precision is lost.
   rank-deficient or near the cutoff, falls back to its columns of the
   real view, so deficient verdicts and their gap ratios come from the
   same arithmetic as the direct route.
+* ``span_dim`` needs only the rank, so it also reads deficient ranks
+  from R.  With s the singular values of the R slice, k the number
+  strictly above the cutoff ``tol * s[0]`` and M =
+  ``GAP_WARNING_THRESHOLD``, k is certified when both margins hold:
+  k = 0 or s[k-1] > M times the cutoff, and k = len(s) or s[k] < the
+  cutoff / M, the second only when tol >= M * eps.  The R slice and the
+  real view's columns differ by rounding, in the QR and in each SVD,
+  that moves every singular value by at most c * eps * s[0] (Weyl), with
+  c a modest factor that grows with the height 2**(n+1).  The verdict
+  holds while that stays under the gap between the cutoff / M and the
+  cutoff, (1 - 1/M) times the cutoff: a value above M times the cutoff
+  cannot then fall to it, nor a value under the cutoff / M rise past it,
+  so the direct SVD of the real view keeps the same k values.  On the
+  dropped side rounding may thus use nearly the whole cutoff, not just
+  the cutoff / M.  tol >= M * eps keeps that room above (M - 1) * eps *
+  s[0], so c may grow to about M; below it the cutoff sits within
+  rounding of zero, and a deficient rank is left to
+  ``real_rank``.  A rank read this way is returned and kept nowhere, so
+  no reported verdict, singular value or gap ratio comes from it; when a
+  margin fails, the query gets ``real_rank``'s verdict, memoized in
+  ``tm.ranks`` as usual.  ``_float_verdict`` takes the slice SVD and runs
+  the margin test once for both rules: the previous bullet is the case
+  k = len(s).
 
 Float complements (``complement_dim``, ``complement_basis``) read R at
 every n (R is square for n >= 1): its columns have the inner products of
@@ -73,7 +96,7 @@ import numpy as np
 
 from .lie_action import TangentMatrix, _triple_columns
 from .states import EXACT, FLOAT
-from .tolerance import DEFAULT_TOL, GAP_WARNING_THRESHOLD, check_tol
+from .tolerance import DEFAULT_TOL, EPS, GAP_WARNING_THRESHOLD, check_tol
 
 
 @dataclass(frozen=True)
@@ -155,7 +178,7 @@ def _float_rank(view: np.ndarray, tol: float, s: Optional[np.ndarray] = None) ->
         rank=rank,
         gap_ratio=_gap_ratio(s, rank),
         backend=FLOAT,
-        singular_values=tuple(float(x) for x in s),
+        singular_values=tuple(s.tolist()),
     )
 
 
@@ -251,6 +274,15 @@ def real_rank(
     """
     if selector is None:
         selector = ColumnSelector.full(tm.n)
+    return _verdict(tm, selector, tol, rank_only=False)
+
+
+def _verdict(tm: TangentMatrix, selector: ColumnSelector, tol: float, rank_only: bool):
+    """``real_rank``'s verdict; with ``rank_only``, just its rank.
+
+    A rank-only query may be answered from R alone (module docstring);
+    that rank is returned without entering ``tm.ranks``.
+    """
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
     check_tol(tol)
@@ -259,11 +291,13 @@ def real_rank(
     if result is None:
         cols = list(selector.column_indices(tm.n))
         if tm.mode == FLOAT:
-            result = _float_verdict(tm, cols, tol)
+            result = _float_verdict(tm, cols, tol, rank_only)
         else:
             result = _exact_rank(exact_gram(tm)[np.ix_(cols, cols)])
+        if isinstance(result, int):
+            return result
         tm.ranks[key] = result
-    return result
+    return result.rank if rank_only else result
 
 
 def _r_factor(tm: TangentMatrix) -> np.ndarray:
@@ -273,8 +307,11 @@ def _r_factor(tm: TangentMatrix) -> np.ndarray:
     return tm.r_factor
 
 
-def _float_verdict(tm: TangentMatrix, cols: list, tol: float) -> RankResult:
-    """Floating verdict on ``cols``, from R where that is safe (module docstring)."""
+def _float_verdict(tm: TangentMatrix, cols: list, tol: float, rank_only: bool):
+    """Floating verdict on ``cols``, from R where that is safe (module docstring).
+
+    With ``rank_only``, a rank that R certifies comes back as a bare int.
+    """
     rows, width = tm.real.shape
     if rows < 2 * width:
         return _float_rank(tm.real[:, cols], tol)
@@ -283,8 +320,15 @@ def _float_verdict(tm: TangentMatrix, cols: list, tol: float) -> RankResult:
         return _float_rank(r, tol)
     r_slice = r[:, cols]
     s = np.linalg.svd(r_slice, compute_uv=False)
-    if s[-1] > GAP_WARNING_THRESHOLD * tol * s[0]:
-        return _float_rank(r_slice, tol, s)
+    kept_floor = GAP_WARNING_THRESHOLD * tol * s[0]
+    if s[-1] > kept_floor:
+        return s.size if rank_only else _float_rank(r_slice, tol, s)
+    if rank_only and tol >= GAP_WARNING_THRESHOLD * EPS:
+        rank = retained_rank(s, tol)
+        # rank < s.size here: s[-1] is at or below kept_floor
+        dropped_ceiling = tol * s[0] / GAP_WARNING_THRESHOLD
+        if (rank == 0 or s[rank - 1] > kept_floor) and s[rank] < dropped_ceiling:
+            return rank
     return _float_rank(tm.real[:, cols], tol)
 
 
@@ -294,8 +338,12 @@ def span_dim(
     include_last: bool = False,
     tol: float = DEFAULT_TOL,
 ) -> int:
-    """Dimension of the real span of the selected triples (plus last column)."""
-    return real_rank(tm, ColumnSelector(triples, include_last), tol=tol).rank
+    """Dimension of the real span of the selected triples (plus last column).
+
+    ``real_rank``'s rank, except that a floating matrix with n >= 4 reads
+    it from R alone whenever R certifies it (module docstring).
+    """
+    return _verdict(tm, ColumnSelector(triples, include_last), tol, rank_only=True)
 
 
 def complement_dim(

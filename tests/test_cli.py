@@ -363,3 +363,48 @@ def test_verify_all_skips_out_of_range_suites():
 def test_verify_qubit_bound_is_usage_error():
     code, _, _ = run("verify", "--suite", "bipartiteranksadd", "--qubits", "8")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# in-process calls share one parser
+# ---------------------------------------------------------------------------
+
+
+def test_repeated_in_process_calls_match_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    from luorbit import cli
+
+    state = tmp_path / "pairs.json"
+    assert cli.main(["generate", "singlet-product", "--qubits", "5", "--pairs", "1:3,2:5",
+                     "--lone", "4", "--out", str(state)]) == 0
+    calls = [
+        ["analyze", str(state)],
+        ["classify", str(state), "--lu-seed", "4"],
+        ["analyze", str(state), "--tol", "0"],
+        ["generate", "ghz", "--qubits", "3"],
+        ["compare", str(state), str(state)],
+        ["verify", "--suite", "twocommonstrong", "--qubits", "4", "--trials", "2"],
+        ["analyze", "--help"],
+        ["analyze", str(state), "--backend", "exact"],
+        ["analyze", str(state)],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    cached = outcomes()
+    assert cli._cached_parser() is cli._cached_parser()
+    assert outcomes() == cached
+    monkeypatch.setattr(cli, "_cached_parser", cli.build_parser)
+    assert outcomes() == cached
+    codes = [code for code, _, _ in cached]
+    assert codes == [0, 0, 2, 0, 0, 0, 0, 2, 0]
+    assert cached[0] == cached[-1]
+    assert cached[2][2].startswith("usage: luorbit analyze")
+    assert cached[6][1].startswith("usage: luorbit analyze")

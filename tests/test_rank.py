@@ -31,9 +31,17 @@ from luorbit import (
     tangent_matrix,
 )
 import luorbit.rank as rank_mod
-from luorbit.rank import DEFAULT_TOL, _bareiss_rank, _float_rank, exact_gram, retained_rank
+from luorbit.rank import (
+    DEFAULT_TOL,
+    GAP_WARNING_THRESHOLD,
+    _bareiss_rank,
+    _float_rank,
+    exact_gram,
+    retained_rank,
+)
 from luorbit.rational import RationalComplex
 from luorbit.verify import (
+    _mixed_pool,
     _pair_product,
     _partial_pair_state,
     _random_pair_positions,
@@ -324,6 +332,166 @@ def test_float_route_matches_direct_slices(n, kind, seed, eps):
         assert np.array_equal(full.view(np.uint64), direct.view(np.uint64))
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+# ---------------------------------------------------------------------------
+# span_dim's rank-only verdicts, read from R, against direct slices
+# ---------------------------------------------------------------------------
+
+
+def _span_state(kind: str, n: int, seed: int, eps: float) -> StateVector:
+    rng = np.random.default_rng(seed)
+    if kind == "near_pair":
+        return _near_pair_state(n, rng, eps)
+    return _mixed_pool(n, rng)
+
+
+# below DEFAULT_TOL the dropped side's margin holds only because rounding stays
+# under the cutoff itself; 2 * M * eps is the smallest tol that reads deficient ranks
+_SMALL_TOLS = [2 * GAP_WARNING_THRESHOLD * _EPS, 1e-12]
+
+
+def _assert_span_dim_matches_direct_slices(tm, tol):
+    n = tm.n
+    margin = GAP_WARNING_THRESHOLD / 2
+    for sel in _every_selector(n):
+        direct = np.linalg.svd(tm.real[:, list(sel.column_indices(n))], compute_uv=False)
+        got = span_dim(tm, sel.triples, sel.include_last, tol=tol)
+        assert got == retained_rank(direct, tol), sel
+        if (sel, tol) not in tm.ranks:
+            # read from R alone: it clears the cutoff on the real view too, on the
+            # dropped side by M/2 only where rounding lies far under the cutoff / M
+            cut = tol * direct[0]
+            assert got == 0 or direct[got - 1] > margin * cut, sel
+            if tol >= DEFAULT_TOL:
+                assert got == direct.size or direct[got] < cut / margin, sel
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=8),
+    st.sampled_from(["mixed", "near_pair"]),
+    st.integers(0, 10**6),
+    st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
+    st.sampled_from([DEFAULT_TOL, 1e-2] + _SMALL_TOLS),
+)
+def test_span_dim_matches_direct_slices(n, kind, seed, eps, tol):
+    # every ranktripluinv selector; minrankMstrong's are those with the last column
+    _assert_span_dim_matches_direct_slices(tangent_matrix(_span_state(kind, n, seed, eps)), tol)
+
+
+@pytest.mark.parametrize("tol", _SMALL_TOLS)
+@pytest.mark.parametrize("kind", ["mixed", "near_pair"])
+def test_span_dim_matches_direct_slices_at_ten_qubits(kind, tol):
+    # 2048-row real views: the rounding between R and the real view grows with the height
+    _assert_span_dim_matches_direct_slices(tangent_matrix(_span_state(kind, 10, 275, 1e-12)), tol)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+def test_span_dim_defers_near_the_cutoff(eps):
+    tm = tangent_matrix(_near_pair_state(6, np.random.default_rng(5), eps))
+    selectors = _every_selector(6)
+    for sel in selectors:
+        span_dim(tm, sel.triples, sel.include_last)
+    # the deferred queries, and only they, hold real_rank verdicts
+    assert 1 < len(tm.ranks) < len(selectors)
+    # each deferred proper subset has a singular value within the margin of the cutoff
+    for sel, tol in tm.ranks:
+        if sel == ColumnSelector.full(6):
+            continue
+        s = np.array(real_rank(tm, sel).singular_values)
+        ratio = s / (tol * s[0])
+        near = (ratio > 1 / (2 * GAP_WARNING_THRESHOLD)) & (ratio < 2 * GAP_WARNING_THRESHOLD)
+        assert near.any(), sel
+
+
+def test_span_dim_reads_no_deficient_rank_from_r_below_m_eps():
+    # under GAP_WARNING_THRESHOLD * EPS the dropped side's margin lies within rounding
+    # (a basis state's R slices have exactly zero singular values)
+    tm = tangent_matrix(basis_state(6, 37))
+    got = {sel: span_dim(tm, sel.triples, sel.include_last, tol=_EPS) for sel in _every_selector(6)}
+    deferred = {sel for sel, _ in tm.ranks}
+    assert deferred and deferred != got.keys()
+    for sel, rank in got.items():
+        full_rank = rank == len(sel.column_indices(6))
+        assert full_rank != (sel in deferred), sel
+
+
+def test_subset_suites_run_no_full_height_svd(monkeypatch):
+    n = 8
+    rows = []
+
+    def spy(a, *args, _svd=np.linalg.svd, **kwargs):
+        rows.append(np.shape(a)[0])
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for name in ("ranktripluinv", "minrankMstrong"):
+        report = verify_proposition(name, n, trials=4, seed=270)
+        assert report.passed, name
+    assert rows
+    assert max(rows) < 1 << (n + 1)
+
+
+def test_deferred_span_dim_takes_one_r_slice_svd(monkeypatch):
+    tm = tangent_matrix(_near_pair_state(6, np.random.default_rng(5), 1e-10))
+    rank_mod._r_factor(tm)
+    shapes = []
+
+    def spy(a, *args, _svd=np.linalg.svd, **kwargs):
+        shapes.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for sel in _every_selector(6):
+        shapes.clear()
+        span_dim(tm, sel.triples, sel.include_last)
+        width = len(sel.column_indices(6))
+        if (sel, DEFAULT_TOL) not in tm.ranks:
+            assert shapes == [(19, width)], sel
+        elif sel != ColumnSelector.full(6):
+            assert shapes == [(19, width), (128, width)], sel
+    assert len(tm.ranks) > 1
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["mixed", "near_pair"])
+def test_span_dim_leaves_real_rank_verdicts_alone(n, kind):
+    for seed in range(3):
+        tm = tangent_matrix(_span_state(kind, n, 280 + seed, 1e-12))
+        selectors = _every_selector(n)
+        for sel in selectors:
+            span_dim(tm, sel.triples, sel.include_last)
+        assert len(tm.ranks) < len(selectors)
+        fresh = tangent_matrix(tm.state)
+        for sel in selectors:
+            assert real_rank(tm, sel) == real_rank(fresh, sel), sel
+
+
+def _query_error(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [random_state(5, 300), random_state(3, 301), random_rational_state(4, 302)],
+    ids=["float-n5", "float-n3", "exact-n4"],
+)
+def test_span_dim_raises_what_real_rank_raises(psi):
+    tm = tangent_matrix(psi)
+    cases = [((), False, DEFAULT_TOL), ((), False, math.nan)]
+    cases += [((1, 2), True, tol) for tol in (0.0, math.nan, 1.0)]
+    cases += [((0,), False, DEFAULT_TOL), ((psi.n + 1,), True, DEFAULT_TOL)]
+    for triples, include_last, tol in cases:
+        sel = ColumnSelector(triples, include_last)
+        want = _query_error(lambda: real_rank(tm, sel, tol=tol))
+        assert _query_error(lambda: span_dim(tm, triples, include_last, tol=tol)) == want
+    assert tm.ranks == {}
+
+
 # ---------------------------------------------------------------------------
 # float verdicts against exact ranks, every selector
 # ---------------------------------------------------------------------------
@@ -443,9 +611,6 @@ def test_complement_basis_spans_the_complement():
 # ---------------------------------------------------------------------------
 # float complements from R against the full-height route
 # ---------------------------------------------------------------------------
-
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _full_height_complement(tm, inside, against, tol):
