@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Union
 
 from .lie_action import TangentMatrix, tangent_matrix
-from .rank import ColumnSelector, RankResult, real_rank, span_dim
+from .rank import ColumnSelector, RankResult, real_rank, span_dims
 from .states import (
     StateVector,
     ZeroResidualError,
@@ -96,12 +97,9 @@ def detect_singlet_pairs(
     returned sorted, each as (l, l') with l < l'.
     """
     tm = _as_tangent(psi)
-    found = []
-    for l in range(1, tm.n + 1):
-        for lp in range(l + 1, tm.n + 1):
-            if span_dim(tm, (l, lp), include_last=False, tol=tol) == 3:
-                found.append((l, lp))
-    return tuple(found)
+    pairs = list(combinations(range(1, tm.n + 1), 2))
+    spans = span_dims(tm, [ColumnSelector(p) for p in pairs], tol)
+    return tuple(pair for pair, span in zip(pairs, spans) if span == 3)
 
 
 def detect_unentangled(
@@ -113,11 +111,9 @@ def detect_unentangled(
     state.  Returned sorted ascending.
     """
     tm = _as_tangent(psi)
-    return tuple(
-        j
-        for j in range(1, tm.n + 1)
-        if span_dim(tm, (j,), include_last=True, tol=tol) == 3
-    )
+    qubits = range(1, tm.n + 1)
+    spans = span_dims(tm, [ColumnSelector((j,), include_last=True) for j in qubits], tol)
+    return tuple(j for j, span in zip(qubits, spans) if span == 3)
 
 
 @dataclass(frozen=True)

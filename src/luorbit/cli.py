@@ -45,6 +45,10 @@ class _UsageError(Exception):
     """Bad flags or unparseable input files; mapped to exit code 2."""
 
 
+#: Largest ``--qubits`` accepted: 2**30 complex128 amplitudes already take 16 GiB.
+_MAX_QUBITS = 30
+
+
 # ---------------------------------------------------------------------------
 # small plumbing helpers
 # ---------------------------------------------------------------------------
@@ -242,17 +246,22 @@ def _generate_state(args) -> StateVector:
     raise _UsageError(f"unknown kind {kind!r}")
 
 
-def _cmd_generate(args) -> int:
-    if args.qubits < 1:
+def _check_qubits(n: int) -> None:
+    if n < 1:
         raise _UsageError("--qubits must be at least 1")
+    if n > _MAX_QUBITS:
+        raise _UsageError(f"--qubits must be at most {_MAX_QUBITS}")
+
+
+def _cmd_generate(args) -> int:
+    _check_qubits(args.qubits)
     psi = _generate_state(args)
     _emit_json(psi.to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    if args.qubits < 1:
-        raise _UsageError("--qubits must be at least 1")
+    _check_qubits(args.qubits)
     if args.suite == "all":
         names = [
             name

@@ -162,8 +162,9 @@ class TangentMatrix:
     column dot product is Re<u|v>.  It is float64 in float mode and holds
     Python ints in exact mode, every entry ``scale`` times the true one.
     ``ranks`` memoizes rank verdicts by ``(ColumnSelector, tol)``; see
-    ``rank.real_rank``; a bare rank that ``rank.span_dim`` reads from R
-    alone is not kept.  ``r_factor`` caches the (3n+1) x (3n+1)
+    ``rank.real_rank``.  A bare rank that ``rank.span_dims`` reads from R
+    alone, or inherits from a selection certified as full column rank, is
+    not kept.  ``r_factor`` caches the (3n+1) x (3n+1)
     Householder R of ``real`` (``np.linalg.qr(real, mode="r")``), None
     until first needed.  A floating complement (``rank.complement_dim``,
     ``rank.complement_basis``) builds it at any n; floating rank verdicts

@@ -45,29 +45,42 @@ rounding at the 1e-16 level; nothing is squared, so no precision is lost.
   rank-deficient or near the cutoff, falls back to its columns of the
   real view, so deficient verdicts and their gap ratios come from the
   same arithmetic as the direct route.
-* ``span_dim`` needs only the rank, so it also reads deficient ranks
-  from R.  With s the singular values of the R slice, k the number
-  strictly above the cutoff ``tol * s[0]`` and M =
-  ``GAP_WARNING_THRESHOLD``, k is certified when both margins hold:
-  k = 0 or s[k-1] > M times the cutoff, and k = len(s) or s[k] < the
-  cutoff / M, the second only when tol >= M * eps.  The R slice and the
-  real view's columns differ by rounding, in the QR and in each SVD,
-  that moves every singular value by at most c * eps * s[0] (Weyl), with
-  c a modest factor that grows with the height 2**(n+1).  The verdict
-  holds while that stays under the gap between the cutoff / M and the
-  cutoff, (1 - 1/M) times the cutoff: a value above M times the cutoff
-  cannot then fall to it, nor a value under the cutoff / M rise past it,
-  so the direct SVD of the real view keeps the same k values.  On the
-  dropped side rounding may thus use nearly the whole cutoff, not just
-  the cutoff / M.  tol >= M * eps keeps that room above (M - 1) * eps *
-  s[0], so c may grow to about M; below it the cutoff sits within
-  rounding of zero, and a deficient rank is left to
-  ``real_rank``.  A rank read this way is returned and kept nowhere, so
-  no reported verdict, singular value or gap ratio comes from it; when a
-  margin fails, the query gets ``real_rank``'s verdict, memoized in
-  ``tm.ranks`` as usual.  ``_float_verdict`` takes the slice SVD and runs
-  the margin test once for both rules: the previous bullet is the case
-  k = len(s).
+* ``span_dims`` (and ``span_dim``, its one-selector case) needs only the
+  rank, so it also reads deficient ranks from R.  With s the singular
+  values of the R slice, k the number strictly above the cutoff
+  ``tol * s[0]`` and M = ``GAP_WARNING_THRESHOLD``, k is certified when
+  both margins hold: k = 0 or s[k-1] > M times the cutoff, and k = len(s)
+  or s[k] < the cutoff / M, the second only when tol >= M * eps.  The R
+  slice and the real view's columns differ by rounding, in the QR and in
+  each SVD, that moves every singular value by at most c * eps * s[0]
+  (Weyl), with c a modest factor that grows with the height 2**(n+1).
+  The verdict holds while that stays under the gap between the cutoff / M
+  and the cutoff, (1 - 1/M) times the cutoff: a value above M times the
+  cutoff cannot then fall to it, nor a value under the cutoff / M rise
+  past it, so the direct SVD of the real view keeps the same k values.
+  On the dropped side rounding may thus use nearly the whole cutoff, not
+  just the cutoff / M.  tol >= M * eps keeps that room above (M - 1) *
+  eps * s[0], so c may grow to about M; below it the cutoff sits within
+  rounding of zero, and a deficient rank is left to ``real_rank``.  A
+  rank read this way is returned and kept nowhere, so no reported
+  verdict, singular value or gap ratio comes from it; when a margin
+  fails, the query gets ``real_rank``'s verdict on the real view,
+  memoized in ``tm.ranks`` as usual.  The previous bullet's rule is the
+  case k = len(s).
+* ``span_dims`` answers a family widest selection first.  Removing
+  columns can only raise the smallest singular value and lower the
+  largest (interlacing for column submatrices; R. C. Thompson, Linear
+  Algebra Appl. 5 (1972) 1-12).  So once a selection is certified as full
+  column rank with the kept side's margin, every selection inside it
+  clears the same margin, and gets its column count with no SVD.  It
+  draws on the rounding budget of the full-rank rule above, not a new
+  one: the interlacing is exact on R, and its slices differ from the real
+  view's columns by the same c * eps * s[0].  An exact verdict needs no
+  margin: a set of linearly independent columns stays independent.  The
+  selections of one width that remain share one stacked SVD of their R
+  slices (LAPACK decomposes each matrix of a stack as it would alone); a
+  full-width selection gets ``real_rank``'s verdict from R itself.  Float
+  n <= 3 answers each query with ``real_rank``'s verdict.
 
 Float complements (``complement_dim``, ``complement_basis``) read R at
 every n (R is square for n >= 1): its columns have the inner products of
@@ -90,6 +103,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional
 
 import numpy as np
@@ -274,30 +288,38 @@ def real_rank(
     """
     if selector is None:
         selector = ColumnSelector.full(tm.n)
-    return _verdict(tm, selector, tol, rank_only=False)
+    _check_query(tm, selector, tol)
+    return _verdict(tm, selector, tol)
 
 
-def _verdict(tm: TangentMatrix, selector: ColumnSelector, tol: float, rank_only: bool):
-    """``real_rank``'s verdict; with ``rank_only``, just its rank.
-
-    A rank-only query may be answered from R alone (module docstring);
-    that rank is returned without entering ``tm.ranks``.
-    """
+def _check_query(tm: TangentMatrix, selector: ColumnSelector, tol: float) -> None:
+    """The checks every rank query makes before it is answered, in this order."""
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
     check_tol(tol)
+    triples = selector.triples
+    if triples and (min(triples) < 1 or max(triples) > tm.n):
+        selector.column_indices(tm.n)  # raises for the first triple out of range
+
+
+def _verdict(tm: TangentMatrix, selector: ColumnSelector, tol: float) -> RankResult:
+    """``real_rank``'s verdict on a checked query, kept in ``tm.ranks``."""
     key = (selector, tol)
     result = tm.ranks.get(key)
     if result is None:
         cols = list(selector.column_indices(tm.n))
         if tm.mode == FLOAT:
-            result = _float_verdict(tm, cols, tol, rank_only)
+            result = _float_verdict(tm, cols, tol)
         else:
             result = _exact_rank(exact_gram(tm)[np.ix_(cols, cols)])
-        if isinstance(result, int):
-            return result
         tm.ranks[key] = result
-    return result.rank if rank_only else result
+    return result
+
+
+def _reads_r(tm: TangentMatrix) -> bool:
+    """Whether floating rank verdicts read R: the real view is at least twice as tall as wide."""
+    rows, width = tm.real.shape
+    return rows >= 2 * width
 
 
 def _r_factor(tm: TangentMatrix) -> np.ndarray:
@@ -307,29 +329,36 @@ def _r_factor(tm: TangentMatrix) -> np.ndarray:
     return tm.r_factor
 
 
-def _float_verdict(tm: TangentMatrix, cols: list, tol: float, rank_only: bool):
-    """Floating verdict on ``cols``, from R where that is safe (module docstring).
+def _clears_margin(s, tol: float) -> bool:
+    """Whether the smallest of ``s`` lies above ``GAP_WARNING_THRESHOLD`` times the cutoff."""
+    return s[-1] > GAP_WARNING_THRESHOLD * tol * s[0]
 
-    With ``rank_only``, a rank that R certifies comes back as a bare int.
-    """
-    rows, width = tm.real.shape
-    if rows < 2 * width:
+
+def _float_verdict(tm: TangentMatrix, cols: list, tol: float) -> RankResult:
+    """Floating verdict on ``cols``, from R where that is safe (module docstring)."""
+    if not _reads_r(tm):
         return _float_rank(tm.real[:, cols], tol)
     r = _r_factor(tm)
-    if len(cols) == width:
+    if len(cols) == r.shape[1]:
         return _float_rank(r, tol)
     r_slice = r[:, cols]
     s = np.linalg.svd(r_slice, compute_uv=False)
-    kept_floor = GAP_WARNING_THRESHOLD * tol * s[0]
-    if s[-1] > kept_floor:
-        return s.size if rank_only else _float_rank(r_slice, tol, s)
-    if rank_only and tol >= GAP_WARNING_THRESHOLD * EPS:
-        rank = retained_rank(s, tol)
-        # rank < s.size here: s[-1] is at or below kept_floor
-        dropped_ceiling = tol * s[0] / GAP_WARNING_THRESHOLD
-        if (rank == 0 or s[rank - 1] > kept_floor) and s[rank] < dropped_ceiling:
-            return rank
+    if _clears_margin(s, tol):
+        return _float_rank(r_slice, tol, s)
     return _float_rank(tm.real[:, cols], tol)
+
+
+def _certified_rank(s: list, tol: float) -> Optional[int]:
+    """The rank an R slice with singular values ``s`` certifies, or None (module docstring)."""
+    if _clears_margin(s, tol):
+        return len(s)
+    if tol < GAP_WARNING_THRESHOLD * EPS:
+        return None
+    cut = tol * s[0]
+    rank = sum(v > cut for v in s)
+    # at rank == len(s), s[-1] failed the margin above, so kept is False and s[rank] unread
+    kept = rank == 0 or s[rank - 1] > GAP_WARNING_THRESHOLD * tol * s[0]
+    return rank if kept and s[rank] < cut / GAP_WARNING_THRESHOLD else None
 
 
 def span_dim(
@@ -340,10 +369,109 @@ def span_dim(
 ) -> int:
     """Dimension of the real span of the selected triples (plus last column).
 
-    ``real_rank``'s rank, except that a floating matrix with n >= 4 reads
-    it from R alone whenever R certifies it (module docstring).
+    ``span_dims`` of the one selector.
     """
-    return _verdict(tm, ColumnSelector(triples, include_last), tol, rank_only=True)
+    return span_dims(tm, [ColumnSelector(triples, include_last)], tol)[0]
+
+
+def span_dims(
+    tm: TangentMatrix, selectors: Iterable[ColumnSelector], tol: float = DEFAULT_TOL
+) -> list:
+    """``real_rank``'s rank of each selector, in the caller's order.
+
+    A floating matrix with n >= 4, and an exact one, answer the family
+    widest selection first.  A selection inside one already certified as
+    full column rank gets its column count with no decomposition; the rest
+    of each width share one stacked SVD of their R slices, and a floating
+    rank is read from R alone wherever R certifies it (module docstring).
+    Kept verdicts are read first; every other query is checked, in
+    order, before any is answered, so a bad selector or tol raises what
+    ``real_rank`` raises.
+    """
+    selectors = list(selectors)
+    known = [tm.ranks.get((sel, tol)) for sel in selectors]
+    if all(result is not None for result in known):
+        return [result.rank for result in known]
+    for sel, result in zip(selectors, known):
+        if result is None:  # a kept verdict passed these checks when it was made
+            _check_query(tm, sel, tol)
+    if tm.mode == FLOAT and not _reads_r(tm):
+        return [_verdict(tm, sel, tol).rank for sel in selectors]
+    return _widest_first(tm, selectors, known, tol)
+
+
+def _widest_first(tm: TangentMatrix, selectors: list, known: list, tol: float) -> list:
+    """Rank of each selection, widest first, inheriting full column rank downward.
+
+    ``known`` holds each selection's verdict from ``tm.ranks``, or None.
+    """
+    ranks = [0] * len(selectors)
+    widths = [3 * len(sel.triples) + sel.include_last for sel in selectors]
+    widest_first = sorted(range(len(selectors)), key=widths.__getitem__, reverse=True)
+    certified = []  # masks of wider selections certified as full column rank
+    for width, group in groupby(widest_first, key=widths.__getitem__):
+        todo = []
+        newly = []  # selections of this width certified as full column rank
+        for i in group:
+            if known[i] is not None:
+                ranks[i] = known[i].rank
+                if _certifies(known[i], width, tol):
+                    newly.append(i)
+            elif certified and _inside(_mask(selectors[i]), certified):
+                ranks[i] = width
+            else:
+                todo.append(i)
+        answers = _answer(tm, [selectors[i] for i in todo], width, tol) if todo else []
+        for i, (rank, certifies) in zip(todo, answers):
+            ranks[i] = rank
+            if certifies:
+                newly.append(i)
+        if width > widths[widest_first[-1]]:  # narrower selections follow
+            certified += [_mask(selectors[i]) for i in newly]
+    return ranks
+
+
+def _mask(selector: ColumnSelector) -> int:
+    """Bit k for triple k, bit 0 for the last column: a subset of columns is a subset of bits."""
+    return sum(map((1).__lshift__, selector.triples)) | selector.include_last
+
+
+def _inside(mask: int, certified: list) -> bool:
+    """Whether the selection ``mask`` lies inside one of the ``certified`` selections."""
+    return any(not mask & ~c for c in certified)
+
+
+def _certifies(result: RankResult, width: int, tol: float) -> bool:
+    """Whether a verdict on ``width`` columns certifies them as full column rank for inheritance."""
+    if result.rank < width:
+        return False
+    # exact verdicts need no margin
+    return result.backend == EXACT or _clears_margin(result.singular_values, tol)
+
+
+def _answer(tm: TangentMatrix, sels: list, width: int, tol: float) -> list:
+    """(rank, certifies) for each of ``sels``, selections of ``width`` columns.
+
+    Floating proper subsets share one stacked SVD of their R slices; the
+    rest, and every selection R does not certify, get ``real_rank``'s verdict.
+    """
+    if tm.mode == EXACT or width == tm.column_count:
+        results = [_verdict(tm, sel, tol) for sel in sels]
+        return [(res.rank, _certifies(res, width, tol)) for res in results]
+    cols = [list(sel.column_indices(tm.n)) for sel in sels]
+    r = _r_factor(tm)
+    slices = r[:, cols[0]] if len(sels) == 1 else r[:, cols].transpose(1, 0, 2)
+    s = np.linalg.svd(slices, compute_uv=False).reshape(len(sels), width)
+    out = []
+    for sel, c, values in zip(sels, cols, s.tolist()):
+        rank = _certified_rank(values, tol)
+        if rank is None:
+            result = _float_rank(tm.real[:, c], tol)
+            tm.ranks[(sel, tol)] = result
+            out.append((result.rank, _certifies(result, width, tol)))
+        else:
+            out.append((rank, rank == width))
+    return out
 
 
 def complement_dim(

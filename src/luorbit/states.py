@@ -6,15 +6,16 @@ Conventions used throughout the package:
   label |i_1 i_2 ... i_n> corresponds to the integer code
   sum_k i_k * 2**(n-k).
 * Floating states are normalized when constructed.  Exact states keep their
-  (generally unnormalizable-in-rationals) representative and record the
-  squared norm instead; every rank computed from them is scale invariant,
-  so nothing downstream needs the unit-norm representative.
+  (generally unnormalizable-in-rationals) representative and compute its
+  squared norm only when asked; every rank computed from them is scale
+  invariant, so nothing downstream needs the unit-norm representative.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -75,8 +76,8 @@ class StateVector:
     """Immutable n-qubit pure state in one of two numeric modes.
 
     ``float`` mode stores a unit-norm complex128 array.  ``exact`` mode
-    stores RationalComplex amplitudes exactly as given (no normalization)
-    together with the squared norm of that representative.
+    stores RationalComplex amplitudes exactly as given (no normalization);
+    the squared norm of that representative is computed on first access.
     """
 
     __slots__ = ("_n", "_mode", "_vec", "_sqnorm")
@@ -109,11 +110,10 @@ class StateVector:
         elif mode == EXACT:
             vec = tuple(RationalComplex.from_value(a) for a in amplitudes)
             n = _qubit_count(len(vec))
-            sqnorm = sum((a.abs2() for a in vec), Fraction(0))
-            if sqnorm == 0:
+            if all(a.is_zero for a in vec):
                 raise ZeroStateError("state vector must be nonzero")
             self._vec = vec
-            self._sqnorm = sqnorm
+            self._sqnorm = None  # computed on first access
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._n = n
@@ -151,6 +151,8 @@ class StateVector:
     @property
     def norm_squared(self):
         """1.0 in float mode; the representative's squared norm in exact mode."""
+        if self._sqnorm is None:
+            self._sqnorm = sum((a.abs2() for a in self._vec), Fraction(0))
         return self._sqnorm
 
     def amplitude(self, index):
@@ -252,12 +254,20 @@ def _json_amplitudes(amplitudes, mode: str) -> list:
     return [[fraction_str(a.re), fraction_str(a.im)] for a in amplitudes]
 
 
+# 'p' or 'p/q' in ASCII digits: read with int(), which is faster than Fraction's
+# own parser; any other string goes to Fraction, which accepts or rejects it.
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _exact_part(value) -> Fraction:
     if isinstance(value, bool):
         raise ValueError("amplitude parts must be rationals, not booleans")
     if not isinstance(value, (str, int)):
         raise ValueError(f"exact amplitudes must be 'p/q' strings or integers, got {value!r}")
     try:
+        if isinstance(value, str) and _PLAIN_RATIONAL.fullmatch(value):
+            num, _, den = value.partition("/")
+            return Fraction(int(num), int(den or 1))
         return as_fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"exact amplitude part {value!r} has a zero denominator") from None

@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import ColumnSelector, complement_basis, exact_gram, span_dim
+from .rank import ColumnSelector, complement_basis, exact_gram, span_dim, span_dims
 from .states import (
     EXACT,
     FLOAT,
@@ -220,17 +220,20 @@ def _suite_ranktripluinv(n, rng, tol):
     psi = _mixed_pool(n, rng)
     scrambled = _scramble(psi, rng)
     tm_a, tm_b = tangent_matrix(psi), tangent_matrix(scrambled)
-    failures = []
-    for size in range(1, n + 1):
-        for subset in combinations(range(1, n + 1), size):
-            for include_last in (False, True):
-                da = span_dim(tm_a, subset, include_last, tol=tol)
-                db = span_dim(tm_b, subset, include_last, tol=tol)
-                if da != db:
-                    failures.append(
-                        f"span of triples {subset} (last={include_last}) changed "
-                        f"under a local unitary: {da} -> {db}"
-                    )
+    queries = [
+        (subset, include_last)
+        for size in range(1, n + 1)
+        for subset in combinations(range(1, n + 1), size)
+        for include_last in (False, True)
+    ]
+    selectors = [ColumnSelector(*query) for query in queries]
+    dims = zip(queries, span_dims(tm_a, selectors, tol), span_dims(tm_b, selectors, tol))
+    failures = [
+        f"span of triples {subset} (last={include_last}) changed "
+        f"under a local unitary: {da} -> {db}"
+        for (subset, include_last), da, db in dims
+        if da != db
+    ]
     return failures, [psi, scrambled]
 
 
@@ -305,15 +308,13 @@ def _suite_minrankMstrong(n, rng, tol):
     3q/2 + 1 (q even) or (3q+1)/2 + 1 (q odd) dimensions."""
     psi = _mixed_pool(n, rng)
     tm = tangent_matrix(psi)
+    subsets = [s for q in range(1, n + 1) for s in combinations(range(1, n + 1), q)]
+    got = span_dims(tm, [ColumnSelector(s, include_last=True) for s in subsets], tol)
     failures = []
-    for q in range(1, n + 1):
-        floor = min_orbit_dimension(q) + 1
-        for subset in combinations(range(1, n + 1), q):
-            got = span_dim(tm, subset, include_last=True, tol=tol)
-            if got < floor:
-                failures.append(
-                    f"triples {subset} plus last span {got} < floor {floor}"
-                )
+    for subset, span in zip(subsets, got):
+        floor = min_orbit_dimension(len(subset)) + 1
+        if span < floor:
+            failures.append(f"triples {subset} plus last span {span} < floor {floor}")
     return failures, [psi]
 
 
@@ -389,16 +390,16 @@ def _suite_twotripspan3factors(n, rng, tol):
             failures.append("oracle wrongly calls the unbalanced pair maximally entangled")
     else:
         psi = random_state(n, rng)
-        tm = tangent_matrix(psi)
-        for l in range(1, n + 1):
-            for lp in range(l + 1, n + 1):
-                span3 = span_dim(tm, (l, lp), tol=tol) == 3
-                is_product, balanced = _pair_factor_evidence(psi, l, lp)
-                if span3 != (is_product and balanced):
-                    failures.append(
-                        f"pair ({l},{lp}): span-3 is {span3} but oracle says "
-                        f"product={is_product}, balanced={balanced}"
-                    )
+        pairs = list(combinations(range(1, n + 1), 2))
+        spans = span_dims(tangent_matrix(psi), [ColumnSelector(p) for p in pairs], tol)
+        for (l, lp), span in zip(pairs, spans):
+            span3 = span == 3
+            is_product, balanced = _pair_factor_evidence(psi, l, lp)
+            if span3 != (is_product and balanced):
+                failures.append(
+                    f"pair ({l},{lp}): span-3 is {span3} but oracle says "
+                    f"product={is_product}, balanced={balanced}"
+                )
     return failures, [psi]
 
 
@@ -417,9 +418,10 @@ def _suite_trippluslonelyspan3(n, rng, tol):
             failures.append(f"construction failed: qubit {j} purity {_purity(psi, j)}")
     else:
         psi = random_state(n, rng)
-        tm = tangent_matrix(psi)
-        for j in range(1, n + 1):
-            span3 = span_dim(tm, (j,), include_last=True, tol=tol) == 3
+        lone = [ColumnSelector((j,), include_last=True) for j in range(1, n + 1)]
+        spans = span_dims(tangent_matrix(psi), lone, tol)
+        for j, span in enumerate(spans, start=1):
+            span3 = span == 3
             pure = _purity(psi, j) > 1.0 - ORACLE_TOL
             if span3 != pure:
                 failures.append(
@@ -445,13 +447,13 @@ def _suite_unentrank(n, rng, tol):
 def _suite_pair_span_trichotomy(n, rng, tol):
     """Every pair of triples spans exactly 3, 5, or 6 real dimensions."""
     psi = _mixed_pool(n, rng)
-    tm = tangent_matrix(psi)
-    failures = []
-    for l in range(1, n + 1):
-        for lp in range(l + 1, n + 1):
-            span = span_dim(tm, (l, lp), tol=tol)
-            if span not in (3, 5, 6):
-                failures.append(f"pair ({l},{lp}) spans {span}, outside {{3, 5, 6}}")
+    pairs = list(combinations(range(1, n + 1), 2))
+    spans = span_dims(tangent_matrix(psi), [ColumnSelector(p) for p in pairs], tol)
+    failures = [
+        f"pair ({l},{lp}) spans {span}, outside {{3, 5, 6}}"
+        for (l, lp), span in zip(pairs, spans)
+        if span not in (3, 5, 6)
+    ]
     return failures, [psi]
 
 

@@ -2,10 +2,19 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import luorbit
+
+# the child runs the luorbit these tests import, installed or not
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (str(Path(luorbit.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+)}
 
 
 def run(*args, stdin=None):
@@ -15,6 +24,7 @@ def run(*args, stdin=None):
         capture_output=True,
         text=True,
         timeout=120,
+        env=_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -219,10 +229,17 @@ _ONE_QUBIT = {"n": 1, "mode": "float", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
         (("analyze", "STATE"), {**_ONE_QUBIT, "n": True}, "qubit count"),
         (("classify", "STATE"), {**_ONE_QUBIT, "n": True}, "qubit count"),
         (("compare", "STATE", "STATE"), {**_ONE_QUBIT, "n": True}, "qubit count"),
+        # rejected before anything is allocated: 2**30 amplitudes already take 16 GiB
+        (("generate", "ghz", "--qubits", "31"), None, "at most 30"),
+        (("generate", "ghz", "--qubits", "64"), None, "at most 30"),
+        (("generate", "basis", "--qubits", "64", "--index", "3"), None, "at most 30"),
+        (("verify", "--suite", "unentrank", "--qubits", "64"), None, "at most 30"),
+        (("verify", "--qubits", "1000"), None, "at most 30"),
     ],
     ids=["n0-analyze", "n0-classify", "n0-compare", "zero-denominator", "int-beyond-float",
          "lu-seed-analyze", "lu-seed-classify", "generate-seed", "verify-seed",
-         "n-true-analyze", "n-true-classify", "n-true-compare"],
+         "n-true-analyze", "n-true-classify", "n-true-compare", "generate-31-qubits",
+         "generate-64-qubits", "basis-64-qubits", "verify-64-qubits", "verify-1000-qubits"],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, command, state, message):
     path = tmp_path / "s.json"

@@ -28,6 +28,7 @@ from luorbit import (
     real_rank,
     singlet_product,
     span_dim,
+    span_dims,
     tangent_matrix,
 )
 import luorbit.rank as rank_mod
@@ -423,7 +424,7 @@ def test_subset_suites_run_no_full_height_svd(monkeypatch):
     rows = []
 
     def spy(a, *args, _svd=np.linalg.svd, **kwargs):
-        rows.append(np.shape(a)[0])
+        rows.append(np.shape(a)[-2])  # a stack of matrices has its rows second to last
         return _svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
@@ -489,7 +490,122 @@ def test_span_dim_raises_what_real_rank_raises(psi):
         sel = ColumnSelector(triples, include_last)
         want = _query_error(lambda: real_rank(tm, sel, tol=tol))
         assert _query_error(lambda: span_dim(tm, triples, include_last, tol=tol)) == want
+        # a family checks its queries in order before it answers any
+        family = [sel, ColumnSelector((1,)), ColumnSelector((), include_last=True)]
+        assert _query_error(lambda: span_dims(tm, family, tol)) == want
     assert tm.ranks == {}
+
+
+# ---------------------------------------------------------------------------
+# span_dims: one pass over a family, full column rank inherited by subsets
+# ---------------------------------------------------------------------------
+
+
+def _assert_span_dims_match_span_dim(psi, tol, seed):
+    n = psi.n
+    selectors = _every_selector(n)
+    tm = tangent_matrix(psi)
+    got = span_dims(tm, selectors, tol)
+    reference = tangent_matrix(psi)
+    assert got == [span_dim(reference, sel.triples, sel.include_last, tol=tol) for sel in selectors]
+    # the caller's order does not matter
+    order = np.random.default_rng(seed).permutation(len(selectors))
+    shuffled = span_dims(tangent_matrix(psi), [selectors[i] for i in order], tol)
+    assert shuffled == [got[i] for i in order]
+    # a full rank read from R or inherited clears the cutoff on the real view by M/2
+    margin = GAP_WARNING_THRESHOLD / 2
+    for sel, rank in zip(selectors, got):
+        cols = list(sel.column_indices(n))
+        if rank == len(cols) and (sel, tol) not in tm.ranks:
+            direct = np.linalg.svd(tm.real[:, cols], compute_uv=False)
+            assert direct[-1] > margin * tol * direct[0], sel
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=8),
+    st.sampled_from(["mixed", "near_pair"]),
+    st.integers(0, 10**6),
+    st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
+    st.sampled_from([DEFAULT_TOL, 1e-2] + _SMALL_TOLS),
+)
+def test_span_dims_match_span_dim(n, kind, seed, eps, tol):
+    _assert_span_dims_match_span_dim(_span_state(kind, n, seed, eps), tol, seed)
+
+
+@pytest.mark.parametrize(
+    "kind, tol",
+    [("mixed", DEFAULT_TOL), ("mixed", 1e-2)]
+    + [(kind, tol) for kind in ("mixed", "near_pair") for tol in _SMALL_TOLS],
+)
+def test_span_dims_match_span_dim_at_ten_qubits(kind, tol):
+    _assert_span_dims_match_span_dim(_span_state(kind, 10, 276, 1e-12), tol, 276)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_span_dims_inherit_only_past_the_margin(eps):
+    # a pair near the balanced point puts singular values within M of the 1e-2
+    # cutoff, so full-rank verdicts without the margin certify nothing
+    for seed in range(6):
+        psi = _near_pair_state(6, np.random.default_rng(seed), eps)
+        _assert_span_dims_match_span_dim(psi, 1e-2, seed)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["rational", "pair", "near_pair"])
+def test_exact_span_dims_match_real_rank(n, kind):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        if kind == "rational":
+            psi = random_rational_state(n, rng)
+        elif kind == "pair":
+            psi = _pair_product(n, rng, *_random_pair_positions(n, rng), mode=EXACT)
+        else:
+            psi = _near_product_pair(n, rng, Fraction(1, 7))
+        selectors = _every_selector(n)
+        fresh = tangent_matrix(psi)
+        want = [real_rank(fresh, sel).rank for sel in selectors]
+        order = rng.permutation(len(selectors))
+        got = span_dims(tangent_matrix(psi), [selectors[i] for i in order])
+        assert got == [want[i] for i in order]
+
+
+def _count_svd_matrices(monkeypatch) -> list:
+    """Spy on ``np.linalg.svd``; the list returned gains each call's number of matrices."""
+    counts = []
+
+    def spy(a, *args, _svd=np.linalg.svd, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return counts
+
+
+def test_haar_state_family_decomposes_one_matrix(monkeypatch):
+    # R certifies the full selection as full column rank; every other selection inherits
+    tm = tangent_matrix(random_state(8, 290))
+    rank_mod._r_factor(tm)
+    counts = _count_svd_matrices(monkeypatch)
+    selectors = _every_selector(8)
+    assert len(selectors) == 510
+    ranks = span_dims(tm, selectors)
+    assert ranks == [len(sel.column_indices(8)) for sel in selectors]
+    assert sum(counts) == 1
+
+
+def test_span_dims_stack_each_width_into_one_svd(monkeypatch):
+    # a scrambled singlet product has deficient selections of many widths: each
+    # width takes at most one SVD call, and R certifies every rank at the default tol
+    tm = tangent_matrix(_scrambled_singlet_product(8, np.random.default_rng(291)))
+    rank_mod._r_factor(tm)
+    counts = _count_svd_matrices(monkeypatch)
+    selectors = _every_selector(8)
+    span_dims(tm, selectors)
+    widths = {len(sel.column_indices(8)) for sel in selectors}
+    assert len(counts) <= len(widths)
+    assert sum(counts) < len(selectors)
+    assert tm.ranks.keys() == {(ColumnSelector.full(8), DEFAULT_TOL)}
 
 
 # ---------------------------------------------------------------------------

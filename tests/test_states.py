@@ -31,6 +31,7 @@ from luorbit import (
     singlet_product,
     tensor,
 )
+from luorbit.states import _exact_part
 
 RT2 = float(np.sqrt(2.0))
 
@@ -345,6 +346,28 @@ def test_json_exact_rejects_float_parts():
     }
     with pytest.raises(ValueError):
         StateVector.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3", "-3", "3/4", "-3/4", "007/08", "-0/5", "1.5", " 3/4", "3/4\n", "1_0", "+3", "1e3",
+     "\u0663", "3/-4", "1/0", "-1/00", "abc", "3/", "/4", "-", ""],
+)
+def test_exact_parts_parse_as_fraction_does(text):
+    # plain 'p' and 'p/q' take a faster route; every string must still mean what Fraction says
+    try:
+        want = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="zero denominator"):
+            _exact_part(text)
+        return
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _exact_part(text)
+        assert str(info.value) == str(exc)
+        return
+    got = _exact_part(text)
+    assert type(got) is Fraction and got == want
 
 
 def test_save_load_roundtrip(tmp_path):

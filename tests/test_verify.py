@@ -1,8 +1,11 @@
 """The randomized suite runner: registry, determinism, failure records."""
 
+from itertools import combinations
+
 import pytest
 
-from luorbit import SUITES, StateVector, verify_proposition
+import luorbit.verify as verify_mod
+from luorbit import SUITES, StateVector, span_dims, verify_proposition
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -89,3 +92,33 @@ def test_inconsistent_classification_is_a_trial_failure():
     assert not report.passed
     failure = next(f for f in report.failures if "classification failed" in f.messages[0])
     assert StateVector.from_json_dict(failure.states[0]).n == 4
+
+
+def test_ranktripluinv_reports_failures_in_subset_order(monkeypatch):
+    # spans are LU-invariant, so force disagreements: the scrambled state's
+    # ranks (the second family asked) gain 1 on every third selection
+    asked = []
+
+    def disagreeing(tm, selectors, tol):
+        asked.append(tm)
+        ranks = span_dims(tm, selectors, tol)
+        bump = len(asked) % 2 == 0
+        return [r + (bump and i % 3 == 0) for i, r in enumerate(ranks)]
+
+    monkeypatch.setattr(verify_mod, "span_dims", disagreeing)
+    n = 4
+    report = verify_proposition("ranktripluinv", n=n, trials=2, seed=3, tol=0.3)
+    queries = [
+        (subset, include_last)
+        for size in range(1, n + 1)
+        for subset in combinations(range(1, n + 1), size)
+        for include_last in (False, True)
+    ]
+    assert len(report.failures) == 2
+    for failure in report.failures:
+        prefixes = [m.split(" changed")[0] for m in failure.messages]
+        assert prefixes == [
+            f"span of triples {subset} (last={include_last})"
+            for i, (subset, include_last) in enumerate(queries)
+            if i % 3 == 0
+        ]
