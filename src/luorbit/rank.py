@@ -75,12 +75,12 @@ rounding at the 1e-16 level; nothing is squared, so no precision is lost.
   clears the same margin, and gets its column count with no SVD.  It
   draws on the rounding budget of the full-rank rule above, not a new
   one: the interlacing is exact on R, and its slices differ from the real
-  view's columns by the same c * eps * s[0].  An exact verdict needs no
-  margin: a set of linearly independent columns stays independent.  The
-  selections of one width that remain share one stacked SVD of their R
-  slices (LAPACK decomposes each matrix of a stack as it would alone); a
-  full-width selection gets ``real_rank``'s verdict from R itself.  Float
-  n <= 3 answers each query with ``real_rank``'s verdict.
+  view's columns by the same c * eps * s[0].  The selections of one width
+  that remain share one stacked SVD of their R slices (LAPACK decomposes
+  each matrix of a stack as it would alone); a full-width selection gets
+  ``real_rank``'s verdict from R itself.  Float n <= 3, and the exact
+  backend, answer each query with ``real_rank``'s verdict: no exact
+  caller asks for selections that lie inside one another.
 
 Float complements (``complement_dim``, ``complement_basis``) read R at
 every n (R is square for n >= 1): its columns have the inner products of
@@ -288,18 +288,15 @@ def real_rank(
     """
     if selector is None:
         selector = ColumnSelector.full(tm.n)
-    _check_query(tm, selector, tol)
+    _check_query(selector, tol)
     return _verdict(tm, selector, tol)
 
 
-def _check_query(tm: TangentMatrix, selector: ColumnSelector, tol: float) -> None:
-    """The checks every rank query makes before it is answered, in this order."""
+def _check_query(selector: ColumnSelector, tol: float) -> None:
+    """The checks every rank query makes first; ``column_indices`` then checks the qubit range."""
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
     check_tol(tol)
-    triples = selector.triples
-    if triples and (min(triples) < 1 or max(triples) > tm.n):
-        selector.column_indices(tm.n)  # raises for the first triple out of range
 
 
 def _verdict(tm: TangentMatrix, selector: ColumnSelector, tol: float) -> RankResult:
@@ -379,14 +376,15 @@ def span_dims(
 ) -> list:
     """``real_rank``'s rank of each selector, in the caller's order.
 
-    A floating matrix with n >= 4, and an exact one, answer the family
-    widest selection first.  A selection inside one already certified as
-    full column rank gets its column count with no decomposition; the rest
-    of each width share one stacked SVD of their R slices, and a floating
-    rank is read from R alone wherever R certifies it (module docstring).
-    Kept verdicts are read first; every other query is checked, in
-    order, before any is answered, so a bad selector or tol raises what
-    ``real_rank`` raises.
+    A floating matrix with n >= 4 answers the family widest selection
+    first.  A selection inside one already certified as full column rank
+    gets its column count with no decomposition; the rest of each width
+    share one stacked SVD of their R slices, and a rank is read from R
+    alone wherever R certifies it (module docstring).  An exact matrix,
+    or a floating one with n <= 3, answers each query with ``real_rank``'s
+    verdict.  Kept verdicts are read first; every other query is checked,
+    in order, before any is answered, so a bad selector or tol raises
+    what ``real_rank`` raises.
     """
     selectors = list(selectors)
     known = [tm.ranks.get((sel, tol)) for sel in selectors]
@@ -394,8 +392,11 @@ def span_dims(
         return [result.rank for result in known]
     for sel, result in zip(selectors, known):
         if result is None:  # a kept verdict passed these checks when it was made
-            _check_query(tm, sel, tol)
-    if tm.mode == FLOAT and not _reads_r(tm):
+            _check_query(sel, tol)
+            triples = sel.triples
+            if triples and (min(triples) < 1 or max(triples) > tm.n):
+                sel.column_indices(tm.n)  # raises for the first triple out of range
+    if tm.mode == EXACT or not _reads_r(tm):
         return [_verdict(tm, sel, tol).rank for sel in selectors]
     return _widest_first(tm, selectors, known, tol)
 
@@ -443,25 +444,22 @@ def _inside(mask: int, certified: list) -> bool:
 
 def _certifies(result: RankResult, width: int, tol: float) -> bool:
     """Whether a verdict on ``width`` columns certifies them as full column rank for inheritance."""
-    if result.rank < width:
-        return False
-    # exact verdicts need no margin
-    return result.backend == EXACT or _clears_margin(result.singular_values, tol)
+    return result.rank == width and _clears_margin(result.singular_values, tol)
 
 
 def _answer(tm: TangentMatrix, sels: list, width: int, tol: float) -> list:
     """(rank, certifies) for each of ``sels``, selections of ``width`` columns.
 
-    Floating proper subsets share one stacked SVD of their R slices; the
-    rest, and every selection R does not certify, get ``real_rank``'s verdict.
+    Proper subsets share one stacked SVD of their R slices; the full
+    selection, and every selection R does not certify, get ``real_rank``'s
+    verdict.
     """
-    if tm.mode == EXACT or width == tm.column_count:
+    if width == tm.column_count:
         results = [_verdict(tm, sel, tol) for sel in sels]
         return [(res.rank, _certifies(res, width, tol)) for res in results]
     cols = [list(sel.column_indices(tm.n)) for sel in sels]
     r = _r_factor(tm)
-    slices = r[:, cols[0]] if len(sels) == 1 else r[:, cols].transpose(1, 0, 2)
-    s = np.linalg.svd(slices, compute_uv=False).reshape(len(sels), width)
+    s = np.linalg.svd(r[:, cols].transpose(1, 0, 2), compute_uv=False)
     out = []
     for sel, c, values in zip(sels, cols, s.tolist()):
         rank = _certified_rank(values, tol)
