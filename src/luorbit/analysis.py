@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .lie_action import TangentMatrix, tangent_matrix
-from .rank import ColumnSelector, RankResult, real_rank, span_dims
+from .rank import ColumnSelector, RankResult, real_rank, real_ranks, span_dims
 from .states import (
     StateVector,
     ZeroResidualError,
@@ -332,15 +332,14 @@ def orbit_report(psi: StateVector, tol: float = DEFAULT_TOL) -> OrbitReport:
     warnings: list = []
     gap_ratios = [full.gap_ratio]
 
+    pairs = list(combinations(range(1, n + 1), 2))
     pair_span = [[3] * n for _ in range(n)]
-    for l in range(1, n + 1):
-        for lp in range(l + 1, n + 1):
-            result = real_rank(tm, ColumnSelector((l, lp)), tol=tol)
-            pair_span[l - 1][lp - 1] = pair_span[lp - 1][l - 1] = result.rank
-            gap_ratios.append(result.gap_ratio)
+    for (l, lp), result in zip(pairs, real_ranks(tm, [ColumnSelector(p) for p in pairs], tol)):
+        pair_span[l - 1][lp - 1] = pair_span[lp - 1][l - 1] = result.rank
+        gap_ratios.append(result.gap_ratio)
+    lone = [ColumnSelector((j,), include_last=True) for j in range(1, n + 1)]
     lone_span = []
-    for j in range(1, n + 1):
-        result = real_rank(tm, ColumnSelector((j,), include_last=True), tol=tol)
+    for result in real_ranks(tm, lone, tol):
         lone_span.append(result.rank)
         gap_ratios.append(result.gap_ratio)
 

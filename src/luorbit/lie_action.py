@@ -12,17 +12,22 @@ Acting on qubit k of psi = sum_I c_I |I>, the coefficient of |I> becomes
     y:  (-1)**i_k * c_{I with bit k flipped}
     x:  i * c_{I with bit k flipped}
 
-One tensor routine, ``_write_triple``, computes all three on the state's
-real parts held as a (2,)*n + (2,) array: axis k-1 is qubit k's bit and the
-last axis is (re, im).  Flipping bit k is ``np.flip`` along axis k-1,
-(-1)**i_k is a +-1 vector along that axis, and multiplying by i acts on
-the last axis.  The same numpy operations run on float64 arrays and on
-object arrays of Python ints, so both backends share the routine, and no
-Kronecker products are ever built.
+One routine, ``_write_triple``, computes all three on the state's real
+parts held as a (2,)*n + (2,) array: axis k-1 is qubit k's bit and the
+last axis is (re, im).  Multiplying by i acts on the last axis.  Flattened,
+the array has position ``2 * code + part``, so flipping bit k is a gather
+at the position with one bit flipped, and (-1)**i_k a +-1 vector over the
+positions (``_flips``).  ``_write_block`` writes one row block of every
+column: the rows where the leading qubits have fixed bits, a slab of the
+array, in which every other qubit's flip is one gather.  Flipping a
+leading qubit reads the partner slab instead.  The same numpy operations
+run on float64 arrays and on object arrays of Python ints, so both
+backends share the routines, and no Kronecker products are ever built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,22 +104,80 @@ def _operands(parts: np.ndarray) -> tuple:
     return parts, i_parts, parts[..., ::-1] * swap_zero, i_parts[..., ::-1] * swap_zero
 
 
-def _write_triple(operands: tuple, k: int, out: np.ndarray) -> np.ndarray:
-    """Write the z, y and x generators of qubit k on psi to ``out[0:3]``; return ``out``.
+def _flips(m: int, dtype, qubits) -> tuple:
+    """``(index, signs)`` that flip each of ``qubits`` (1-based) of an m-qubit slab.
 
-    z is i*psi times (-1)**i_k, y is psi with bit k flipped times
-    (-1)**i_k, and x is i*psi with bit k flipped; ``operands`` come from
-    ``_operands``.
+    Over the slab's real parts, flattened (position ``2 * code + part``),
+    each row of ``index`` holds every position with that qubit's bit
+    flipped and the same row of ``signs`` holds (-1)**i_j there: one row
+    per qubit, 2**(m+1) columns.
     """
-    parts, i_parts, zeros, i_zeros = operands
-    # (-1)**i_k, shaped to broadcast along qubit k's axis of the real parts
-    signs = np.array([1, -1], dtype=parts.dtype).reshape((2,) + (1,) * (parts.ndim - k))
+    rows = np.arange(2 << m)
+    bit = 1 << (m + 1 - np.array(qubits, dtype=int))[:, None]  # qubit j is bit m - j + 1
+    return rows ^ bit, np.where(rows & bit, -1, 1).astype(dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def _slab_flips(m: int, dtype) -> tuple:
+    """``_flips`` of every qubit of an m-qubit slab, read-only.
+
+    Kept per slab size and dtype: a block holds at most ``_BLOCK_ROWS``
+    rows, so m stays at most log2(_BLOCK_ROWS) - 1.
+    """
+    index, signs = _flips(m, dtype, range(1, m + 1))
+    index.flags.writeable = signs.flags.writeable = False
+    return index, signs
+
+
+def _write_triple(own: tuple, partner: tuple, signs, out: np.ndarray) -> np.ndarray:
+    """Write z, y and x generators on psi to ``out[0]``, ``out[1]``, ``out[2]``; return ``out``.
+
+    For qubit k, z is i*psi times (-1)**i_k, y is psi with bit k flipped
+    times (-1)**i_k, and x is i*psi with bit k flipped.  ``own`` are the
+    flattened ``_operands`` of the rows written, ``partner`` their first
+    three with bit k flipped, and ``signs`` is (-1)**i_k on the rows
+    written (one number where bit k is fixed across them).  Rows of
+    ``partner``, ``signs`` and the three outputs may stack several qubits.
+    """
+    _, i_parts, _, i_zeros = own
+    p_parts, p_i_parts, p_zeros = partner
     z, y, x = out
     np.multiply(i_parts, signs, out=z)
     z += i_zeros
-    np.multiply(np.flip(parts, k - 1), signs, out=y)
-    y += np.flip(zeros, k - 1)
-    np.copyto(x, np.flip(i_parts, k - 1))
+    np.multiply(p_parts, signs, out=y)
+    y += p_zeros
+    np.copyto(x, p_i_parts)
+    return out
+
+
+def _lead(n: int) -> int:
+    """How many leading qubits' bits pick a row block of an n-qubit real view."""
+    return max(0, n + 1 - (_BLOCK_ROWS.bit_length() - 1))
+
+
+def _write_block(operands: tuple, lead: int, block: int, out: np.ndarray) -> np.ndarray:
+    """Write one row block of every column of the tangent matrix to ``out``; return ``out``.
+
+    The block holds the rows whose leading ``lead`` qubits have the bits
+    of ``block`` (qubit 1 most significant), in real-view order; ``out``
+    holds column j of the block in row j.  The rows are a slab of each
+    operand.  The other qubits flip within the slab, all at once
+    (``_slab_flips``); flipping a leading qubit reads the partner slab,
+    and its sign is one number on the whole block.
+    """
+    n = operands[0].ndim - 1
+    bits = tuple((block >> (lead - 1 - a)) & 1 for a in range(lead))
+    slabs = tuple(op[bits] for op in operands)
+    own = tuple(slab.reshape(-1) for slab in slabs)
+    index, signs = _slab_flips(n - lead, operands[0].dtype)
+    triples = out[: 3 * n].reshape(n, 3, -1)
+    partner = tuple(op[index] for op in own[:3])
+    _write_triple(own, partner, signs, triples[lead:].transpose(1, 0, 2))
+    for k in range(1, lead + 1):
+        flip = bits[: k - 1] + (1 - bits[k - 1],) + bits[k:]
+        partner = tuple(op[flip].reshape(-1) for op in operands[:3])
+        _write_triple(own, partner, signs.dtype.type(1 - 2 * bits[k - 1]), triples[k - 1])
+    _times_i(slabs[0], -1, out[3 * n].reshape(slabs[0].shape))
     return out
 
 
@@ -122,7 +185,10 @@ def _apply(psi: StateVector, k: int, g: int):
     if not 1 <= k <= psi.n:
         raise ValueError(f"qubit index {k} out of range 1..{psi.n}")
     parts, scale = _real_parts(psi)
-    triple = _write_triple(_operands(parts), k, np.empty((3,) + parts.shape, dtype=parts.dtype))
+    own = tuple(op.reshape(-1) for op in _operands(parts))
+    (index,), (signs,) = _flips(psi.n, parts.dtype, [k])
+    triple = np.empty((3, own[0].size), dtype=parts.dtype)
+    _write_triple(own, tuple(op[index] for op in own[:3]), signs, triple)
     return _amplitudes_of(triple[g], psi.mode, scale)
 
 
@@ -148,6 +214,13 @@ def _triple_columns(k: int, n: int) -> tuple:
     return (3 * k - 3, 3 * k - 2, 3 * k - 1)
 
 
+#: Rows of the real view that ``streamed_r`` generates and factors at a time:
+#: a power of two, so the leading qubits' bits pick each block.  At 2048 rows
+#: a block of up to 64 columns (n <= 21) takes at most 1 MiB, and a matrix
+#: with n <= 10 is one block.
+_BLOCK_ROWS = 2048
+
+
 @dataclass(frozen=True)
 class TangentMatrix:
     """Generator actions on a state, column by column, plus -i psi.
@@ -157,30 +230,39 @@ class TangentMatrix:
     matrix equals the orbit dimension of the state under the local
     unitary group, plus one.
 
-    ``real`` is the matrix's real view, 2**(n+1) x (3n+1) and read-only:
-    amplitude a + bi of basis code c fills rows 2c (a) and 2c+1 (b), so a
-    column dot product is Re<u|v>.  It is float64 in float mode and holds
-    Python ints in exact mode, every entry ``scale`` times the true one.
-    ``ranks`` memoizes rank verdicts by ``(ColumnSelector, tol)``; see
-    ``rank.real_rank``.  A bare rank that ``rank.span_dims`` reads from R
-    alone, or inherits from a selection certified as full column rank, is
-    not kept.  ``r_factor`` caches the (3n+1) x (3n+1)
-    Householder R of ``real`` (``np.linalg.qr(real, mode="r")``), None
-    until first needed.  A floating complement (``rank.complement_dim``,
-    ``rank.complement_basis``) builds it at any n; floating rank verdicts
-    build and read it only when ``real`` is at least twice as tall as it
-    is wide (n >= 4).  ``gram`` caches the exact backend's counterpart,
-    the integer Gram ``real.T @ real`` ((3n+1) x (3n+1) Python ints, entry
-    (i, j) is ``scale**2`` times Re<column i|column j>), None until an
-    exact query first needs it; see ``rank.exact_gram``.
+    ``parts`` holds psi's real parts as a (2,)*n + (2,) array
+    (``_real_parts``); every column is generated from it.  ``real`` is the
+    matrix's real view, 2**(n+1) x (3n+1) and read-only: amplitude a + bi
+    of basis code c fills rows 2c (a) and 2c+1 (b), so a column dot
+    product is Re<u|v>.  It is float64 in float mode and holds Python ints
+    in exact mode, every entry ``scale`` times the true one.  It is built
+    on first read, and only what needs its rows reads it: the exact Gram,
+    floating verdicts at n <= 3 or that R cannot certify, complement
+    vectors, column dumps and the verify column checks.
+
+    ``r_factor`` caches a (3n+1) x (3n+1) triangular R with
+    ``real = Q R``, Q orthonormal (``streamed_r``), None until a floating
+    query first needs it.  It is streamed from ``parts`` in row blocks, so
+    a floating verdict that R certifies never builds ``real``; a matrix of
+    one block keeps that block as ``real``.  ``ranks`` memoizes rank
+    verdicts by ``(ColumnSelector, tol)``; see ``rank.real_rank``.  A bare
+    rank that ``rank.span_dims`` reads from R alone, or inherits from a
+    selection certified as full column rank, is not kept.  ``gram`` and
+    ``gram_rows`` cache the exact backend's counterpart, the integer Gram
+    ``real.T @ real`` ((3n+1) x (3n+1) Python ints, entry (i, j) is
+    ``scale**2`` times Re<column i|column j>) as an array and as nested
+    lists, None until an exact query first needs them; see
+    ``rank.exact_gram``.
     """
 
     state: StateVector
-    real: np.ndarray
+    parts: np.ndarray = field(repr=False, compare=False)
     scale: int
     ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     r_factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     gram: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    gram_rows: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _real: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -198,6 +280,22 @@ class TangentMatrix:
     def last_index(self) -> int:
         return 3 * self.n
 
+    @property
+    def real(self) -> np.ndarray:
+        """The real view, generated block by block on first read."""
+        if self._real is None:
+            lead, parts = _lead(self.n), self.parts
+            operands = _operands(parts)
+            buf = np.empty((self.column_count, parts.size), dtype=parts.dtype)
+            height = parts.size >> lead
+            for b in range(1 << lead):
+                _write_block(operands, lead, b, buf[:, b * height : (b + 1) * height])
+            # column j was written to row j: ``real`` is the transpose
+            real = buf.T
+            real.flags.writeable = False
+            object.__setattr__(self, "_real", real)
+        return self._real
+
     def triple_indices(self, k: int) -> tuple:
         """Column indices of qubit k's generator triple."""
         return _triple_columns(k, self.n)
@@ -206,25 +304,47 @@ class TangentMatrix:
         """Column j as amplitudes: complex ndarray (float) or RationalComplex tuple (exact)."""
         return _amplitudes_of(self.real[:, j], self.mode, self.scale)
 
-    @property
-    def columns(self):
-        """Every column: a 2**n x (3n+1) complex ndarray, or a tuple of column tuples."""
-        cols = [self.column(j) for j in range(self.column_count)]
-        return np.stack(cols, axis=1) if self.mode == FLOAT else tuple(cols)
-
 
 def tangent_matrix(psi: StateVector) -> TangentMatrix:
-    """Assemble every generator action on psi together with -i psi."""
-    n = psi.n
-    if n < 1:
+    """Every generator action on psi together with -i psi, generated when first read."""
+    if psi.n < 1:
         raise ValueError("tangent matrix needs at least one qubit")
     parts, scale = _real_parts(psi)
-    # Column j is written to row j of one buffer; ``real`` is its transpose.
-    buf = np.empty((3 * n + 1,) + parts.shape, dtype=parts.dtype)
-    operands = _operands(parts)
-    for k in range(1, n + 1):
-        _write_triple(operands, k, buf[3 * (k - 1) : 3 * k])
-    _times_i(parts, -1, buf[3 * n])
-    real = buf.reshape(3 * n + 1, -1).T
-    real.flags.writeable = False
-    return TangentMatrix(state=psi, real=real, scale=scale)
+    return TangentMatrix(state=psi, parts=parts, scale=scale)
+
+
+def streamed_r(tm: TangentMatrix) -> np.ndarray:
+    """A triangular R with ``tm.real = Q R``, built from row blocks of the real view.
+
+    Tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
+    Comput. 34 (2012)): each ``_BLOCK_ROWS``-row block is generated from
+    ``tm.parts`` and Householder-factored while it is in cache, and the
+    stacked block Rs are factored again, whenever they reach a block's
+    height and at the end.  Only the state, its operands and one block are
+    held at a time.  A real view of one block is built as ``tm.real`` and
+    factored from there.
+    """
+    lead = _lead(tm.n)
+    if lead == 0:
+        return _block_r(tm.real)
+    operands = _operands(tm.parts)
+    buf = np.empty((tm.column_count, tm.parts.size >> lead), dtype=tm.parts.dtype)
+    stack: list = []
+    for b in range(1 << lead):
+        stack.append(_block_r(_write_block(operands, lead, b, buf).T))
+        if sum(len(r) for r in stack) >= _BLOCK_ROWS:
+            stack = [np.linalg.qr(np.vstack(stack), mode="r")]
+    return stack[0] if len(stack) == 1 else np.linalg.qr(np.vstack(stack), mode="r")
+
+
+def _block_r(block: np.ndarray) -> np.ndarray:
+    """R of one block, factored as four stacked quarters and then their stacked Rs.
+
+    ``np.linalg.qr`` copies its input and allocates a work buffer of the
+    size of one matrix per call: a quarter's buffer (164 KiB at 2048 rows
+    and 40 columns) is reused by the allocator from block to block, where
+    a whole block's was returned to the system and faulted back in.
+    """
+    width = block.shape[1]
+    quarters = np.linalg.qr(block.reshape(4, -1, width), mode="r")
+    return np.linalg.qr(quarters.reshape(-1, width), mode="r")

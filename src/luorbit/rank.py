@@ -27,60 +27,69 @@ ints, and elimination runs on them.
 
 The floating backend for n <= 3 slices the columns it needs out of
 ``TangentMatrix.real``.  For n >= 4 the real view is at least twice as
-tall as it is wide, and the first floating rank query factors it once,
+tall as it is wide, and the first floating rank query builds
 ``real = Q R`` with Q orthonormal and R of size (3n+1) x (3n+1)
-(``TangentMatrix.r_factor``).  Any column subset of
-``real`` then has the singular values of the same columns of R, up to
-rounding at the 1e-16 level; nothing is squared, so no precision is lost.
+(``TangentMatrix.r_factor``).  R is streamed from the state by
+tall-skinny QR (``lie_action.streamed_r``): Householder QR of each row
+block, then of the stacked block Rs.  Each step is backward stable, so
+R is the exact R of a matrix within c * eps * |real| of the real view,
+c a modest factor that grows with the height 2**(n+1) (Demmel, Grigori,
+Hoemmen and Langou, SIAM J. Sci. Comput. 34 (2012)).  Any column subset
+of ``real`` thus has the singular values of the same columns of R to
+within c * eps * s[0] (Weyl); nothing is squared, so no precision is
+lost.
 
-* The full selection is answered from R itself.  LAPACK's SVD of a
-  matrix this tall starts with the same Householder QR, so the verdict,
-  its singular values and its gap ratio are bit-identical to those of the
-  real view.
-* A proper subset is answered from its R columns when they have full
-  column rank with the smallest singular value above
-  ``GAP_WARNING_THRESHOLD * tol`` times the largest: rounding cannot move
-  a value across a cutoff three orders of magnitude away, so the direct
-  verdict (full rank, gap ratio inf) is the same.  Every other subset,
-  rank-deficient or near the cutoff, falls back to its columns of the
-  real view, so deficient verdicts and their gap ratios come from the
-  same arithmetic as the direct route.
-* ``span_dims`` (and ``span_dim``, its one-selector case) needs only the
-  rank, so it also reads deficient ranks from R.  With s the singular
-  values of the R slice, k the number strictly above the cutoff
-  ``tol * s[0]`` and M = ``GAP_WARNING_THRESHOLD``, k is certified when
-  both margins hold: k = 0 or s[k-1] > M times the cutoff, and k = len(s)
-  or s[k] < the cutoff / M, the second only when tol >= M * eps.  The R
-  slice and the real view's columns differ by rounding, in the QR and in
-  each SVD, that moves every singular value by at most c * eps * s[0]
-  (Weyl), with c a modest factor that grows with the height 2**(n+1).
-  The verdict holds while that stays under the gap between the cutoff / M
-  and the cutoff, (1 - 1/M) times the cutoff: a value above M times the
-  cutoff cannot then fall to it, nor a value under the cutoff / M rise
-  past it, so the direct SVD of the real view keeps the same k values.
-  On the dropped side rounding may thus use nearly the whole cutoff, not
-  just the cutoff / M.  tol >= M * eps keeps that room above (M - 1) *
-  eps * s[0], so c may grow to about M; below it the cutoff sits within
-  rounding of zero, and a deficient rank is left to ``real_rank``.  A
-  rank read this way is returned and kept nowhere, so no reported
-  verdict, singular value or gap ratio comes from it; when a margin
-  fails, the query gets ``real_rank``'s verdict on the real view,
-  memoized in ``tm.ranks`` as usual.  The previous bullet's rule is the
-  case k = len(s).
-* ``span_dims`` answers a family widest selection first.  Removing
-  columns can only raise the smallest singular value and lower the
-  largest (interlacing for column submatrices; R. C. Thompson, Linear
-  Algebra Appl. 5 (1972) 1-12).  So once a selection is certified as full
-  column rank with the kept side's margin, every selection inside it
-  clears the same margin, and gets its column count with no SVD.  It
-  draws on the rounding budget of the full-rank rule above, not a new
-  one: the interlacing is exact on R, and its slices differ from the real
-  view's columns by the same c * eps * s[0].  The selections of one width
-  that remain share one stacked SVD of their R slices (LAPACK decomposes
-  each matrix of a stack as it would alone); a full-width selection gets
-  ``real_rank``'s verdict from R itself.  Float n <= 3, and the exact
-  backend, answer each query with ``real_rank``'s verdict: no exact
-  caller asks for selections that lie inside one another.
+One rule reads every floating verdict at n >= 4: reported ones
+(``real_rank``, ``real_ranks``, the tables of ``orbit_report``) and bare
+ranks (``span_dims``) alike, for the full selection and for proper
+subsets, of full rank or deficient.  With s the singular values of the
+selection's R slice, k the number strictly above the cutoff
+``tol * s[0]`` and M = ``GAP_WARNING_THRESHOLD``, R certifies k when
+
+* k = 0 or s[k-1] > M times the cutoff (the kept side's margin), and
+* k = len(s), or tol >= M * eps and s[k] lies under both the cutoff / M
+  (the dropped side's margin) and the rounding floor
+  ``ROUNDING_FLOOR * s[0]``.
+
+A certified verdict is read from the slice.  Any other comes from the
+selection's columns of the real view, as a direct SVD gives it, and is
+kept in ``tm.ranks``.  The rule holds while rounding stays under the gap
+between the cutoff / M and the cutoff, (1 - 1/M) times the cutoff: a
+value above M times the cutoff cannot then fall to it, nor a value under
+the cutoff / M rise past it, so the real view keeps the same k values.
+On the dropped side rounding may use nearly the whole cutoff, not just
+the cutoff / M.  tol >= M * eps keeps that room above (M - 1) * eps *
+s[0], so c may grow to about M; below it the cutoff sits within rounding
+of zero, and R certifies only full rank.
+
+The contract this gives, against a direct SVD of the selection's
+columns of the real view: the same rank, always; singular values within
+the rounding floor; and the same gap ratio once the floor applies to
+both.  A dropped value under the floor is indistinguishable from zero,
+so a gap ratio over it is reported as inf (JSON null), unless the ratio
+itself is under M and flags the verdict.  A certified deficient verdict
+has a ratio above M**2 (both margins) and a dropped value under the
+floor, so it reports inf, as the real view does wherever its own dropped
+value lies under the floor.  Singular values are not bit-identical to
+the direct route's: R's dropped values are rounding noise, and the noise
+changes with the block order and the BLAS thread count.  The floor keeps
+that noise out of every printed gap ratio.
+
+``real_ranks`` and ``span_dims`` answer a family widest selection first.
+Removing columns can only raise the smallest singular value and lower the
+largest (interlacing for column submatrices; R. C. Thompson, Linear
+Algebra Appl. 5 (1972) 1-12).  So once a selection is certified as full
+column rank with the kept side's margin, every selection inside it
+clears the same margin, and gets its column count with no SVD.  It draws
+on the rounding budget of the rule above, not a new one: the interlacing
+is exact on R, and its slices differ from the real view's columns by the
+same c * eps * s[0].  The selections of one width that remain share one
+stacked SVD of their R slices (LAPACK decomposes each matrix of a stack
+as it would alone).  ``real_ranks`` keeps every verdict it reads from R;
+``span_dims`` returns a rank it reads from R for a proper subset bare,
+kept nowhere.  Float n <= 3, and the exact backend, answer each query with
+``real_rank``'s verdict: no exact caller asks for selections that lie
+inside one another.
 
 Float complements (``complement_dim``, ``complement_basis``) read R at
 every n (R is square for n >= 1): its columns have the inner products of
@@ -95,8 +104,8 @@ are the complement's coefficients in the triple's columns of the real view.
 ``tol`` must be finite and lie in [eps, 1) with eps the float64 machine
 epsilon (``check_tol``): below eps the cutoff sits under rounding noise,
 and at 1 or above it discards every singular value.  ``DEFAULT_TOL``,
-``GAP_WARNING_THRESHOLD`` and ``check_tol`` come from ``tolerance``, which
-also records where this policy stops holding.
+``GAP_WARNING_THRESHOLD``, ``ROUNDING_FLOOR`` and ``check_tol`` come from
+``tolerance``, which also records where this policy stops holding.
 """
 
 from __future__ import annotations
@@ -108,9 +117,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .lie_action import TangentMatrix, _triple_columns
+from .lie_action import TangentMatrix, _triple_columns, streamed_r
 from .states import EXACT, FLOAT
-from .tolerance import DEFAULT_TOL, EPS, GAP_WARNING_THRESHOLD, check_tol
+from .tolerance import DEFAULT_TOL, EPS, GAP_WARNING_THRESHOLD, ROUNDING_FLOOR, check_tol
 
 
 @dataclass(frozen=True)
@@ -145,10 +154,14 @@ class RankResult:
     """Verdict of one rank query.
 
     ``singular_values`` (floating backend only) are those of the matrix
-    the verdict was read from.  A proper subset certified from the columns
-    of ``TangentMatrix.r_factor`` carries the singular values of that R
-    slice: its rank and gap ratio equal the direct ones on the real view,
-    its singular values agree with them only to rounding.
+    the verdict was read from.  A verdict certified from the columns of
+    ``TangentMatrix.r_factor`` carries the singular values of that R
+    slice: its rank equals the direct one on the real view, its gap ratio
+    equals it under the rounding floor's rule, and its singular values
+    agree with it to within the floor (module docstring).  A rank that
+    ``real_ranks`` inherits from a wider selection carries none.
+    ``gap_ratio`` is inf when nothing is dropped or the largest dropped
+    value is indistinguishable from zero; JSON output writes inf as null.
     """
 
     rank: int
@@ -166,33 +179,39 @@ def retained_rank(singular_values, tol: float) -> int:
 
     A value exactly at the cutoff is discarded, resolving ties downward.
     """
-    s = np.asarray(singular_values, dtype=np.float64)
-    if s.size == 0:
+    if len(singular_values) == 0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    cut = tol * singular_values[0]
+    return int(sum(v > cut for v in singular_values))
 
 
-def _gap_ratio(s: np.ndarray, rank: int) -> float:
-    if rank >= s.size:
+def _gap_ratio(s, rank: int) -> float:
+    """Smallest kept over largest dropped value of ``s``, of which ``rank`` are kept.
+
+    inf when nothing is dropped, and when the largest dropped value lies
+    under the rounding floor (``ROUNDING_FLOOR`` times the largest value)
+    without flagging the verdict (module docstring).
+    """
+    if rank >= len(s):
         return math.inf
     if rank == 0:
         return 0.0
-    largest_discarded = s[rank]
-    if largest_discarded == 0.0:
+    kept, dropped = s[rank - 1], s[rank]
+    if dropped < ROUNDING_FLOOR * s[0] and kept >= GAP_WARNING_THRESHOLD * dropped:
         return math.inf
-    return float(s[rank - 1] / largest_discarded)
+    return float(kept / dropped)
 
 
-def _float_rank(view: np.ndarray, tol: float, s: Optional[np.ndarray] = None) -> RankResult:
-    """Verdict from the singular values ``s`` of ``view``, computed here unless given."""
+def _float_rank(view: np.ndarray, tol: float, s: Optional[list] = None) -> RankResult:
+    """Verdict from the singular values ``s`` of ``view`` (a list), computed here unless given."""
     if s is None:
-        s = np.linalg.svd(view, compute_uv=False)
+        s = np.linalg.svd(view, compute_uv=False).tolist()
     rank = retained_rank(s, tol)
     return RankResult(
         rank=rank,
         gap_ratio=_gap_ratio(s, rank),
         backend=FLOAT,
-        singular_values=tuple(s.tolist()),
+        singular_values=tuple(s),
     )
 
 
@@ -201,13 +220,13 @@ def _float_rank(view: np.ndarray, tol: float, s: Optional[np.ndarray] = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_rank(matrix: np.ndarray) -> int:
-    """Rank of a matrix of Python ints by fraction-free elimination.
+def _bareiss_rank(mat: list) -> int:
+    """Rank of a matrix of Python ints, given as row lists, by fraction-free elimination.
 
     Every division is exact, so the arithmetic stays in the integers and
-    the verdict carries no tolerance at all.
+    the verdict carries no tolerance at all.  ``mat`` is eliminated in
+    place.
     """
-    mat = matrix.tolist()
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     rank = 0
@@ -234,8 +253,8 @@ def _bareiss_rank(matrix: np.ndarray) -> int:
     return rank
 
 
-def _exact_rank(view: np.ndarray) -> RankResult:
-    rank = _bareiss_rank(view)
+def _exact_rank(mat: list) -> RankResult:
+    rank = _bareiss_rank(mat)
     return RankResult(rank=rank, gap_ratio=math.inf, backend=EXACT, singular_values=None)
 
 
@@ -243,7 +262,10 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def exact_gram(tm: TangentMatrix) -> np.ndarray:
-    """``tm.gram``, the integer Gram ``real.T @ real`` of an exact matrix, built on first use."""
+    """``tm.gram``, the integer Gram ``real.T @ real`` of an exact matrix, built on first use.
+
+    Its rows are also kept as lists, ``tm.gram_rows``, which ``_gram_block`` slices.
+    """
     if tm.mode != EXACT:
         raise ValueError("exact_gram requires the exact backend")
     if tm.gram is None:
@@ -252,7 +274,14 @@ def exact_gram(tm: TangentMatrix) -> np.ndarray:
             gram = tm.real.T @ tm.real
         gram.flags.writeable = False
         object.__setattr__(tm, "gram", gram)
+        object.__setattr__(tm, "gram_rows", gram.tolist())
     return tm.gram
+
+
+def _gram_block(tm: TangentMatrix, rows, cols) -> list:
+    """Entries (i, j) of the exact Gram, i in ``rows`` and j in ``cols``, as fresh row lists."""
+    exact_gram(tm)
+    return [[row[j] for j in cols] for row in map(tm.gram_rows.__getitem__, rows)]
 
 
 def _int64_gram(real: np.ndarray) -> Optional[np.ndarray]:
@@ -304,25 +333,26 @@ def _verdict(tm: TangentMatrix, selector: ColumnSelector, tol: float) -> RankRes
     key = (selector, tol)
     result = tm.ranks.get(key)
     if result is None:
-        cols = list(selector.column_indices(tm.n))
+        if tm.mode == FLOAT and _reads_r(tm):
+            return _answer(tm, [selector], tol, keep=True)[0][1]
+        cols = selector.column_indices(tm.n)
         if tm.mode == FLOAT:
-            result = _float_verdict(tm, cols, tol)
+            result = _float_rank(tm.real[:, list(cols)], tol)
         else:
-            result = _exact_rank(exact_gram(tm)[np.ix_(cols, cols)])
+            result = _exact_rank(_gram_block(tm, cols, cols))
         tm.ranks[key] = result
     return result
 
 
 def _reads_r(tm: TangentMatrix) -> bool:
     """Whether floating rank verdicts read R: the real view is at least twice as tall as wide."""
-    rows, width = tm.real.shape
-    return rows >= 2 * width
+    return 1 << (tm.n + 1) >= 2 * tm.column_count
 
 
 def _r_factor(tm: TangentMatrix) -> np.ndarray:
-    """``tm.r_factor``, the Householder R of ``tm.real``, computed on first use."""
+    """``tm.r_factor``, R streamed from the state (``lie_action.streamed_r``) on first use."""
     if tm.r_factor is None:
-        object.__setattr__(tm, "r_factor", np.linalg.qr(tm.real, mode="r"))
+        object.__setattr__(tm, "r_factor", streamed_r(tm))
     return tm.r_factor
 
 
@@ -331,31 +361,18 @@ def _clears_margin(s, tol: float) -> bool:
     return s[-1] > GAP_WARNING_THRESHOLD * tol * s[0]
 
 
-def _float_verdict(tm: TangentMatrix, cols: list, tol: float) -> RankResult:
-    """Floating verdict on ``cols``, from R where that is safe (module docstring)."""
-    if not _reads_r(tm):
-        return _float_rank(tm.real[:, cols], tol)
-    r = _r_factor(tm)
-    if len(cols) == r.shape[1]:
-        return _float_rank(r, tol)
-    r_slice = r[:, cols]
-    s = np.linalg.svd(r_slice, compute_uv=False)
-    if _clears_margin(s, tol):
-        return _float_rank(r_slice, tol, s)
-    return _float_rank(tm.real[:, cols], tol)
-
-
 def _certified_rank(s: list, tol: float) -> Optional[int]:
     """The rank an R slice with singular values ``s`` certifies, or None (module docstring)."""
     if _clears_margin(s, tol):
         return len(s)
     if tol < GAP_WARNING_THRESHOLD * EPS:
         return None
+    rank = retained_rank(s, tol)
     cut = tol * s[0]
-    rank = sum(v > cut for v in s)
     # at rank == len(s), s[-1] failed the margin above, so kept is False and s[rank] unread
-    kept = rank == 0 or s[rank - 1] > GAP_WARNING_THRESHOLD * tol * s[0]
-    return rank if kept and s[rank] < cut / GAP_WARNING_THRESHOLD else None
+    kept = rank == 0 or s[rank - 1] > GAP_WARNING_THRESHOLD * cut
+    floor = min(cut / GAP_WARNING_THRESHOLD, ROUNDING_FLOOR * s[0])
+    return rank if kept and s[rank] < floor else None
 
 
 def span_dim(
@@ -376,20 +393,42 @@ def span_dims(
 ) -> list:
     """``real_rank``'s rank of each selector, in the caller's order.
 
+    The ranks of ``real_ranks``' verdicts on the family.  A rank read from
+    R for a proper subset, or inherited, is returned bare and kept nowhere.
+    """
+    return [rank for rank, _ in _family(tm, list(selectors), tol, keep=False)]
+
+
+def real_ranks(
+    tm: TangentMatrix, selectors: Iterable[ColumnSelector], tol: float = DEFAULT_TOL
+) -> list:
+    """``real_rank``'s verdict on each selector, in the caller's order, kept in ``tm.ranks``.
+
     A floating matrix with n >= 4 answers the family widest selection
     first.  A selection inside one already certified as full column rank
-    gets its column count with no decomposition; the rest of each width
-    share one stacked SVD of their R slices, and a rank is read from R
-    alone wherever R certifies it (module docstring).  An exact matrix,
-    or a floating one with n <= 3, answers each query with ``real_rank``'s
-    verdict.  Kept verdicts are read first; every other query is checked,
-    in order, before any is answered, so a bad selector or tol raises
-    what ``real_rank`` raises.
+    inherits its column count with no decomposition: its verdict has gap
+    ratio inf, no singular values, and is not kept.  The rest of each
+    width share one stacked SVD of their R slices, and each verdict is
+    read from its slice wherever R certifies it, from the real view
+    otherwise (module docstring).  An exact matrix, or a floating one with
+    n <= 3, answers each query alone.  Kept verdicts are read first; every
+    other query is checked, in order, before any is answered, so a bad
+    selector or tol raises what ``real_rank`` raises.
     """
-    selectors = list(selectors)
+    return [
+        RankResult(rank=rank, gap_ratio=math.inf, backend=FLOAT) if verdict is None else verdict
+        for rank, verdict in _family(tm, list(selectors), tol, keep=True)
+    ]
+
+
+def _family(tm: TangentMatrix, selectors: list, tol: float, keep: bool) -> list:
+    """``(rank, verdict)`` of each selector; verdict None where only the rank is known.
+
+    An R-read verdict on a proper subset is made and kept only when ``keep``.
+    """
     known = [tm.ranks.get((sel, tol)) for sel in selectors]
     if all(result is not None for result in known):
-        return [result.rank for result in known]
+        return [(result.rank, result) for result in known]
     for sel, result in zip(selectors, known):
         if result is None:  # a kept verdict passed these checks when it was made
             _check_query(sel, tol)
@@ -397,16 +436,16 @@ def span_dims(
             if triples and (min(triples) < 1 or max(triples) > tm.n):
                 sel.column_indices(tm.n)  # raises for the first triple out of range
     if tm.mode == EXACT or not _reads_r(tm):
-        return [_verdict(tm, sel, tol).rank for sel in selectors]
-    return _widest_first(tm, selectors, known, tol)
+        return [(result.rank, result) for result in (_verdict(tm, sel, tol) for sel in selectors)]
+    return _widest_first(tm, selectors, known, tol, keep)
 
 
-def _widest_first(tm: TangentMatrix, selectors: list, known: list, tol: float) -> list:
-    """Rank of each selection, widest first, inheriting full column rank downward.
+def _widest_first(tm: TangentMatrix, selectors: list, known: list, tol: float, keep: bool) -> list:
+    """``(rank, verdict)`` of each selection, widest first, inheriting full column rank downward.
 
     ``known`` holds each selection's verdict from ``tm.ranks``, or None.
     """
-    ranks = [0] * len(selectors)
+    answers = [None if result is None else (result.rank, result) for result in known]
     widths = [3 * len(sel.triples) + sel.include_last for sel in selectors]
     widest_first = sorted(range(len(selectors)), key=widths.__getitem__, reverse=True)
     certified = []  # masks of wider selections certified as full column rank
@@ -415,21 +454,23 @@ def _widest_first(tm: TangentMatrix, selectors: list, known: list, tol: float) -
         newly = []  # selections of this width certified as full column rank
         for i in group:
             if known[i] is not None:
-                ranks[i] = known[i].rank
                 if _certifies(known[i], width, tol):
                     newly.append(i)
             elif certified and _inside(_mask(selectors[i]), certified):
-                ranks[i] = width
+                answers[i] = (width, None)
             else:
                 todo.append(i)
-        answers = _answer(tm, [selectors[i] for i in todo], width, tol) if todo else []
-        for i, (rank, certifies) in zip(todo, answers):
-            ranks[i] = rank
-            if certifies:
-                newly.append(i)
+        if todo:
+            full = width == tm.column_count
+            for i, (rank, verdict, certifies) in zip(
+                todo, _answer(tm, [selectors[i] for i in todo], tol, keep or full)
+            ):
+                answers[i] = (rank, verdict)
+                if certifies:
+                    newly.append(i)
         if width > widths[widest_first[-1]]:  # narrower selections follow
             certified += [_mask(selectors[i]) for i in newly]
-    return ranks
+    return answers
 
 
 def _mask(selector: ColumnSelector) -> int:
@@ -447,28 +488,32 @@ def _certifies(result: RankResult, width: int, tol: float) -> bool:
     return result.rank == width and _clears_margin(result.singular_values, tol)
 
 
-def _answer(tm: TangentMatrix, sels: list, width: int, tol: float) -> list:
-    """(rank, certifies) for each of ``sels``, selections of ``width`` columns.
+def _answer(tm: TangentMatrix, sels: list, tol: float, keep: bool) -> list:
+    """``(rank, verdict, certifies)`` of ``sels``, selections of one width.
 
-    Proper subsets share one stacked SVD of their R slices; the full
-    selection, and every selection R does not certify, get ``real_rank``'s
-    verdict.
+    One stacked SVD of their R slices.  A rank R certifies is read from
+    its slice; its verdict is made and kept in ``tm.ranks`` only when
+    ``keep``, and is None otherwise.  Every other selection gets the
+    verdict of its columns of the real view, kept.  ``certifies`` tells
+    whether the selection is certified as full column rank.
     """
-    if width == tm.column_count:
-        results = [_verdict(tm, sel, tol) for sel in sels]
-        return [(res.rank, _certifies(res, width, tol)) for res in results]
-    cols = [list(sel.column_indices(tm.n)) for sel in sels]
-    r = _r_factor(tm)
-    s = np.linalg.svd(r[:, cols].transpose(1, 0, 2), compute_uv=False)
+    cols = np.array([sel.column_indices(tm.n) for sel in sels])
+    slices = _r_factor(tm)[:, cols].transpose(1, 0, 2)
+    stacked = np.linalg.svd(slices, compute_uv=False).tolist()
     out = []
-    for sel, c, values in zip(sels, cols, s.tolist()):
-        rank = _certified_rank(values, tol)
+    for sel, c, r_slice, s in zip(sels, cols, slices, stacked):
+        rank = _certified_rank(s, tol)
         if rank is None:
-            result = _float_rank(tm.real[:, c], tol)
-            tm.ranks[(sel, tol)] = result
-            out.append((result.rank, _certifies(result, width, tol)))
-        else:
-            out.append((rank, rank == width))
+            verdict = _float_rank(tm.real[:, c], tol)
+            tm.ranks[(sel, tol)] = verdict
+            out.append((verdict.rank, verdict, _certifies(verdict, len(s), tol)))
+            continue
+        verdict = None
+        if keep:
+            verdict = _float_rank(r_slice, tol, s)
+            tm.ranks[(sel, tol)] = verdict
+        # R certifies full column rank only past the kept side's margin
+        out.append((rank, verdict, rank == len(s)))
     return out
 
 
@@ -493,7 +538,7 @@ def complement_dim(
         return 3
     if tm.mode == FLOAT:
         return len(_complement_coeffs(tm, inside, against, tol))
-    cross = exact_gram(tm)[np.ix_(against.column_indices(tm.n), tm.triple_indices(inside))]
+    cross = _gram_block(tm, against.column_indices(tm.n), tm.triple_indices(inside))
     return 3 - _bareiss_rank(cross)
 
 

@@ -11,11 +11,29 @@ Rank verdicts (floating backend):
   ``tol`` to [``EPS``, 1).
 * ``GAP_WARNING_THRESHOLD`` flags a verdict as ill-conditioned when the
   smallest kept singular value is less than this many times the largest
-  dropped one.  The same factor is the margin by which every singular
-  value of a column slice of the cached Householder factor R
-  (``TangentMatrix.r_factor``) must clear the cutoff before that slice
-  certifies a full-rank subset: rounding between R and the real view is
-  about ``EPS``, so it cannot move a value across a cutoff that far away.
+  dropped one.  The same factor M is the margin by which the singular
+  values of a column slice of the cached factor R
+  (``TangentMatrix.r_factor``) must clear the cutoff, above it on the
+  kept side and below it on the dropped side, before the slice certifies
+  a verdict: rounding between R and the real view is a small multiple of
+  ``EPS`` times the largest value, so it cannot move a value across a
+  cutoff that far away.
+* ``ROUNDING_FLOOR`` is the relative level under which a dropped singular
+  value is indistinguishable from zero: M * ``EPS`` times the largest.
+  Two routes to one verdict (LAPACK's QR of the whole real view, R
+  streamed from row blocks, another BLAS thread count) differ by
+  rounding of c * ``EPS`` times the largest value, c growing with the
+  height 2**(n+1).  The margins above already budget c up to M: the
+  dropped side's margin keeps (M - 1) * ``EPS`` of room under a cutoff of
+  at least M * ``EPS``.  So the floor is that same budget, not a new
+  one.  Measured: the dropped values of scrambled singlet products (full,
+  pair and lone selections, three states each at n = 12, 13, 14 and 16)
+  lie at most 3.4 ``EPS`` times the largest, about 300 times under the
+  floor; printed as ratios, they changed with the BLAS thread count at
+  n = 13 and 14.  A gap ratio whose dropped value lies under the floor
+  is reported as inf (JSON null, as for full rank), unless it is itself
+  under M and flags the verdict; so no flag and no warning depends on
+  the floor.
 
 Slacks of the independent checks (verify oracles, state comparison,
 SU(2) validation, contraction).  They compare quantities of unit scale,
@@ -67,6 +85,9 @@ DEFAULT_TOL = 1e-10
 
 #: Gap ratios below this flag a verdict ill-conditioned; also R's certification margin.
 GAP_WARNING_THRESHOLD = 1e3
+
+#: Dropped singular values under this times the largest are indistinguishable from zero.
+ROUNDING_FLOOR = GAP_WARNING_THRESHOLD * EPS
 
 #: Absolute slack for equalities of unit-scale numbers after a few roundings.
 ROUNDOFF_ATOL = 1e-12

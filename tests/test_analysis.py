@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import luorbit.analysis as analysis_mod
+import luorbit.lie_action as lie_action
 import luorbit.rank as rank_mod
 from luorbit import (
     EXACT,
@@ -435,16 +436,46 @@ def _full_height_views(monkeypatch, psi) -> int:
     return heights.count(2 ** (psi.n + 1))
 
 
-def test_report_slices_the_real_view_only_for_deficient_subsets(monkeypatch):
-    # every query is read from the state's R factor, except the subsets that
-    # are rank-deficient: the pair spans, and the lone qubit's span
+def test_report_reads_every_verdict_from_r(monkeypatch):
+    # every verdict is read from the state's R factor, the rank-deficient
+    # pair and lone spans included: none slices the real view
     assert _full_height_views(monkeypatch, random_state(8, 140)) == 0
     pairs = [(1, 5), (2, 3), (4, 8), (6, 7)]
-    assert _full_height_views(monkeypatch, singlet_product(8, pairs)) == 4
+    assert _full_height_views(monkeypatch, singlet_product(8, pairs)) == 0
     lone_product = singlet_product(9, pairs, lone=9)
-    assert _full_height_views(monkeypatch, lone_product) == 5
+    assert _full_height_views(monkeypatch, lone_product) == 0
     scrambled = apply_local(lone_product, LocalUnitary.random(9, 141))
-    assert _full_height_views(monkeypatch, scrambled) == 5
+    assert _full_height_views(monkeypatch, scrambled) == 0
+
+
+def test_report_past_one_block_builds_no_real_view(monkeypatch):
+    # at n = 11, R is streamed from the state in row blocks: the report builds
+    # no real view and factors no matrix of its 2^(n+1) rows
+    n = 11
+    rows, built = [], []
+    for name in ("svd", "qr"):
+
+        def spy(a, *args, _factor=getattr(np.linalg, name), **kwargs):
+            rows.append(np.shape(a)[-2])
+            return _factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    real = lie_action.TangentMatrix.real
+
+    def real_spy(tm):
+        built.append(tm.n)
+        return real.fget(tm)
+
+    monkeypatch.setattr(lie_action.TangentMatrix, "real", property(real_spy))
+    pairs = [(1, 7), (2, 10), (3, 5), (4, 11), (6, 9)]
+    product = apply_local(singlet_product(n, pairs, lone=8), LocalUnitary.random(n, 142))
+    for psi in (random_state(n, 143), product):
+        rows.clear()
+        report = orbit_report(psi)
+        assert built == []
+        assert rows and max(rows) < 1 << (n + 1)
+    assert report.pairing.sorted_pairs == tuple(sorted(pairs))
+    assert report.pairing.lone == 8
 
 
 def test_dimensions_add_across_tensor_products():

@@ -17,14 +17,14 @@ _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 )}
 
 
-def run(*args, stdin=None):
+def run(*args, stdin=None, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "luorbit", *args],
         input=stdin,
         capture_output=True,
         text=True,
         timeout=120,
-        env=_ENV,
+        env={**_ENV, **(env or {})},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -114,6 +114,29 @@ def test_analyze_is_byte_deterministic(tmp_path):
     a = run("analyze", str(path))
     b = run("analyze", str(path))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "n, pairs, lone",
+    [(13, "1:8,2:11,3:5,4:13,6:10,7:12", "9"), (14, "1:9,2:14,3:6,4:12,5:11,7:13,8:10", None)],
+)
+def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path, n, pairs, lone):
+    # the dropped singular values of a scrambled singlet product are rounding
+    # noise that the BLAS thread count reorders; their gap ratios lie under
+    # the rounding floor and print as null whatever the thread count
+    path = tmp_path / "s.json"
+    flags = ["--lone", lone] if lone else []
+    code, _, err = run("generate", "singlet-product", "--qubits", str(n), "--pairs", pairs,
+                       *flags, "--out", str(path))
+    assert code == 0, err
+    out = {
+        threads: run("analyze", str(path), "--lu-seed", "1",
+                     env={"OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    }
+    assert out["1"] == out["2"]
+    report = json.loads(out["1"][1])
+    assert report["is_minimal"] and report["pairing"] is not None
 
 
 def test_analyze_dump_matrix():

@@ -26,6 +26,7 @@ from luorbit import (
     singlet_product,
     tangent_matrix,
 )
+import luorbit.lie_action as lie_action
 from luorbit.rational import RationalComplex
 
 # independent generator matrices: i*sigma_z, i*sigma_y, i*sigma_x
@@ -117,10 +118,15 @@ def test_column_layout():
     assert tm.triple_indices(2) == (3, 4, 5)
 
 
+def _columns(tm) -> np.ndarray:
+    """Every column as amplitudes, side by side: 2**n x (3n+1) complex."""
+    return np.stack([tm.column(j) for j in range(tm.column_count)], axis=1)
+
+
 def test_single_qubit_matrix_columns():
     tm = tangent_matrix(basis_state(1, 0))
     want = np.array([[1j, 0], [0, -1], [0, 1j], [-1j, 0]]).T
-    assert np.allclose(tm.columns, want, atol=0)
+    assert np.allclose(_columns(tm), want, atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -186,14 +192,26 @@ def _complex_product_columns(psi: StateVector) -> np.ndarray:
     return np.stack([c.reshape(-1) for c in cols], axis=1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
-def test_float_columns_are_complex_products_bit_for_bit(n):
-    # signed zeros included: a matrix dump prints them
+def _assert_columns_are_complex_products(n):
     pairs = [(2 * i + 1, 2 * i + 2) for i in range(n // 2)]
     product = singlet_product(n, pairs, n if n % 2 else None)
     for psi in [random_state(n, 70 + n), basis_state(n, n % (1 << n)), product,
                 apply_local(product, LocalUnitary.random(n, 80 + n))]:
-        got = tangent_matrix(psi).columns.view(np.float64)
+        got = _columns(tangent_matrix(psi)).view(np.float64)
         want = _complex_product_columns(psi).view(np.float64)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_float_columns_are_complex_products_bit_for_bit(n):
+    # signed zeros included: a matrix dump prints them
+    _assert_columns_are_complex_products(n)
+
+
+@pytest.mark.parametrize("block_rows", [4, 16])
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_blockwise_columns_are_complex_products_bit_for_bit(monkeypatch, n, block_rows):
+    # small blocks write the real view block by block, leading qubits reading partner slabs
+    monkeypatch.setattr(lie_action, "_BLOCK_ROWS", block_rows)
+    _assert_columns_are_complex_products(n)

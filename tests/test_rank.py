@@ -26,21 +26,25 @@ from luorbit import (
     random_rational_state,
     random_state,
     real_rank,
+    real_ranks,
     singlet_product,
     span_dim,
     span_dims,
     tangent_matrix,
 )
+import luorbit.lie_action as lie_action
 import luorbit.rank as rank_mod
 from luorbit.rank import (
     DEFAULT_TOL,
     GAP_WARNING_THRESHOLD,
     _bareiss_rank,
     _float_rank,
+    _gap_ratio,
     exact_gram,
     retained_rank,
 )
 from luorbit.rational import RationalComplex
+from luorbit.tolerance import ROUNDING_FLOOR
 from luorbit.verify import (
     _mixed_pool,
     _pair_product,
@@ -54,10 +58,15 @@ from luorbit.verify import (
 )
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def oracle_rank(psi: StateVector, indices=None) -> int:
     """Independent rank: manual interleave + np.linalg.matrix_rank."""
     tm = tangent_matrix(psi.to_float())
-    cols = tm.columns if indices is None else tm.columns[:, list(indices)]
+    if indices is None:
+        indices = range(tm.column_count)
+    cols = np.stack([tm.column(j) for j in indices], axis=1)
     view = np.empty((2 * cols.shape[0], cols.shape[1]))
     view[0::2] = cols.real
     view[1::2] = cols.imag
@@ -243,6 +252,19 @@ def test_gap_ratio_semantics():
     assert not result.ill_conditioned
 
 
+def test_gap_ratio_is_inf_only_under_the_rounding_floor():
+    floor, m = ROUNDING_FLOOR, GAP_WARNING_THRESHOLD
+    # a dropped value under the floor is indistinguishable from zero
+    for kept in (1e-3, 1e-9):
+        for dropped in (0.0, 1e-16, 0.99 * floor):
+            assert math.isinf(_gap_ratio([1.0, kept, dropped], 2)), (kept, dropped)
+    # one above it is not, and neither is one whose ratio flags the verdict
+    assert _gap_ratio([1.0, 1e-3, 1.01 * floor], 2) == 1e-3 / (1.01 * floor)
+    kept = 0.5 * m * floor
+    assert _gap_ratio([1.0, kept, 0.99 * floor], 2) == kept / (0.99 * floor) < m
+    assert _gap_ratio([1.0, 0.5], 2) == math.inf and _gap_ratio([1.0, 0.5], 0) == 0.0
+
+
 def test_tol_override_changes_verdict():
     tm = tangent_matrix(random_state(2, 241))
     # absurdly large tolerance collapses everything but the top direction
@@ -313,27 +335,104 @@ def _every_selector(n: int) -> list:
     ]
 
 
+#: Row blocks that make R streamed from several blocks at n = 4..10: under
+#: the width, a few rows over it, and several times it.
+_SMALL_BLOCKS = [8, 32, 256]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=2, max_value=9),
     st.sampled_from(["haar", "singlets", "near_pair", "basis", "rational"]),
     st.integers(0, 10**6),
     st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+    st.sampled_from(_SMALL_BLOCKS + [lie_action._BLOCK_ROWS]),
 )
-def test_float_route_matches_direct_slices(n, kind, seed, eps):
-    tm = tangent_matrix(_route_state(kind, n, seed, eps))
-    for sel in _every_selector(n):
-        got = real_rank(tm, sel)
-        want = _float_rank(tm.real[:, list(sel.column_indices(n))], DEFAULT_TOL)
-        assert (got.rank, got.gap_ratio) == (want.rank, want.gap_ratio), sel
-    if n >= 4:
-        # bit for bit: LAPACK's SVD of a matrix this tall starts with the same QR
-        full = np.array(real_rank(tm).singular_values)
-        direct = np.linalg.svd(tm.real, compute_uv=False)
-        assert np.array_equal(full.view(np.uint64), direct.view(np.uint64))
+def test_float_route_matches_direct_slices(n, kind, seed, eps, block_rows):
+    # Every reported verdict against an SVD of the selection's real-view
+    # columns: equal ranks, and equal gap ratios once the rounding floor
+    # applies to both sides.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lie_action, "_BLOCK_ROWS", block_rows)
+        tm = tangent_matrix(_route_state(kind, n, seed, eps))
+        for sel in _every_selector(n):
+            got = real_rank(tm, sel)
+            want = _float_rank(tm.real[:, list(sel.column_indices(n))], DEFAULT_TOL)
+            assert (got.rank, got.gap_ratio) == (want.rank, want.gap_ratio), sel
+        if n >= 4:
+            # R's singular values are the real view's to within the floor
+            full = np.array(real_rank(tm).singular_values)
+            direct = np.linalg.svd(tm.real, compute_uv=False)
+            assert np.abs(full - direct).max() <= ROUNDING_FLOOR * direct[0]
 
 
-_EPS = float(np.finfo(np.float64).eps)
+def _report_selectors(n: int) -> list:
+    """orbit_report's: the full selection, every pair, every triple with the last column."""
+    return (
+        [ColumnSelector.full(n)]
+        + [ColumnSelector(p) for p in combinations(range(1, n + 1), 2)]
+        + [ColumnSelector((j,), include_last=True) for j in range(1, n + 1)]
+    )
+
+
+def _reference_real(psi: StateVector) -> np.ndarray:
+    """The real view from numpy's complex products on the amplitude tensor, interleaved here."""
+    n = psi.n
+    amps = psi.vector.reshape((2,) * n)
+    cols = []
+    for k in range(n):
+        signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * (n - 1 - k))
+        cols += [1j * amps * signs, np.flip(amps, k) * signs, 1j * np.flip(amps, k)]
+    cols.append(-1j * amps)
+    matrix = np.stack([c.reshape(-1) for c in cols], axis=1)
+    view = np.empty((2 * matrix.shape[0], matrix.shape[1]))
+    view[0::2], view[1::2] = matrix.real, matrix.imag
+    return view
+
+
+def _assert_streamed_r_matches_lapack_qr(tm, selectors, tol):
+    """Verdicts and R's singular values against a twin built by LAPACK's QR of a reference view.
+
+    The twin's real view and R come from ``_reference_real``, so a fault in
+    generating the real view's blocks shows too.
+    """
+    twin = tangent_matrix(tm.state)
+    reference = _reference_real(tm.state)
+    object.__setattr__(twin, "_real", reference)
+    object.__setattr__(twin, "r_factor", np.linalg.qr(reference, mode="r"))
+    got, want = real_ranks(tm, selectors, tol), real_ranks(twin, selectors, tol)
+    for sel, g, w in zip(selectors, got, want):
+        assert (g.rank, g.gap_ratio) == (w.rank, w.gap_ratio), sel
+    s = np.linalg.svd(rank_mod._r_factor(tm), compute_uv=False)
+    lapack = np.linalg.svd(twin.r_factor, compute_uv=False)
+    assert np.abs(s - lapack).max() <= ROUNDING_FLOOR * lapack[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=10),
+    st.sampled_from(["haar", "singlets", "near_pair", "basis", "rational"]),
+    st.integers(0, 10**6),
+    st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+    # 1e-6: between M**2 * eps and 1 / M the rounding floor, not the cutoff / M,
+    # bounds the dropped side of a verdict read from R
+    st.sampled_from([DEFAULT_TOL, 1e-6, 1e-2, 0.3, 2 * GAP_WARNING_THRESHOLD * _EPS, 1e-12, _EPS]),
+    st.sampled_from(_SMALL_BLOCKS),
+)
+def test_streamed_r_matches_lapack_qr(n, kind, seed, eps, tol, block_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lie_action, "_BLOCK_ROWS", block_rows)
+        tm = tangent_matrix(_route_state(kind, n, seed, eps))
+        selectors = _every_selector(n) if n <= 7 else _report_selectors(n)
+        _assert_streamed_r_matches_lapack_qr(tm, selectors, tol)
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+@pytest.mark.parametrize("kind", ["haar", "singlets", "near_pair"])
+def test_streamed_r_matches_lapack_qr_past_one_block(n, kind):
+    tm = tangent_matrix(_route_state(kind, n, 300 + n, 1e-9))
+    for tol in (DEFAULT_TOL, 1e-6, 1e-2):
+        _assert_streamed_r_matches_lapack_qr(tm, _report_selectors(n), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +957,7 @@ def _cross_product_complement(tm, inside, against) -> int:
     """The reference exact complement: a fresh cross product of real-view columns."""
     inside_view = tm.real[:, list(tm.triple_indices(inside))]
     against_view = tm.real[:, list(against.column_indices(tm.n))]
-    return 3 - _bareiss_rank(against_view.T @ inside_view)
+    return 3 - _bareiss_rank((against_view.T @ inside_view).tolist())
 
 
 @settings(max_examples=30, deadline=None)
@@ -874,7 +973,7 @@ def test_exact_gram_ranks_match_direct_elimination(n, kind, seed):
     tm = tangent_matrix(_gram_state(kind, n, rng))
     for sel in _every_selector(n):
         got = real_rank(tm, sel)
-        assert got.rank == _bareiss_rank(tm.real[:, list(sel.column_indices(n))]), sel
+        assert got.rank == _bareiss_rank(tm.real[:, list(sel.column_indices(n))].tolist()), sel
     for inside in range(1, n + 1):
         others = [k for k in range(1, n + 1) if k != inside]
         subset = [k for k in others if rng.integers(2)]
