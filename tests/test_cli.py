@@ -448,3 +448,133 @@ def test_repeated_in_process_calls_match_a_fresh_parser(tmp_path, capsys, monkey
     assert cached[0] == cached[-1]
     assert cached[2][2].startswith("usage: luorbit analyze")
     assert cached[6][1].startswith("usage: luorbit analyze")
+
+
+# ---------------------------------------------------------------------------
+# frozen bytes of the exact backend
+# ---------------------------------------------------------------------------
+
+
+def _lcg_rationals(count, seed):
+    """``count`` [re, im] pairs of 'p/q' strings, p in -9..9 and q in 1..6, from an LCG."""
+    parts, x = [], seed
+    for _ in range(2 * count):
+        x = (x * 1103515245 + 12345) % 2**31
+        parts.append(f"{x % 19 - 9}/{x // 19 % 6 + 1}")
+    return [parts[i : i + 2] for i in range(0, len(parts), 2)]
+
+
+def _bit(code, n, q):
+    return (code >> (n - q)) & 1
+
+
+def _exact_file(n, amplitude):
+    amps = [amplitude(code) for code in range(1 << n)]
+    return json.dumps({"n": n, "mode": "exact", "amplitudes": amps})
+
+
+def _rational_file(n):
+    amps = _lcg_rationals(1 << n, n)
+    return _exact_file(n, lambda code: amps[code])
+
+
+_PAIRINGS = {4: ([(1, 3), (2, 4)], None), 5: ([(1, 4), (2, 5)], 3),
+             6: ([(1, 6), (2, 4), (3, 5)], None), 7: ([(1, 2), (3, 7), (4, 6)], 5)}
+
+
+def _singlet_file(n):
+    pairs, lone = _PAIRINGS[n]
+
+    def amplitude(code):
+        on = all(_bit(code, n, a) == _bit(code, n, b) for a, b in pairs)
+        on = on and (lone is None or not _bit(code, n, lone))
+        return ["3/7" if on else "0", "0"]
+
+    return _exact_file(n, amplitude)
+
+
+def _pair_rest_file(n):
+    l, lp = 2, n
+    rest = [q for q in range(1, n + 1) if q not in (l, lp)]
+    amps = _lcg_rationals(1 << (n - 2), 100 + n)
+
+    def amplitude(code):
+        if _bit(code, n, l) != _bit(code, n, lp):
+            return ["0", "0"]
+        sub = 0
+        for q in rest:
+            sub = (sub << 1) | _bit(code, n, q)
+        return amps[sub]
+
+    return _exact_file(n, amplitude)
+
+
+def _malformed_file(part):
+    return json.dumps({"n": 1, "mode": "exact", "amplitudes": [["1/2", "0"], [part, "1"]]})
+
+
+def _frozen_cases():
+    cases = {}
+    for n in (4, 5, 6, 7):
+        for kind, build in [("rational", _rational_file), ("singlet", _singlet_file),
+                            ("pair-rest", _pair_rest_file)]:
+            cases[f"analyze-{kind}-{n}"] = (["analyze", "-"], build(n))
+    cases["dump-matrix"] = (["analyze", "-", "--dump-matrix"], _rational_file(3))
+    huge = [[f"{10**40 + k}/{3**(k + 30)}", f"-{k}/{10**25}"] for k in range(8)]
+    cases["analyze-huge-parts"] = (["analyze", "-"], _exact_file(3, lambda code: huge[code]))
+    for kind, flags in [("ghz", []), ("w", []), ("basis", ["--bits", "0110"]),
+                        ("singlet-product", ["--pairs", "1:3,2:4"]),
+                        ("random", ["--seed", "5"])]:
+        cases[f"generate-{kind}-exact"] = (["generate", kind, "--qubits", "4", *flags, "--exact"],
+                                           None)
+    for kind in ("ghz", "w"):
+        cases[f"generate-{kind}-float"] = (["generate", kind, "--qubits", "5"], None)
+    for name, part in [("float-part", 0.5), ("bool-part", True), ("zero-denominator", "1/0"),
+                       ("not-rational", "1/2x")]:
+        cases[f"malformed-{name}"] = (["analyze", "-"], _malformed_file(part))
+    return cases
+
+
+#: (exit code, sha256 of stdout, sha256 of stderr) per case, first 16 hex digits.
+_FROZEN = {
+    "analyze-huge-parts": (0, "05f8c6c988ed845c", "e3b0c44298fc1c14"),
+    "analyze-pair-rest-4": (0, "3cc79b4f3c9ec964", "e3b0c44298fc1c14"),
+    "analyze-pair-rest-5": (0, "4986e3840379ac80", "e3b0c44298fc1c14"),
+    "analyze-pair-rest-6": (0, "580ec86418a5ce82", "e3b0c44298fc1c14"),
+    "analyze-pair-rest-7": (0, "50fcfd88b81d9a09", "e3b0c44298fc1c14"),
+    "analyze-rational-4": (0, "058142e9d28178ec", "e3b0c44298fc1c14"),
+    "analyze-rational-5": (0, "fa8690324875050b", "e3b0c44298fc1c14"),
+    "analyze-rational-6": (0, "05c0077286fd7ea0", "e3b0c44298fc1c14"),
+    "analyze-rational-7": (0, "3e7501896127b834", "e3b0c44298fc1c14"),
+    "analyze-singlet-4": (0, "a517006414cb42d4", "e3b0c44298fc1c14"),
+    "analyze-singlet-5": (0, "10e5773e5dde1a2c", "e3b0c44298fc1c14"),
+    "analyze-singlet-6": (0, "28a6c9272fbb1c5a", "e3b0c44298fc1c14"),
+    "analyze-singlet-7": (0, "d9d900509af80f42", "e3b0c44298fc1c14"),
+    "dump-matrix": (0, "b3439d0f5090809e", "e3b0c44298fc1c14"),
+    "generate-basis-exact": (0, "9983a858138d197f", "e3b0c44298fc1c14"),
+    "generate-ghz-exact": (0, "b989dd42f122ed98", "e3b0c44298fc1c14"),
+    "generate-ghz-float": (0, "406953958fa544ad", "e3b0c44298fc1c14"),
+    "generate-random-exact": (0, "9468cfa370a56f1f", "e3b0c44298fc1c14"),
+    "generate-singlet-product-exact": (0, "c29e19a716f208f9", "e3b0c44298fc1c14"),
+    "generate-w-exact": (0, "1788589ae6573013", "e3b0c44298fc1c14"),
+    "generate-w-float": (0, "ad788efcd9e9ef70", "e3b0c44298fc1c14"),
+    "malformed-bool-part": (2, "e3b0c44298fc1c14", "52be101397ebfd05"),
+    "malformed-float-part": (2, "e3b0c44298fc1c14", "9b9dbed5873ba277"),
+    "malformed-not-rational": (2, "e3b0c44298fc1c14", "4c1b9e75600abdec"),
+    "malformed-zero-denominator": (2, "e3b0c44298fc1c14", "80312935f0248da8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_frozen_cases()))
+def test_exact_backend_bytes_are_frozen(case, capsys, monkeypatch):
+    import hashlib
+    import io
+
+    from luorbit import cli
+
+    argv, stdin = _frozen_cases()[case]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    digest = tuple(hashlib.sha256(s.encode()).hexdigest()[:16] for s in (out, err))
+    assert (code, *digest) == _FROZEN[case]
