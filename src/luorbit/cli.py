@@ -13,6 +13,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from .analysis import (
     InconsistentStructureError,
     NotMinimal,
@@ -27,6 +29,7 @@ from .states import (
     FLOAT,
     StateVector,
     ZeroStateError,
+    _indicator,
     _json_amplitudes,
     basis_state,
     random_rational_state,
@@ -159,7 +162,7 @@ def _parse_pairs(text: str):
 
 def _matrix_dump(psi: StateVector) -> dict:
     tm = tangent_matrix(psi)
-    columns = [_json_amplitudes(tm.column(j), tm.mode) for j in range(tm.column_count)]
+    columns = [_json_amplitudes(tm.real[:, j], tm.scale) for j in range(tm.column_count)]
     return {"n": tm.n, "mode": tm.mode, "columns": columns}
 
 
@@ -223,15 +226,11 @@ def _generate_state(args) -> StateVector:
             return singlet_product(n, pairs, args.lone, mode=mode)
         except ValueError as exc:
             raise _UsageError(f"bad pairing: {exc}") from exc
-    if kind == "ghz":
-        amps = [0] * (1 << n)
-        amps[0] = amps[-1] = 1
-        return StateVector(amps, mode=mode)
-    if kind == "w":
-        amps = [0] * (1 << n)
-        for k in range(n):
-            amps[1 << k] = 1
-        return StateVector(amps, mode=mode)
+    if kind in ("ghz", "w"):
+        # GHZ: |0...0> + |1...1>; W: the n codes with one bit set
+        mask = np.zeros(1 << n, dtype=bool)
+        mask[[0, -1] if kind == "ghz" else 1 << np.arange(n)] = True
+        return _indicator(mask, mode)
     if kind == "basis":
         if args.bits is not None:
             if args.index is not None:

@@ -13,11 +13,14 @@ Acting on qubit k of psi = sum_I c_I |I>, the coefficient of |I> becomes
     x:  i * c_{I with bit k flipped}
 
 One routine, ``_write_triple``, computes all three on the state's real
-parts held as a (2,)*n + (2,) array: axis k-1 is qubit k's bit and the
-last axis is (re, im).  Multiplying by i acts on the last axis.  Flattened,
-the array has position ``2 * code + part``, so flipping bit k is a gather
-at the position with one bit flipped, and (-1)**i_k a +-1 vector over the
-positions (``_flips``).  ``_write_block`` writes one row block of every
+parts, the (2,)*n + (2,) array that every ``StateVector`` holds (float64
+over scale 1, or Python ints over the state's common denominator): axis
+k-1 is qubit k's bit and the last axis is (re, im).  The tangent matrix
+reads that array as it is, with no per-amplitude conversion.  Multiplying
+by i acts on the last axis.  Flattened, the array has position
+``2 * code + part``, so flipping bit k is a gather at the position with
+one bit flipped, and (-1)**i_k a +-1 vector over the positions
+(``_slab_flips``).  ``_write_block`` writes one row block of every
 column: the rows where the leading qubits have fixed bits, a slab of the
 array, in which every other qubit's flip is one gather.  Flipping a
 leading qubit reads the partner slab instead.  The same numpy operations
@@ -28,48 +31,12 @@ backends share the routines, and no Kronecker products are ever built.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .rational import RationalComplex
-from .states import FLOAT, StateVector
-
-
-def _real_parts(psi: StateVector) -> tuple:
-    """``(parts, scale)``: psi's real and imaginary parts as a (2,)*n + (2,) array.
-
-    Flattened, the array has row ``2 * code + part`` (part 0 real, 1
-    imaginary).  Float mode views the amplitudes as float64 with scale 1.
-    Exact mode multiplies every part by ``scale``, the lcm of all their
-    denominators, and holds the resulting Python ints in an object array;
-    every rank is scale invariant, so this representative serves them all.
-    """
-    shape = (2,) * psi.n + (2,)
-    if psi.mode == FLOAT:
-        return psi.vector.view(np.float64).reshape(shape), 1
-    parts = [p for a in psi.vector for p in (a.re, a.im)]
-    scale = math.lcm(*(p.denominator for p in parts))
-    ints = np.array([p.numerator * (scale // p.denominator) for p in parts], dtype=object)
-    return ints.reshape(shape), scale
-
-
-def _amplitudes_of(parts: np.ndarray, mode: str, scale):
-    """Read real parts (last axis interleaved re, im) back as amplitudes.
-
-    Float mode gives a complex128 ndarray; exact mode a tuple of
-    RationalComplex, divided back by ``scale``.
-    """
-    flat = np.ascontiguousarray(parts).reshape(-1)
-    if mode == FLOAT:
-        return flat.view(np.complex128)
-    return tuple(
-        RationalComplex(Fraction(re, scale), Fraction(im, scale))
-        for re, im in zip(flat[0::2], flat[1::2])
-    )
+from .states import StateVector, _amplitudes_of
 
 
 def _times_i(parts: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
@@ -104,27 +71,19 @@ def _operands(parts: np.ndarray) -> tuple:
     return parts, i_parts, parts[..., ::-1] * swap_zero, i_parts[..., ::-1] * swap_zero
 
 
-def _flips(m: int, dtype, qubits) -> tuple:
-    """``(index, signs)`` that flip each of ``qubits`` (1-based) of an m-qubit slab.
-
-    Over the slab's real parts, flattened (position ``2 * code + part``),
-    each row of ``index`` holds every position with that qubit's bit
-    flipped and the same row of ``signs`` holds (-1)**i_j there: one row
-    per qubit, 2**(m+1) columns.
-    """
-    rows = np.arange(2 << m)
-    bit = 1 << (m + 1 - np.array(qubits, dtype=int))[:, None]  # qubit j is bit m - j + 1
-    return rows ^ bit, np.where(rows & bit, -1, 1).astype(dtype)
-
-
 @functools.lru_cache(maxsize=None)
 def _slab_flips(m: int, dtype) -> tuple:
-    """``_flips`` of every qubit of an m-qubit slab, read-only.
+    """``(index, signs)`` that flip each qubit of an m-qubit slab, read-only.
 
-    Kept per slab size and dtype: a block holds at most ``_BLOCK_ROWS``
-    rows, so m stays at most log2(_BLOCK_ROWS) - 1.
+    Over the slab's real parts, flattened (position ``2 * code + part``),
+    row j-1 of ``index`` holds every position with qubit j's bit flipped
+    and the same row of ``signs`` holds (-1)**i_j there: one row per
+    qubit, 2**(m+1) columns.  Kept per slab size and dtype: a block holds
+    at most ``_BLOCK_ROWS`` rows, so m stays at most log2(_BLOCK_ROWS) - 1.
     """
-    index, signs = _flips(m, dtype, range(1, m + 1))
+    rows = np.arange(2 << m)
+    bit = 1 << (m - np.arange(m))[:, None]  # qubit j is bit m - j + 1
+    index, signs = rows ^ bit, np.where(rows & bit, -1, 1).astype(dtype)
     index.flags.writeable = signs.flags.writeable = False
     return index, signs
 
@@ -181,32 +140,6 @@ def _write_block(operands: tuple, lead: int, block: int, out: np.ndarray) -> np.
     return out
 
 
-def _apply(psi: StateVector, k: int, g: int):
-    if not 1 <= k <= psi.n:
-        raise ValueError(f"qubit index {k} out of range 1..{psi.n}")
-    parts, scale = _real_parts(psi)
-    own = tuple(op.reshape(-1) for op in _operands(parts))
-    (index,), (signs,) = _flips(psi.n, parts.dtype, [k])
-    triple = np.empty((3, own[0].size), dtype=parts.dtype)
-    _write_triple(own, tuple(op[index] for op in own[:3]), signs, triple)
-    return _amplitudes_of(triple[g], psi.mode, scale)
-
-
-def apply_z(psi: StateVector, k: int):
-    """Act with the z-generator (i*sigma_z) on qubit k; returns a bare vector."""
-    return _apply(psi, k, 0)
-
-
-def apply_y(psi: StateVector, k: int):
-    """Act with the y-generator (i*sigma_y) on qubit k; returns a bare vector."""
-    return _apply(psi, k, 1)
-
-
-def apply_x(psi: StateVector, k: int):
-    """Act with the x-generator (i*sigma_x) on qubit k; returns a bare vector."""
-    return _apply(psi, k, 2)
-
-
 def _triple_columns(k: int, n: int) -> tuple:
     """Column indices of qubit k's z, y, x generators in an n-qubit tangent matrix."""
     if not 1 <= k <= n:
@@ -230,8 +163,8 @@ class TangentMatrix:
     matrix equals the orbit dimension of the state under the local
     unitary group, plus one.
 
-    ``parts`` holds psi's real parts as a (2,)*n + (2,) array
-    (``_real_parts``); every column is generated from it.  ``real`` is the
+    ``parts`` and ``scale`` are psi's own (``StateVector.parts``, read as
+    they are); every column is generated from ``parts``.  ``real`` is the
     matrix's real view, 2**(n+1) x (3n+1) and read-only: amplitude a + bi
     of basis code c fills rows 2c (a) and 2c+1 (b), so a column dot
     product is Re<u|v>.  It is float64 in float mode and holds Python ints
@@ -256,8 +189,6 @@ class TangentMatrix:
     """
 
     state: StateVector
-    parts: np.ndarray = field(repr=False, compare=False)
-    scale: int
     ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     r_factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     gram: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
@@ -271,6 +202,14 @@ class TangentMatrix:
     @property
     def mode(self) -> str:
         return self.state.mode
+
+    @property
+    def parts(self) -> np.ndarray:
+        return self.state.parts
+
+    @property
+    def scale(self) -> int:
+        return self.state.scale
 
     @property
     def column_count(self) -> int:
@@ -301,16 +240,15 @@ class TangentMatrix:
         return _triple_columns(k, self.n)
 
     def column(self, j: int):
-        """Column j as amplitudes: complex ndarray (float) or RationalComplex tuple (exact)."""
-        return _amplitudes_of(self.real[:, j], self.mode, self.scale)
+        """Column j as amplitudes: complex ndarray (float) or (Fraction, Fraction) pairs (exact)."""
+        return _amplitudes_of(self.real[:, j], self.scale)
 
 
 def tangent_matrix(psi: StateVector) -> TangentMatrix:
     """Every generator action on psi together with -i psi, generated when first read."""
     if psi.n < 1:
         raise ValueError("tangent matrix needs at least one qubit")
-    parts, scale = _real_parts(psi)
-    return TangentMatrix(state=psi, parts=parts, scale=scale)
+    return TangentMatrix(state=psi)
 
 
 def streamed_r(tm: TangentMatrix) -> np.ndarray:

@@ -5,10 +5,22 @@ Conventions used throughout the package:
 * Qubits are numbered 1..n and bit 1 is the most significant, so the basis
   label |i_1 i_2 ... i_n> corresponds to the integer code
   sum_k i_k * 2**(n-k).
-* Floating states are normalized when constructed.  Exact states keep their
-  (generally unnormalizable-in-rationals) representative and compute its
-  squared norm only when asked; every rank computed from them is scale
-  invariant, so nothing downstream needs the unit-norm representative.
+* Every state is one tensor of real parts, ``parts``: a (2,)*n + (2,)
+  array whose axis k-1 is qubit k's bit and whose last axis is (re, im),
+  over one integer ``scale``.  Flattened, part p of basis code c sits at
+  position 2c + p.
+* Floating states are normalized when constructed: ``parts`` is a float64
+  view of the unit-norm complex128 amplitudes, over scale 1.
+* Exact states hold Python ints over a common denominator, the lcm of the
+  amplitudes' reduced denominators, so the ints and ``scale`` share no
+  factor.  They keep that (generally unnormalizable-in-rationals)
+  representative and compute its squared norm only when asked; every rank
+  computed from them is scale invariant, so nothing downstream needs the
+  unit-norm representative.  Their amplitudes read back as
+  (Fraction, Fraction) pairs.
+* Products and contractions run on ``parts`` in both modes: as complex128
+  products in float mode, bit for bit what numpy gives on the amplitudes,
+  and as Gaussian-integer products in exact mode.
 """
 
 from __future__ import annotations
@@ -22,11 +34,14 @@ from typing import Optional
 
 import numpy as np
 
-from .rational import RC_ONE, RC_ZERO, RationalComplex, as_fraction, fraction_str
+from .rational import as_fraction, fraction_str
 from .tolerance import INNER_PRODUCT_ATOL, ROUNDOFF_ATOL
 
 FLOAT = "float"
 EXACT = "exact"
+
+#: The dtype of ``parts`` in each mode.
+_DTYPES = {FLOAT: np.float64, EXACT: object}
 
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 # A power of two that lifts every subnormal into the normal range.
@@ -75,49 +90,68 @@ def as_code(index, n: int) -> int:
 class StateVector:
     """Immutable n-qubit pure state in one of two numeric modes.
 
-    ``float`` mode stores a unit-norm complex128 array.  ``exact`` mode
-    stores RationalComplex amplitudes exactly as given (no normalization);
-    the squared norm of that representative is computed on first access.
+    ``parts`` and ``scale`` hold the amplitudes (module docstring).
+    ``StateVector(amplitudes)`` is a float state, normalized.  An exact
+    state comes from ``mode="exact"`` or ``from_rational``, with every
+    amplitude an int, Fraction, 'p/q' string, or (re, im) pair of those,
+    kept as given; its squared norm is computed on first access.
     """
 
-    __slots__ = ("_n", "_mode", "_vec", "_sqnorm")
+    __slots__ = ("_n", "_mode", "_parts", "_scale", "_sqnorm", "_vec")
 
-    def __init__(self, amplitudes, mode: Optional[str] = None):
-        if mode is None:
-            mode = _infer_mode(amplitudes)
-        if mode == FLOAT:
-            vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-            n = _qubit_count(vec.size)
-            if not np.all(np.isfinite(vec)):
-                raise ValueError("state amplitudes must be finite")
-            with np.errstate(over="ignore"):
-                norm = float(np.linalg.norm(vec))
-            if norm == 0.0 or math.isinf(norm):
-                # The norm over- or underflowed; rescale by the largest part first.
-                scale = max(np.abs(vec.real).max(), np.abs(vec.imag).max())
-                if scale == 0.0:
-                    raise ZeroStateError("state vector must be nonzero")
-                if scale < _SMALLEST_NORMAL:
-                    # complex division multiplies by 1/scale, which overflows
-                    # here; lifting by a power of two first is exact
-                    vec, scale = vec * _SUBNORMAL_LIFT, scale * _SUBNORMAL_LIFT
-                vec = vec / scale
-                norm = float(np.linalg.norm(vec))
-            vec = vec / norm
-            vec.flags.writeable = False
-            self._vec = vec
-            self._sqnorm = 1.0
-        elif mode == EXACT:
-            vec = tuple(RationalComplex.from_value(a) for a in amplitudes)
-            n = _qubit_count(len(vec))
-            if all(a.is_zero for a in vec):
-                raise ZeroStateError("state vector must be nonzero")
-            self._vec = vec
-            self._sqnorm = None  # computed on first access
-        else:
+    def __init__(self, amplitudes, mode: str = FLOAT):
+        if mode not in _DTYPES:
             raise ValueError(f"unknown mode {mode!r}")
-        self._n = n
-        self._mode = mode
+        if mode == EXACT:
+            self._hold_exact(*_rational_parts(amplitudes))
+            return
+        vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        n = _qubit_count(vec.size)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("state amplitudes must be finite")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if norm == 0.0 or math.isinf(norm):
+            # The norm over- or underflowed; rescale by the largest part first.
+            scale = max(np.abs(vec.real).max(), np.abs(vec.imag).max())
+            if scale == 0.0:
+                raise ZeroStateError("state vector must be nonzero")
+            if scale < _SMALLEST_NORMAL:
+                # complex division multiplies by 1/scale, which overflows
+                # here; lifting by a power of two first is exact
+                vec, scale = vec * _SUBNORMAL_LIFT, scale * _SUBNORMAL_LIFT
+            vec = vec / scale
+            norm = float(np.linalg.norm(vec))
+        vec = vec / norm
+        vec.flags.writeable = False
+        self._n, self._mode, self._scale, self._sqnorm, self._vec = n, FLOAT, 1, 1.0, vec
+        self._parts = vec.view(np.float64).reshape((2,) * n + (2,))
+
+    def _hold_exact(self, flat: np.ndarray, scale: int) -> None:
+        """Hold Python-int parts ``flat`` (re, im interleaved) over ``scale``, reduced by their gcd."""
+        n = _qubit_count(flat.size // 2)
+        if not any(flat):
+            raise ZeroStateError("state vector must be nonzero")
+        common = math.gcd(scale, *flat)
+        if common > 1:
+            flat, scale = flat // common, scale // common
+        parts = flat.reshape((2,) * n + (2,))
+        parts.flags.writeable = False
+        self._n, self._mode, self._scale, self._sqnorm, self._vec = n, EXACT, scale, None, None
+        self._parts = parts
+
+    @classmethod
+    def _from_parts(cls, parts: np.ndarray, scale: int, mode: str) -> "StateVector":
+        """The state whose real parts are ``parts`` over ``scale``, of ``_DTYPES[mode]``.
+
+        Float ``parts`` need a contiguous last axis, so that each (re, im)
+        is viewed, and copied, as one complex128 amplitude.
+        """
+        if mode == FLOAT:
+            return cls(parts.view(np.complex128).reshape(-1))
+        psi = object.__new__(cls)
+        psi._hold_exact(parts.reshape(-1), scale)
+        return psi
 
     # -- constructors -------------------------------------------------------
 
@@ -127,6 +161,7 @@ class StateVector:
 
     @classmethod
     def from_rational(cls, values) -> "StateVector":
+        """Exact state from ints, Fractions, 'p/q' strings and (re, im) pairs of those."""
         return cls(values, mode=EXACT)
 
     # -- basic accessors ----------------------------------------------------
@@ -140,8 +175,23 @@ class StateVector:
         return self._mode
 
     @property
+    def parts(self) -> np.ndarray:
+        """The real parts as a read-only (2,)*n + (2,) array, over ``scale``."""
+        return self._parts
+
+    @property
+    def scale(self) -> int:
+        """What ``parts`` are divided by: 1 in float mode."""
+        return self._scale
+
+    @property
     def vector(self):
-        """The underlying amplitudes: a read-only ndarray or a tuple."""
+        """The amplitudes: a read-only complex ndarray, or a tuple of (Fraction, Fraction) pairs.
+
+        Float states hold theirs; exact ones are read from ``parts`` on first access.
+        """
+        if self._vec is None:
+            self._vec = _amplitudes_of(self._parts, self._scale)
         return self._vec
 
     @property
@@ -152,11 +202,12 @@ class StateVector:
     def norm_squared(self):
         """1.0 in float mode; the representative's squared norm in exact mode."""
         if self._sqnorm is None:
-            self._sqnorm = sum((a.abs2() for a in self._vec), Fraction(0))
+            flat = self._parts.reshape(-1)
+            self._sqnorm = Fraction(flat @ flat, self._scale**2)
         return self._sqnorm
 
     def amplitude(self, index):
-        return self._vec[as_code(index, self._n)]
+        return self.vector[as_code(index, self._n)]
 
     def to_float(self) -> "StateVector":
         """Convert to the floating backend (normalizing); no-op if already float.
@@ -167,11 +218,13 @@ class StateVector:
         """
         if self._mode == FLOAT:
             return self
-        vec = self._vec
-        top = max(max(abs(a.re), abs(a.im)) for a in vec)
-        if not sys.float_info.min <= top <= sys.float_info.max:
-            vec = [a / top for a in vec]
-        return StateVector([a.to_complex() for a in vec], mode=FLOAT)
+        flat = self._parts.reshape(-1)
+        den = self._scale
+        top = max(map(abs, flat))
+        if not sys.float_info.min <= Fraction(top, den) <= sys.float_info.max:
+            den = top
+        # int / int is correctly rounded, as float(Fraction) is
+        return StateVector((flat / den).astype(np.float64).view(np.complex128))
 
     # -- comparisons --------------------------------------------------------
 
@@ -179,7 +232,7 @@ class StateVector:
         if self._mode != FLOAT or other._mode != FLOAT:
             raise ValueError("allclose compares floating-mode states")
         return self._n == other._n and bool(
-            np.allclose(self._vec, other._vec, atol=tol, rtol=0.0)
+            np.allclose(self.vector, other.vector, atol=tol, rtol=0.0)
         )
 
     def proportional_to(self, other: "StateVector", tol: float = INNER_PRODUCT_ATOL) -> bool:
@@ -189,14 +242,14 @@ class StateVector:
         if self._mode != other._mode:
             raise ValueError("proportional_to compares states in the same mode")
         if self._mode == FLOAT:
-            pivot = int(np.argmax(np.abs(other._vec)))
-            ratio = self._vec[pivot] / other._vec[pivot]
-            return bool(np.allclose(self._vec, ratio * other._vec, atol=tol, rtol=0.0))
-        pivot = next(i for i, a in enumerate(other._vec) if not a.is_zero)
-        if self._vec[pivot].is_zero:
-            return False
-        ratio = self._vec[pivot] / other._vec[pivot]
-        return all(a == ratio * b for a, b in zip(self._vec, other._vec))
+            mine, theirs = self.vector, other.vector
+            pivot = int(np.argmax(np.abs(theirs)))
+            ratio = mine[pivot] / theirs[pivot]
+            return bool(np.allclose(mine, ratio * theirs, atol=tol, rtol=0.0))
+        # a * b_p == a_p * b, as Gaussian integers, for a pivot p with b_p != 0
+        mine, theirs = self._parts.reshape(-1, 2), other._parts.reshape(-1, 2)
+        pivot = int(np.flatnonzero((theirs != 0).any(axis=1))[0])
+        return np.array_equal(_outer(mine, theirs[pivot]), _outer(mine[pivot], theirs))
 
     def __repr__(self) -> str:
         return f"StateVector(n={self._n}, mode={self._mode!r})"
@@ -209,7 +262,7 @@ class StateVector:
         Amplitudes are ordered by integer code.  Exact mode writes 'p/q'
         strings; float mode writes numbers.
         """
-        amps = _json_amplitudes(self._vec, self._mode)
+        amps = _json_amplitudes(self._parts, self._scale)
         return {"n": self._n, "mode": self._mode, "amplitudes": amps}
 
     @classmethod
@@ -228,30 +281,71 @@ class StateVector:
             raise ValueError(f"invalid mode {mode!r}")
         if not isinstance(amps, list) or len(amps) != (1 << n):
             raise ValueError(f"expected {1 << n} amplitudes for n={n}")
-        entries = []
-        for pair in amps:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"amplitude entries must be [re, im] pairs, got {pair!r}")
-            re, im = pair
-            if mode == FLOAT:
-                if isinstance(re, bool) or isinstance(im, bool):
-                    raise ValueError("amplitude parts must be numbers")
-                if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                    raise ValueError(f"float amplitudes must be numeric, got {pair!r}")
-                try:
-                    entries.append(complex(re, im))
-                except OverflowError:  # an integer beyond float range
-                    raise ValueError("state amplitudes must be finite") from None
-            else:
-                entries.append(RationalComplex(_exact_part(re), _exact_part(im)))
-        return cls(entries, mode=mode)
+        if mode == EXACT:
+            ratios = [_exact_part(part) for pair in _entries(amps) for part in pair]
+            return cls._from_parts(*_over_common_denominator(ratios), EXACT)
+        return cls([_float_amplitude(pair) for pair in _entries(amps)])
 
 
-def _json_amplitudes(amplitudes, mode: str) -> list:
+def _entries(amps: list):
+    """The [re, im] entries of a state file's amplitude list, each checked for shape as read."""
+    for pair in amps:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"amplitude entries must be [re, im] pairs, got {pair!r}")
+        yield pair
+
+
+def _float_amplitude(pair) -> complex:
+    """One [re, im] entry of a float state file, as a complex number."""
+    re, im = pair
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise ValueError("amplitude parts must be numbers")
+    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        raise ValueError(f"float amplitudes must be numeric, got {pair!r}")
+    try:
+        return complex(re, im)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError("state amplitudes must be finite") from None
+
+
+def _amplitudes_of(parts: np.ndarray, scale: int):
+    """The amplitudes whose real parts (last axis interleaved re, im) are ``parts`` over ``scale``.
+
+    Float parts give a complex128 ndarray; exact parts a tuple of
+    (Fraction, Fraction) pairs.
+    """
+    flat = np.ascontiguousarray(parts).reshape(-1)
+    if flat.dtype != object:
+        return flat.view(np.complex128)
+    return tuple(
+        (Fraction(re, scale), Fraction(im, scale)) for re, im in zip(flat[0::2], flat[1::2])
+    )
+
+
+def _json_amplitudes(parts: np.ndarray, scale: int) -> list:
     """Amplitudes as the state file writes them: [[re, im], ...], numbers or 'p/q' strings."""
-    if mode == FLOAT:
-        return [[float(a.real), float(a.imag)] for a in amplitudes]
-    return [[fraction_str(a.re), fraction_str(a.im)] for a in amplitudes]
+    if parts.dtype != object:
+        return np.ascontiguousarray(parts).reshape(-1, 2).tolist()
+    return [[fraction_str(re), fraction_str(im)] for re, im in _amplitudes_of(parts, scale)]
+
+
+def _over_common_denominator(ratios) -> tuple:
+    """``(flat, scale)``: parts given as (numerator, denominator) pairs, as Python ints over one scale.
+
+    ``scale`` is the lcm of the denominators as given; ``StateVector``
+    reduces the ints and the scale by their gcd.
+    """
+    scale = math.lcm(*(den for _, den in ratios))
+    return np.array([num * (scale // den) for num, den in ratios], dtype=object), scale
+
+
+def _rational_parts(values) -> tuple:
+    """``_over_common_denominator`` of exact amplitudes: ints, Fractions, 'p/q' strings or (re, im) pairs."""
+    ratios = []
+    for value in values:
+        re, im = value if isinstance(value, (tuple, list)) and len(value) == 2 else (value, 0)
+        ratios += (as_fraction(re).as_integer_ratio(), as_fraction(im).as_integer_ratio())
+    return _over_common_denominator(ratios)
 
 
 # 'p' or 'p/q' in ASCII digits: read with int(), which is faster than Fraction's
@@ -259,24 +353,23 @@ def _json_amplitudes(amplitudes, mode: str) -> list:
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _exact_part(value) -> Fraction:
+def _exact_part(value) -> tuple:
+    """``(numerator, denominator)`` of one part of an exact state file."""
     if isinstance(value, bool):
         raise ValueError("amplitude parts must be rationals, not booleans")
     if not isinstance(value, (str, int)):
         raise ValueError(f"exact amplitudes must be 'p/q' strings or integers, got {value!r}")
-    try:
-        if isinstance(value, str) and _PLAIN_RATIONAL.fullmatch(value):
-            num, _, den = value.partition("/")
-            return Fraction(int(num), int(den or 1))
-        return as_fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"exact amplitude part {value!r} has a zero denominator") from None
-
-
-def _infer_mode(amplitudes) -> str:
-    for a in amplitudes:
-        return EXACT if isinstance(a, RationalComplex) else FLOAT
-    raise ValueError("state vector must be nonempty")
+    if isinstance(value, str) and _PLAIN_RATIONAL.fullmatch(value):
+        num, _, den = value.partition("/")
+        num, den = int(num), int(den or 1)
+    else:
+        try:
+            num, den = as_fraction(value).as_integer_ratio()
+        except ZeroDivisionError:
+            num, den = value, 0
+    if den == 0:
+        raise ValueError(f"exact amplitude part {value!r} has a zero denominator")
+    return num, den
 
 
 def _qubit_count(size: int) -> int:
@@ -302,21 +395,32 @@ def load_state(path) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-def _amplitudes(psi: StateVector) -> np.ndarray:
-    """The amplitudes as a (2,)*n array, axis k-1 indexed by the bit of qubit k.
+def _outer(*factors: np.ndarray) -> np.ndarray:
+    """Real parts of the outer product, in order, of the amplitudes whose real parts are ``factors``.
 
-    complex128 in float mode; object dtype holding RationalComplex in exact
-    mode, so numpy reshapes and products serve both backends alike.
+    Float parts multiply as complex128, exactly as numpy multiplies
+    amplitudes: each (re, im) on the contiguous last axis is viewed as one
+    complex128, and the product viewed back.  Exact parts multiply as
+    Gaussian integers.
     """
-    if psi.mode == FLOAT:
-        return psi.vector.reshape((2,) * psi.n)
-    return np.fromiter(psi.vector, dtype=object, count=psi.dim).reshape((2,) * psi.n)
+    out, *rest = factors
+    if out.dtype != object:
+        out = out.view(np.complex128)[..., 0]
+        for b in rest:
+            out = np.multiply.outer(out, b.view(np.complex128)[..., 0])
+        return out[..., None].view(np.float64)
+    for b in rest:
+        re = np.multiply.outer(out[..., 0], b[..., 0]) - np.multiply.outer(out[..., 1], b[..., 1])
+        im = np.multiply.outer(out[..., 0], b[..., 1]) + np.multiply.outer(out[..., 1], b[..., 0])
+        out = np.stack((re, im), axis=-1)
+    return out
 
 
 def _indicator(mask: np.ndarray, mode: str) -> StateVector:
     """Amplitude one wherever ``mask`` holds and zero elsewhere."""
-    one, zero = (RC_ONE, RC_ZERO) if mode == EXACT else (1.0, 0.0)
-    return StateVector(np.where(mask, one, zero).reshape(-1), mode=mode)
+    parts = np.zeros(mask.shape + (2,), dtype=np.int8)
+    parts[..., 0] = mask
+    return StateVector._from_parts(parts.astype(_DTYPES[mode]), 1, mode)
 
 
 def basis_state(n: int, index, mode: str = FLOAT) -> StateVector:
@@ -330,8 +434,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; the first factor supplies the leading (leftmost) qubits."""
     if a.mode != b.mode:
         raise ValueError("tensor factors must share a numeric mode")
-    product = np.multiply.outer(_amplitudes(a), _amplitudes(b))
-    return StateVector(np.reshape(product, -1), mode=a.mode)
+    return StateVector._from_parts(_outer(a.parts, b.parts), a.scale * b.scale, a.mode)
 
 
 def embed_product(n: int, placements) -> StateVector:
@@ -358,11 +461,13 @@ def embed_product(n: int, placements) -> StateVector:
     if len(modes) > 1:
         raise ValueError("all factors must share a numeric mode")
     mode = modes.pop()
-    out = 1
-    for _, st in placements:
-        out = np.multiply.outer(out, _amplitudes(st))
+    # the product starts from 1 + 0i, which can turn a factor's -0.0 into +0.0
+    # in float mode; a matrix dump prints signed zeros
+    one = np.array([1, 0], dtype=_DTYPES[mode])
+    out = _outer(one, *(st.parts for _, st in placements))
+    scale = math.prod(st.scale for _, st in placements)
     order = np.argsort([p for pos, _ in placements for p in pos])
-    return StateVector(np.reshape(np.transpose(out, order), -1), mode=mode)
+    return StateVector._from_parts(np.transpose(out, [*order, n]), scale, mode)
 
 
 def canonical_pair_state(mode: str = FLOAT) -> StateVector:
@@ -443,14 +548,9 @@ def random_rational_state(n: int, seed, span: int = 9) -> StateVector:
         dens = rng.integers(1, 5, size=(2, 1 << n))
         if np.any(nums):
             break
-    entries = [
-        RationalComplex(
-            Fraction(int(nums[0, i]), int(dens[0, i])),
-            Fraction(int(nums[1, i]), int(dens[1, i])),
-        )
-        for i in range(1 << n)
-    ]
-    return StateVector(entries, mode=EXACT)
+    # 12 is the lcm of every denominator drawn
+    parts = (nums * (12 // dens)).T.astype(object)
+    return StateVector._from_parts(parts, 12, EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +559,16 @@ def random_rational_state(n: int, seed, span: int = 9) -> StateVector:
 
 
 def _pair_rows(psi: StateVector, l: int, lp: int) -> np.ndarray:
-    """Amplitudes as a 4 x 2**(n-2) array split across qubits (l, lp) and the rest.
+    """Amplitudes as a 4 x 2**(n-2) x k array split across qubits (l, lp) and the rest.
 
     Row 2*b + b' holds the bits (b, b') of the lower and higher of the two
-    qubits; columns run over the remaining qubits in their own order.
+    qubits; columns run over the remaining qubits in their own order.  The
+    last axis holds one amplitude: one complex128 in float mode (k = 1),
+    so the copy moves whole amplitudes, or its (re, im) ints in exact mode.
     """
     lo, hi = sorted((l, lp))
-    return np.moveaxis(_amplitudes(psi), (lo - 1, hi - 1), (0, 1)).reshape(4, -1)
+    items = psi.parts if psi.mode == EXACT else psi.parts.view(np.complex128)
+    return np.moveaxis(items, (lo - 1, hi - 1), (0, 1)).reshape(4, -1, items.shape[-1])
 
 
 def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
@@ -486,10 +589,9 @@ def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
     rows = _pair_rows(psi, l, lp)
     out = rows[0] + rows[3]
     if psi.mode == FLOAT:
-        out = out / math.sqrt(2.0)
-        annihilated = float(np.linalg.norm(out)) <= ROUNDOFF_ATOL
-    else:
-        annihilated = all(a.is_zero for a in out)
-    if annihilated:
-        raise ZeroResidualError(f"contracting qubits ({l},{lp}) annihilated the state")
-    return StateVector(out, mode=psi.mode)
+        out = out[:, 0] / math.sqrt(2.0)
+        if float(np.linalg.norm(out)) > ROUNDOFF_ATOL:
+            return StateVector(out)
+    elif any(out.flat):
+        return StateVector._from_parts(out, psi.scale, EXACT)
+    raise ZeroResidualError(f"contracting qubits ({l},{lp}) annihilated the state")

@@ -147,7 +147,7 @@ def _mixed_pool(n: int, rng) -> StateVector:
 
 def _pair_factor_evidence(psi: StateVector, l: int, lp: int) -> tuple:
     """(product_across_cut, schmidt_balanced): the tangent-free factor oracle."""
-    mat = _pair_rows(psi, l, lp)
+    mat = _pair_rows(psi, l, lp)[..., 0]
     u, s, _ = np.linalg.svd(mat)
     is_product = len(s) < 2 or s[1] <= ORACLE_TOL * s[0]
     chi = u[:, 0].reshape(2, 2)

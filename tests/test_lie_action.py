@@ -2,7 +2,8 @@
 
 The library applies generators with one tensor routine on the state's
 real and imaginary parts; the oracle here materializes the full
-2^n x 2^n operator with np.kron and multiplies.
+2^n x 2^n operator with np.kron and multiplies.  Qubit k's z, y and x
+actions are columns 3k-3, 3k-2 and 3k-1 of the tangent matrix.
 """
 
 from fractions import Fraction
@@ -13,13 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luorbit import (
-    EXACT,
     LocalUnitary,
     StateVector,
     apply_local,
-    apply_x,
-    apply_y,
-    apply_z,
     basis_state,
     random_rational_state,
     random_state,
@@ -27,12 +24,12 @@ from luorbit import (
     tangent_matrix,
 )
 import luorbit.lie_action as lie_action
-from luorbit.rational import RationalComplex
 
 # independent generator matrices: i*sigma_z, i*sigma_y, i*sigma_x
 GEN_Z = np.array([[1j, 0], [0, -1j]])
 GEN_Y = np.array([[0, 1], [-1, 0]], dtype=complex)
 GEN_X = np.array([[0, 1j], [1j, 0]])
+GENERATORS = (GEN_Z, GEN_Y, GEN_X)
 
 
 def dense_apply(gen: np.ndarray, psi: StateVector, k: int) -> np.ndarray:
@@ -41,21 +38,26 @@ def dense_apply(gen: np.ndarray, psi: StateVector, k: int) -> np.ndarray:
     return op @ psi.vector
 
 
+def act(psi: StateVector, k: int, g: int):
+    """Generator g (0 z, 1 y, 2 x) on qubit k: column 3k-3+g of the tangent matrix."""
+    tm = tangent_matrix(psi)
+    return tm.column(tm.triple_indices(k)[g])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_actions_match_dense_oracle(n):
     psi = random_state(n, 100 + n)
     for k in range(1, n + 1):
-        assert np.allclose(apply_z(psi, k), dense_apply(GEN_Z, psi, k), atol=1e-12)
-        assert np.allclose(apply_y(psi, k), dense_apply(GEN_Y, psi, k), atol=1e-12)
-        assert np.allclose(apply_x(psi, k), dense_apply(GEN_X, psi, k), atol=1e-12)
+        for g, gen in enumerate(GENERATORS):
+            assert np.allclose(act(psi, k, g), dense_apply(gen, psi, k), atol=1e-12)
 
 
 def test_single_qubit_frozen_actions():
     # on |0>: z -> i|0>, y -> -|1>, x -> i|1>
     psi = basis_state(1, 0)
-    assert np.allclose(apply_z(psi, 1), [1j, 0])
-    assert np.allclose(apply_y(psi, 1), [0, -1])
-    assert np.allclose(apply_x(psi, 1), [0, 1j])
+    assert np.allclose(act(psi, 1, 0), [1j, 0])
+    assert np.allclose(act(psi, 1, 1), [0, -1])
+    assert np.allclose(act(psi, 1, 2), [0, 1j])
 
 
 def test_exact_actions_match_float():
@@ -63,41 +65,42 @@ def test_exact_actions_match_float():
     flt = psi.to_float()
     norm = float(np.sqrt(float(psi.norm_squared)))
     for k in (1, 2, 3):
-        for fn in (apply_z, apply_y, apply_x):
-            exact = np.array([a.to_complex() for a in fn(psi, k)]) / norm
-            assert np.allclose(exact, fn(flt, k), atol=1e-12)
+        for g in range(3):
+            exact = np.array([complex(re, im) for re, im in act(psi, k, g)]) / norm
+            assert np.allclose(exact, act(flt, k, g), atol=1e-12)
 
 
 def test_exact_actions_stay_rational():
     psi = random_rational_state(2, 14)
     for k in (1, 2):
-        for fn in (apply_z, apply_y, apply_x):
-            assert all(isinstance(a, RationalComplex) for a in fn(psi, k))
+        for g in range(3):
+            column = act(psi, k, g)
+            assert all(type(p) is Fraction for amp in column for p in amp)
 
 
 def test_double_application_is_minus_identity():
     psi = random_state(3, 31)
     for k in (1, 2, 3):
-        for fn in (apply_z, apply_y, apply_x):
-            twice = fn(StateVector(fn(psi, k)), k)
-            # fn(psi, k) has unit norm, so re-wrapping does not rescale
+        for g in range(3):
+            twice = act(StateVector(act(psi, k, g)), k, g)
+            # act(psi, k, g) has unit norm, so re-wrapping does not rescale
             assert np.allclose(twice, -psi.vector, atol=1e-12)
 
 
 def test_generators_on_distinct_qubits_commute():
     psi = random_state(4, 32)
-    for fa, fb in [(apply_z, apply_y), (apply_y, apply_x), (apply_x, apply_z)]:
-        ab = fa(StateVector(fb(psi, 3)), 1)
-        ba = fb(StateVector(fa(psi, 1)), 3)
+    for ga, gb in [(0, 1), (1, 2), (2, 0)]:
+        ab = act(StateVector(act(psi, 3, gb)), 1, ga)
+        ba = act(StateVector(act(psi, 1, ga)), 3, gb)
         assert np.allclose(ab, ba, atol=1e-12)
 
 
 def test_qubit_index_validated():
-    psi = random_state(2, 33)
+    tm = tangent_matrix(random_state(2, 33))
     with pytest.raises(ValueError):
-        apply_z(psi, 0)
+        tm.triple_indices(0)
     with pytest.raises(ValueError):
-        apply_y(psi, 3)
+        tm.triple_indices(3)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +113,10 @@ def test_column_layout():
     tm = tangent_matrix(psi)
     assert tm.column_count == 10
     assert tm.last_index == 9
-    assert np.allclose(tm.column(0), apply_z(psi, 1), atol=0)
-    assert np.allclose(tm.column(1), apply_y(psi, 1), atol=0)
-    assert np.allclose(tm.column(2), apply_x(psi, 1), atol=0)
-    assert np.allclose(tm.column(5), apply_x(psi, 2), atol=0)
+    assert np.allclose(tm.column(0), dense_apply(GEN_Z, psi, 1), atol=1e-15)
+    assert np.allclose(tm.column(1), dense_apply(GEN_Y, psi, 1), atol=1e-15)
+    assert np.allclose(tm.column(2), dense_apply(GEN_X, psi, 1), atol=1e-15)
+    assert np.allclose(tm.column(5), dense_apply(GEN_X, psi, 2), atol=1e-15)
     assert np.allclose(tm.column(9), -1j * psi.vector, atol=0)
     assert tm.triple_indices(2) == (3, 4, 5)
 

@@ -5,6 +5,7 @@ convention: qubit 1 is the most significant bit of the basis code.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from luorbit import (
     EXACT,
     FLOAT,
-    RationalComplex,
     StateVector,
     ZeroResidualError,
     ZeroStateError,
@@ -29,6 +29,7 @@ from luorbit import (
     random_state,
     save_state,
     singlet_product,
+    tangent_matrix,
     tensor,
 )
 from luorbit.states import _exact_part
@@ -69,7 +70,65 @@ def test_exact_states_keep_the_representative():
     psi = StateVector.from_rational([1, 0, 0, 1])
     assert psi.mode == EXACT
     assert psi.norm_squared == Fraction(2)
-    assert psi.amplitude(0) == RationalComplex(1, 0)
+    assert psi.amplitude(0) == (1, 0)
+
+
+def test_exact_states_hold_parts_over_one_denominator():
+    psi = StateVector.from_rational([("1/2", "-3/4"), Fraction(1, 3), -2, (0, "5/6")])
+    assert psi.scale == 12
+    assert psi.parts.tolist() == [[[6, -9], [4, 0]], [[-24, 0], [0, 10]]]
+    assert all(type(p) is int for p in psi.parts.ravel())
+    with pytest.raises(ValueError):
+        psi.parts[0, 0, 0] = 1
+    # the tangent matrix reads the state's own tensor
+    tm = tangent_matrix(psi)
+    assert tm.parts is psi.parts and tm.scale == psi.scale
+
+
+def test_from_rational_forms():
+    # ints, Fractions, 'p/q' strings and (re, im) pairs of those
+    psi = StateVector.from_rational(["1/2", 3, Fraction(-1, 3), ("1/2", "-1/3")])
+    assert psi.vector == (
+        (Fraction(1, 2), 0), (3, 0), (Fraction(-1, 3), 0), (Fraction(1, 2), Fraction(-1, 3))
+    )
+    assert all(type(part) is Fraction for amp in psi.vector for part in amp)
+    with pytest.raises(TypeError):
+        StateVector.from_rational([0.5, 0])
+    # a bare sequence is a float state
+    assert StateVector([1, 0]).mode == FLOAT
+
+
+def test_exact_products_match_complex():
+    # Gaussian-rational products and sums against Python complex arithmetic
+    a, b = random_rational_state(2, 30), random_rational_state(1, 31)
+    built = (tensor(a, b), embed_product(3, [((2, 3), a), ((1,), b)]), contract_pair(a, 1, 2))
+    for got in built:
+        want = got.to_float()
+        flat = np.array([complex(re, im) for re, im in got.vector])
+        assert np.allclose(flat / np.linalg.norm(flat), want.vector, atol=1e-15)
+    assert tensor(a, b).to_float().allclose(tensor(a.to_float(), b.to_float()))
+    swapped = embed_product(3, [((2, 3), a.to_float()), ((1,), b.to_float())])
+    assert embed_product(3, [((2, 3), a), ((1,), b)]).to_float().allclose(swapped)
+
+
+def _canonical(psi):
+    assert math.gcd(psi.scale, *psi.parts.ravel()) == 1
+    return psi.scale
+
+
+def test_constructions_keep_the_canonical_scale():
+    # the product's naive scale is 2 * 3 = 6, but every part is a multiple of 1/3
+    a = StateVector.from_rational(["1/2", "1/2"])
+    b = StateVector.from_rational(["2/3", "4/3"])
+    assert tangent_matrix(tensor(a, b)).scale == 3
+    assert _canonical(tensor(a, b)) == 3
+    assert _canonical(embed_product(2, [((2,), a), ((1,), b)])) == 3
+    # the residual [1/2 + 1/2, 1/2 + 1/6] = [1, 2/3] has scale 3, not psi's 30
+    psi = StateVector.from_rational(["1/2", "1/2", "1/5", 0, 0, 0, "1/2", "1/6"])
+    assert psi.scale == 30
+    residual = contract_pair(psi, 1, 2)
+    assert residual.vector == ((1, 0), (Fraction(2, 3), 0))
+    assert tangent_matrix(residual).scale == _canonical(residual) == 3
 
 
 @pytest.mark.parametrize("part", [1e-320, -4e-323, 1e-310j])
@@ -112,7 +171,7 @@ def test_proportional_to_ignores_global_phase_and_scale():
 
 def test_proportional_to_exact_is_exact():
     a = StateVector.from_rational([1, 0, 0, 1])
-    b = StateVector.from_rational([RationalComplex(0, 3), 0, 0, RationalComplex(0, 3)])
+    b = StateVector.from_rational([(0, 3), 0, 0, (0, 3)])
     assert a.proportional_to(b)
     c = StateVector.from_rational([1, 0, 0, 2])
     assert not a.proportional_to(c)
@@ -193,9 +252,9 @@ def test_singlet_product_exact_mode():
     psi = singlet_product(4, [(1, 2), (3, 4)], mode=EXACT)
     assert psi.mode == EXACT
     assert psi.norm_squared == Fraction(4)
-    assert psi.amplitude(0b0000) == RationalComplex(1, 0)
-    assert psi.amplitude(0b0011) == RationalComplex(1, 0)
-    assert psi.amplitude(0b0001).is_zero
+    assert psi.amplitude(0b0000) == (1, 0)
+    assert psi.amplitude(0b0011) == (1, 0)
+    assert psi.amplitude(0b0001) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +292,31 @@ def _bit(code, n, k):
     return (code >> (n - k)) & 1
 
 
+def _times(a, b):
+    """a * b, for complex amplitudes or exact (re, im) pairs of Fractions."""
+    if isinstance(a, tuple):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    return a * b
+
+
+def _plus(a, b):
+    """a + b, for complex amplitudes or exact (re, im) pairs of Fractions."""
+    if isinstance(a, tuple):
+        return (a[0] + b[0], a[1] + b[1])
+    return a + b
+
+
 def _reference_embed(n, placements):
     """Amplitude of each code as the product of each factor's sub-code amplitude."""
+    vectors = [factor.vector for _, factor in placements]
     out = []
     for code in range(1 << n):
-        amp = 1
-        for pos, factor in placements:
+        amp = (1, 0) if placements[0][1].mode == EXACT else 1
+        for (pos, _), vector in zip(placements, vectors):
             sub = 0
             for p in pos:
                 sub = (sub << 1) | _bit(code, n, p)
-            amp = amp * factor.vector[sub]
+            amp = _times(amp, vector[sub])
         out.append(amp)
     return out
 
@@ -250,9 +324,10 @@ def _reference_embed(n, placements):
 def _reference_contract(psi, l, lp):
     """<00| + <11| on qubits (l, lp), residual codes in ascending order."""
     n = psi.n
+    vector = psi.vector
     partner = (1 << (n - l)) | (1 << (n - lp))
     return [
-        psi.vector[code] + psi.vector[code | partner]
+        _plus(vector[code], vector[code | partner])
         for code in range(1 << n)
         if _bit(code, n, l) == _bit(code, n, lp) == 0
     ]
@@ -366,8 +441,9 @@ def test_exact_parts_parse_as_fraction_does(text):
             _exact_part(text)
         assert str(info.value) == str(exc)
         return
-    got = _exact_part(text)
-    assert type(got) is Fraction and got == want
+    num, den = _exact_part(text)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == want
 
 
 def test_save_load_roundtrip(tmp_path):
