@@ -519,6 +519,9 @@ def _frozen_cases():
         for kind, build in [("rational", _rational_file), ("singlet", _singlet_file),
                             ("pair-rest", _pair_rest_file)]:
             cases[f"analyze-{kind}-{n}"] = (["analyze", "-"], build(n))
+    # two row blocks of the real view
+    for kind, build in [("rational", _rational_file), ("pair-rest", _pair_rest_file)]:
+        cases[f"analyze-{kind}-11"] = (["analyze", "-"], build(11))
     cases["dump-matrix"] = (["analyze", "-", "--dump-matrix"], _rational_file(3))
     huge = [[f"{10**40 + k}/{3**(k + 30)}", f"-{k}/{10**25}"] for k in range(8)]
     cases["analyze-huge-parts"] = (["analyze", "-"], _exact_file(3, lambda code: huge[code]))
@@ -538,10 +541,12 @@ def _frozen_cases():
 #: (exit code, sha256 of stdout, sha256 of stderr) per case, first 16 hex digits.
 _FROZEN = {
     "analyze-huge-parts": (0, "05f8c6c988ed845c", "e3b0c44298fc1c14"),
+    "analyze-pair-rest-11": (0, "bba2475097e48c97", "e3b0c44298fc1c14"),
     "analyze-pair-rest-4": (0, "3cc79b4f3c9ec964", "e3b0c44298fc1c14"),
     "analyze-pair-rest-5": (0, "4986e3840379ac80", "e3b0c44298fc1c14"),
     "analyze-pair-rest-6": (0, "580ec86418a5ce82", "e3b0c44298fc1c14"),
     "analyze-pair-rest-7": (0, "50fcfd88b81d9a09", "e3b0c44298fc1c14"),
+    "analyze-rational-11": (0, "9025f2bc2a66ec44", "e3b0c44298fc1c14"),
     "analyze-rational-4": (0, "058142e9d28178ec", "e3b0c44298fc1c14"),
     "analyze-rational-5": (0, "fa8690324875050b", "e3b0c44298fc1c14"),
     "analyze-rational-6": (0, "05c0077286fd7ea0", "e3b0c44298fc1c14"),
