@@ -11,6 +11,7 @@ for such states, and this module recovers it from span dimensions alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -97,8 +98,8 @@ def detect_singlet_pairs(
     returned sorted, each as (l, l') with l < l'.
     """
     tm = _as_tangent(psi)
-    pairs = list(combinations(range(1, tm.n + 1), 2))
-    spans = span_dims(tm, [ColumnSelector(p) for p in pairs], tol)
+    pairs, selectors = _pair_selectors(tm.n)
+    spans = span_dims(tm, selectors, tol)
     return tuple(pair for pair, span in zip(pairs, spans) if span == 3)
 
 
@@ -111,9 +112,26 @@ def detect_unentangled(
     state.  Returned sorted ascending.
     """
     tm = _as_tangent(psi)
-    qubits = range(1, tm.n + 1)
-    spans = span_dims(tm, [ColumnSelector((j,), include_last=True) for j in qubits], tol)
-    return tuple(j for j, span in zip(qubits, spans) if span == 3)
+    spans = span_dims(tm, _lone_selectors(tm.n), tol)
+    return tuple(j for j, span in enumerate(spans, start=1) if span == 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_selectors(n: int) -> tuple:
+    """``(pairs, selectors)``: every qubit pair (l, l') of n qubits, sorted, and its selector.
+
+    Built once per n: ``orbit_report`` and the detectors that its
+    ``classify_min_orbit`` call runs after it share the keys of every pair
+    verdict, so reading a kept verdict again builds nothing.
+    """
+    pairs = tuple(combinations(range(1, n + 1), 2))
+    return pairs, tuple(ColumnSelector(p) for p in pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _lone_selectors(n: int) -> tuple:
+    """Each qubit's triple with the last column, in qubit order; built once per n, as above."""
+    return tuple(ColumnSelector((j,), include_last=True) for j in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -332,14 +350,13 @@ def orbit_report(psi: StateVector, tol: float = DEFAULT_TOL) -> OrbitReport:
     warnings: list = []
     gap_ratios = [full.gap_ratio]
 
-    pairs = list(combinations(range(1, n + 1), 2))
+    pairs, selectors = _pair_selectors(n)
     pair_span = [[3] * n for _ in range(n)]
-    for (l, lp), result in zip(pairs, real_ranks(tm, [ColumnSelector(p) for p in pairs], tol)):
+    for (l, lp), result in zip(pairs, real_ranks(tm, selectors, tol)):
         pair_span[l - 1][lp - 1] = pair_span[lp - 1][l - 1] = result.rank
         gap_ratios.append(result.gap_ratio)
-    lone = [ColumnSelector((j,), include_last=True) for j in range(1, n + 1)]
     lone_span = []
-    for result in real_ranks(tm, lone, tol):
+    for result in real_ranks(tm, _lone_selectors(n), tol):
         lone_span.append(result.rank)
         gap_ratios.append(result.gap_ratio)
 

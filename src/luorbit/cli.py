@@ -51,9 +51,11 @@ class _UsageError(Exception):
 #: Largest ``--qubits`` accepted: 2**30 complex128 amplitudes already take 16 GiB.
 #: A float ``analyze`` peaks at the state, a few arrays of its size and one
 #: row block of the tangent matrix, since R is streamed from the state (the
-#: whole real view only if a verdict near the cutoff falls back to it);
-#: ``verify`` and the exact backend still build the whole 2**(n+1) x (3n+1)
-#: real view (19.6 GB at n = 24), so they run out of memory well below the bound.
+#: whole real view only if a verdict near the cutoff falls back to it), and
+#: an exact ``analyze`` likewise, since its integer Gram is summed block by
+#: block; ``verify`` and ``--dump-matrix`` still build the whole
+#: 2**(n+1) x (3n+1) real view (19.6 GB at n = 24), so they run out of
+#: memory well below the bound.
 _MAX_QUBITS = 30
 
 

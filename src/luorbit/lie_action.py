@@ -24,8 +24,9 @@ one bit flipped, and (-1)**i_k a +-1 vector over the positions
 column: the rows where the leading qubits have fixed bits, a slab of the
 array, in which every other qubit's flip is one gather.  Flipping a
 leading qubit reads the partner slab instead.  The same numpy operations
-run on float64 arrays and on object arrays of Python ints, so both
-backends share the routines, and no Kronecker products are ever built.
+run on float64 arrays, on int64 arrays and on object arrays of Python
+ints, so both backends share the routines, and no Kronecker products are
+ever built.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ class TangentMatrix:
     of basis code c fills rows 2c (a) and 2c+1 (b), so a column dot
     product is Re<u|v>.  It is float64 in float mode and holds Python ints
     in exact mode, every entry ``scale`` times the true one.  It is built
-    on first read, and only what needs its rows reads it: the exact Gram,
-    floating verdicts at n <= 3 or that R cannot certify, complement
-    vectors, column dumps and the verify column checks.
+    on first read, and only what needs its rows reads it: floating
+    verdicts at n <= 3 or that R cannot certify, complement vectors,
+    column dumps and the verify column checks.
 
     ``r_factor`` caches a (3n+1) x (3n+1) triangular R with
     ``real = Q R``, Q orthonormal (``streamed_r``), None until a floating
@@ -179,13 +180,15 @@ class TangentMatrix:
     a floating verdict that R certifies never builds ``real``; a matrix of
     one block keeps that block as ``real``.  ``ranks`` memoizes rank
     verdicts by ``(ColumnSelector, tol)``; see ``rank.real_rank``.  A bare
-    rank that ``rank.span_dims`` reads from R alone, or inherits from a
-    selection certified as full column rank, is not kept.  ``gram`` and
+    rank that ``rank.span_dims`` reads from R alone is not kept, nor is a
+    verdict inherited from a selection certified as full column rank.  ``gram`` and
     ``gram_rows`` cache the exact backend's counterpart, the integer Gram
     ``real.T @ real`` ((3n+1) x (3n+1) Python ints, entry (i, j) is
     ``scale**2`` times Re<column i|column j>) as an array and as nested
-    lists, None until an exact query first needs them; see
-    ``rank.exact_gram``.
+    lists, None until an exact query first needs them.  It is summed over
+    the row blocks that ``streamed_r`` uses, generated from ``parts`` in
+    int64 where no sum can overflow, so the exact backend never builds
+    ``real``; see ``rank.exact_gram``.
     """
 
     state: StateVector

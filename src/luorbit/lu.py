@@ -49,6 +49,13 @@ class LocalUnitary:
                 raise ValueError(f"factor {i + 1} is not special unitary within {ROUNDOFF_ATOL}")
         object.__setattr__(self, "factors", mats)
 
+    @classmethod
+    def _of(cls, mats: tuple) -> "LocalUnitary":
+        """A local unitary of complex128 SU(2) ``mats`` built here, which need no validation."""
+        lu = object.__new__(cls)
+        object.__setattr__(lu, "factors", mats)
+        return lu
+
     @property
     def n(self) -> int:
         return len(self.factors)
@@ -63,7 +70,7 @@ class LocalUnitary:
         if n < 1:
             raise ValueError("qubit count must be at least 1")
         children = np.random.SeedSequence(_entropy(seed)).spawn(n)
-        return cls([random_su2(c) for c in children])
+        return cls._of(tuple(random_su2(c) for c in children))
 
 
 def _entropy(seed):

@@ -8,22 +8,40 @@ Two interchangeable backends:
   to the largest discarded value is reported so callers can recognize
   ill-conditioned verdicts;
 * exact — fraction-free (Bareiss) integer elimination on the integer
-  Gram of the real view, whose denominators ``tangent_matrix`` cleared
-  once per state; tolerance-free.
+  Gram of the real view, whose entries are the state's integer parts
+  over its common denominator; tolerance-free.
 
 The exact backend builds ``G = real.T @ real`` once per state
-(``TangentMatrix.gram``, ``exact_gram``), at most (3n+1) x (3n+1), and
-answers every query from it.  Over the rationals rank(A^T A) = rank(A)
-for any real A: A^T A x = 0 gives |A x|^2 = x^T A^T A x = 0, so both
-have the kernel of A.  Applied to A = ``real[:, S]``, whose Gram is the
-principal submatrix ``G[S, S]``, the rank of any column subset S is
-that of ``G[S, S]``; the arithmetic is exact, so squaring loses nothing
-(it is only in floating point that a Gram squares the noise floor).
-Exact complements rank the cross block ``G[against, inside]``.  G is an
-int64 matmul when ``rows * max|real|**2 <= 2**63 - 1``: every partial
-sum of an entry is at most that in magnitude, so none can overflow.
-Otherwise it is a matmul of Python ints; either way it holds Python
-ints, and elimination runs on them.
+(``TangentMatrix.gram``, ``exact_gram``), (3n+1) x (3n+1), and answers
+every query from it.  Over the rationals rank(A^T A) = rank(A) for any
+real A: A^T A x = 0 gives |A x|^2 = x^T A^T A x = 0, so both have the
+kernel of A.  Applied to A = ``real[:, S]``, whose Gram is the principal
+submatrix ``G[S, S]``, the rank of any column subset S is that of
+``G[S, S]``; the arithmetic is exact, so squaring loses nothing (it is
+only in floating point that a Gram squares the noise floor).  Exact
+complements rank the cross block ``G[against, inside]``.
+
+G is the sum of ``block.T @ block`` over the row blocks of the real view
+that ``streamed_r`` factors, each generated from the state's parts in
+turn (``_streamed_gram``); the real view itself is never built.  Every
+entry of the real view is a part up to sign, so the blocks and the sum
+are int64 when every part fits in int64 and ``rows * max|part|**2 <=
+2**63 - 1``: every partial sum of an entry is at most that in magnitude,
+so none can overflow.  Otherwise they hold Python ints.  Either way G is
+read as Python ints, and elimination runs on them.
+
+A triple's z, y and x columns are mutually orthogonal: for distinct
+Paulis P and Q on one qubit, PQ is +-i times a third Pauli, so
+Re<iP psi|iQ psi> = Re<psi|PQ|psi> = 0.  Each has the squared norm s of
+the state, the sum of the squared parts, and so has the last column.  So
+``G[T, T] = s * I_3`` exactly for every triple T, and s > 0.  Eliminating
+T's three pivots in closed form, a selection T + B has rank
+3 + rank(s * G[B, B] - G[B, T] @ G[T, B]): the Schur complement of
+``G[T, T]``, scaled by s.  Every exact verdict on a selection with a
+triple takes T as its first triple and runs Bareiss on that (w-3)-square
+integer matrix, w the selection's width: 3 x 3 for a pair, 1 x 1 for a
+lone triple with the last column (s**2 - |G[last, T]|**2, the
+Bloch-length test), and 3n - 2 square for the full selection.
 
 The floating backend for n <= 3 slices the columns it needs out of
 ``TangentMatrix.real``.  For n >= 4 the real view is at least twice as
@@ -75,21 +93,32 @@ the direct route's: R's dropped values are rounding noise, and the noise
 changes with the block order and the BLAS thread count.  The floor keeps
 that noise out of every printed gap ratio.
 
-``real_ranks`` and ``span_dims`` answer a family widest selection first.
-Removing columns can only raise the smallest singular value and lower the
-largest (interlacing for column submatrices; R. C. Thompson, Linear
-Algebra Appl. 5 (1972) 1-12).  So once a selection is certified as full
-column rank with the kept side's margin, every selection inside it
-clears the same margin, and gets its column count with no SVD.  It draws
-on the rounding budget of the rule above, not a new one: the interlacing
-is exact on R, and its slices differ from the real view's columns by the
-same c * eps * s[0].  The selections of one width that remain share one
-stacked SVD of their R slices (LAPACK decomposes each matrix of a stack
-as it would alone).  ``real_ranks`` keeps every verdict it reads from R;
+``real_ranks`` and ``span_dims`` let a selection inside one certified as
+full column rank inherit its column count, with no decomposition or
+elimination.  Removing columns can only raise the smallest singular value
+and lower the largest (interlacing for column submatrices; R. C.
+Thompson, Linear Algebra Appl. 5 (1972) 1-12).  So once a selection is
+certified as full column rank with the kept side's margin, every
+selection inside it clears the same margin.  It draws on the rounding
+budget of the rule above, not a new one: the interlacing is exact on R,
+and its slices differ from the real view's columns by the same
+c * eps * s[0]; a verdict read from the real view's own columns
+interlaces exactly.  Over the rationals, columns inside an independent
+set are independent, so an exact verdict of full rank certifies with no
+margin.  A family first takes as certified every verdict that
+``tm.ranks`` keeps at the same tol, on both backends: once
+``orbit_report`` has kept a full selection of full rank, its pair and
+lone tables take no SVD and no elimination.  An inherited verdict has
+gap ratio inf and no singular values, and is not kept.
+
+A floating family at n >= 4 is then answered widest selection first,
+each selection it certifies as full column rank certifying the narrower
+ones too.  The selections of one width that remain share one stacked SVD
+of their R slices (LAPACK decomposes each matrix of a stack as it would
+alone).  ``real_ranks`` keeps every verdict it reads from R;
 ``span_dims`` returns a rank it reads from R for a proper subset bare,
-kept nowhere.  Float n <= 3, and the exact backend, answer each query with
-``real_rank``'s verdict: no exact caller asks for selections that lie
-inside one another.
+kept nowhere.  Float n <= 3, and the exact backend, answer each query that
+remains with ``real_rank``'s verdict.
 
 Float complements (``complement_dim``, ``complement_basis``) read R at
 every n (R is square for n >= 1): its columns have the inner products of
@@ -117,7 +146,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .lie_action import TangentMatrix, _triple_columns, streamed_r
+from .lie_action import (
+    TangentMatrix,
+    _lead,
+    _operands,
+    _triple_columns,
+    _write_block,
+    streamed_r,
+)
 from .states import EXACT, FLOAT
 from .tolerance import DEFAULT_TOL, EPS, GAP_WARNING_THRESHOLD, ROUNDING_FLOOR, check_tol
 
@@ -253,8 +289,26 @@ def _bareiss_rank(mat: list) -> int:
     return rank
 
 
-def _exact_rank(mat: list) -> RankResult:
-    rank = _bareiss_rank(mat)
+def _exact_rank(tm: TangentMatrix, selector: ColumnSelector) -> RankResult:
+    """Exact verdict on the selected columns, read from the integer Gram.
+
+    The first triple's block of the Gram is s * I_3, s = ``G[last, last]``
+    (module docstring), so a selection T + B has rank 3 plus that of
+    ``s * G[B, B] - G[B, T] @ G[T, B]``, which Bareiss eliminates.
+    """
+    cols = selector.column_indices(tm.n)
+    if not selector.triples:
+        rank, block = 0, _gram_block(tm, cols, cols)
+    else:
+        gram = _gram_rows(tm)
+        s = gram[tm.last_index][tm.last_index]
+        first, rest = cols[:3], cols[3:]
+        cross = [[gram[b][t] for t in first] for b in rest]
+        rank, block = 3, [
+            [s * row[j] - (a0 * b0 + a1 * b1 + a2 * b2) for j, (b0, b1, b2) in zip(rest, cross)]
+            for row, (a0, a1, a2) in zip(map(gram.__getitem__, rest), cross)
+        ]
+    rank += _bareiss_rank(block)
     return RankResult(rank=rank, gap_ratio=math.inf, backend=EXACT, singular_values=None)
 
 
@@ -264,39 +318,67 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def exact_gram(tm: TangentMatrix) -> np.ndarray:
     """``tm.gram``, the integer Gram ``real.T @ real`` of an exact matrix, built on first use.
 
-    Its rows are also kept as lists, ``tm.gram_rows``, which ``_gram_block`` slices.
+    Summed block by block from ``tm.parts`` (``_streamed_gram``); it never
+    reads ``tm.real``.  Its rows are also kept as lists, ``tm.gram_rows``,
+    which ``_gram_block`` and ``_exact_rank`` read.
     """
     if tm.mode != EXACT:
         raise ValueError("exact_gram requires the exact backend")
     if tm.gram is None:
-        gram = _int64_gram(tm.real)
-        if gram is None:
-            gram = tm.real.T @ tm.real
+        rows = _streamed_gram(tm).tolist()
+        gram = np.array(rows, dtype=object)
         gram.flags.writeable = False
         object.__setattr__(tm, "gram", gram)
-        object.__setattr__(tm, "gram_rows", gram.tolist())
+        object.__setattr__(tm, "gram_rows", rows)
     return tm.gram
+
+
+def _gram_rows(tm: TangentMatrix) -> list:
+    """``tm.gram_rows``, the exact Gram as nested lists of Python ints."""
+    exact_gram(tm)
+    return tm.gram_rows
 
 
 def _gram_block(tm: TangentMatrix, rows, cols) -> list:
     """Entries (i, j) of the exact Gram, i in ``rows`` and j in ``cols``, as fresh row lists."""
-    exact_gram(tm)
-    return [[row[j] for j in cols] for row in map(tm.gram_rows.__getitem__, rows)]
+    return [[row[j] for j in cols] for row in map(_gram_rows(tm).__getitem__, rows)]
 
 
-def _int64_gram(real: np.ndarray) -> Optional[np.ndarray]:
-    """``real.T @ real`` as Python ints via an int64 matmul; None if a sum could overflow.
+def _int64_parts(parts: np.ndarray) -> Optional[np.ndarray]:
+    """Exact ``parts`` as int64, or None if the int64 Gram could overflow.
 
-    Each partial sum of an entry is at most ``rows * max|real|**2`` in magnitude.
+    Every entry of the real view is some part up to sign, so each partial
+    sum of a Gram entry is at most ``rows * max|part|**2`` in magnitude,
+    rows = ``parts.size``.
     """
     try:
-        ints = real.astype(np.int64)
+        ints = parts.astype(np.int64)
     except OverflowError:
         return None
     peak = max(int(ints.max()), -int(ints.min()))
-    if real.shape[0] * peak * peak > _INT64_MAX:
+    if parts.size * peak * peak > _INT64_MAX:
         return None
-    return (ints.T @ ints).astype(object)
+    return ints
+
+
+def _streamed_gram(tm: TangentMatrix) -> np.ndarray:
+    """Sum of ``block.T @ block`` over the real view's row blocks, generated from ``tm.parts``.
+
+    The blocks are those of ``streamed_r``, written by ``lie_action._write_block``
+    in int64 where ``_int64_parts`` allows it and in Python ints otherwise;
+    one is held at a time.
+    """
+    parts = _int64_parts(tm.parts)
+    if parts is None:
+        parts = tm.parts
+    lead = _lead(tm.n)
+    operands = _operands(parts)
+    buf = np.empty((tm.column_count, parts.size >> lead), dtype=parts.dtype)
+    gram = 0
+    for b in range(1 << lead):
+        # row j of the buffer is column j of the block
+        gram = gram + _write_block(operands, lead, b, buf) @ buf.T
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +417,10 @@ def _verdict(tm: TangentMatrix, selector: ColumnSelector, tol: float) -> RankRes
     if result is None:
         if tm.mode == FLOAT and _reads_r(tm):
             return _answer(tm, [selector], tol, keep=True)[0][1]
-        cols = selector.column_indices(tm.n)
         if tm.mode == FLOAT:
-            result = _float_rank(tm.real[:, list(cols)], tol)
+            result = _float_rank(tm.real[:, list(selector.column_indices(tm.n))], tol)
         else:
-            result = _exact_rank(_gram_block(tm, cols, cols))
+            result = _exact_rank(tm, selector)
         tm.ranks[key] = result
     return result
 
@@ -394,7 +475,8 @@ def span_dims(
     """``real_rank``'s rank of each selector, in the caller's order.
 
     The ranks of ``real_ranks``' verdicts on the family.  A rank read from
-    R for a proper subset, or inherited, is returned bare and kept nowhere.
+    R for a proper subset, or inherited on either backend, is returned
+    bare and kept nowhere.
     """
     return [rank for rank, _ in _family(tm, list(selectors), tol, keep=False)]
 
@@ -404,19 +486,22 @@ def real_ranks(
 ) -> list:
     """``real_rank``'s verdict on each selector, in the caller's order, kept in ``tm.ranks``.
 
-    A floating matrix with n >= 4 answers the family widest selection
-    first.  A selection inside one already certified as full column rank
-    inherits its column count with no decomposition: its verdict has gap
-    ratio inf, no singular values, and is not kept.  The rest of each
-    width share one stacked SVD of their R slices, and each verdict is
-    read from its slice wherever R certifies it, from the real view
-    otherwise (module docstring).  An exact matrix, or a floating one with
-    n <= 3, answers each query alone.  Kept verdicts are read first; every
+    On both backends, a selection inside one whose verdict ``tm.ranks``
+    keeps at the same tol as full column rank (past the kept side's margin,
+    in floating mode) inherits its column count with no decomposition or
+    elimination: its verdict has gap ratio inf, no singular values, the
+    matrix's backend, and is not kept.  A floating matrix with n >= 4
+    answers the rest widest selection first and inherits from the
+    selections it certifies on the way; the rest of each width share one
+    stacked SVD of their R slices, and each verdict is read from its slice
+    wherever R certifies it, from the real view otherwise (module
+    docstring).  An exact matrix, or a floating one with n <= 3, answers
+    the rest of the queries alone.  Kept verdicts are read first; every
     other query is checked, in order, before any is answered, so a bad
     selector or tol raises what ``real_rank`` raises.
     """
     return [
-        RankResult(rank=rank, gap_ratio=math.inf, backend=FLOAT) if verdict is None else verdict
+        RankResult(rank=rank, gap_ratio=math.inf, backend=tm.mode) if verdict is None else verdict
         for rank, verdict in _family(tm, list(selectors), tol, keep=True)
     ]
 
@@ -435,42 +520,66 @@ def _family(tm: TangentMatrix, selectors: list, tol: float, keep: bool) -> list:
             triples = sel.triples
             if triples and (min(triples) < 1 or max(triples) > tm.n):
                 sel.column_indices(tm.n)  # raises for the first triple out of range
-    if tm.mode == EXACT or not _reads_r(tm):
-        return [(result.rank, result) for result in (_verdict(tm, sel, tol) for sel in selectors)]
-    return _widest_first(tm, selectors, known, tol, keep)
+    certified = [
+        _mask(sel)
+        for (sel, at), result in tm.ranks.items()
+        if at == tol and _certifies(result, _width(sel), tol)
+    ]
+    if tm.mode == FLOAT and _reads_r(tm):
+        return _widest_first(tm, selectors, known, certified, tol, keep)
+    answers = []
+    for sel, result in zip(selectors, known):
+        if result is None and certified and _inside(_mask(sel), certified):
+            answers.append((_width(sel), None))
+            continue
+        if result is None:
+            result = _verdict(tm, sel, tol)
+        answers.append((result.rank, result))
+    return answers
 
 
-def _widest_first(tm: TangentMatrix, selectors: list, known: list, tol: float, keep: bool) -> list:
+def _widest_first(
+    tm: TangentMatrix, selectors: list, known: list, certified: list, tol: float, keep: bool
+) -> list:
     """``(rank, verdict)`` of each selection, widest first, inheriting full column rank downward.
 
-    ``known`` holds each selection's verdict from ``tm.ranks``, or None.
+    ``known`` holds each selection's verdict from ``tm.ranks``, or None;
+    ``certified`` the masks of the selections certified as full column
+    rank so far, which this extends.
     """
     answers = [None if result is None else (result.rank, result) for result in known]
-    widths = [3 * len(sel.triples) + sel.include_last for sel in selectors]
-    widest_first = sorted(range(len(selectors)), key=widths.__getitem__, reverse=True)
-    certified = []  # masks of wider selections certified as full column rank
-    for width, group in groupby(widest_first, key=widths.__getitem__):
+    widths = [_width(sel) for sel in selectors]
+    todo_widest_first = sorted(
+        (i for i, result in enumerate(known) if result is None),
+        key=widths.__getitem__,
+        reverse=True,
+    )
+    narrowest = widths[todo_widest_first[-1]]
+    for width, group in groupby(todo_widest_first, key=widths.__getitem__):
         todo = []
-        newly = []  # selections of this width certified as full column rank
         for i in group:
-            if known[i] is not None:
-                if _certifies(known[i], width, tol):
-                    newly.append(i)
-            elif certified and _inside(_mask(selectors[i]), certified):
+            if certified and _inside(_mask(selectors[i]), certified):
                 answers[i] = (width, None)
             else:
                 todo.append(i)
-        if todo:
-            full = width == tm.column_count
-            for i, (rank, verdict, certifies) in zip(
-                todo, _answer(tm, [selectors[i] for i in todo], tol, keep or full)
-            ):
-                answers[i] = (rank, verdict)
-                if certifies:
-                    newly.append(i)
-        if width > widths[widest_first[-1]]:  # narrower selections follow
-            certified += [_mask(selectors[i]) for i in newly]
+        if not todo:
+            continue
+        full = width == tm.column_count
+        newly = []  # selections of this width certified as full column rank
+        for i, (rank, verdict, certifies) in zip(
+            todo, _answer(tm, [selectors[i] for i in todo], tol, keep or full)
+        ):
+            answers[i] = (rank, verdict)
+            if certifies:
+                newly.append(_mask(selectors[i]))
+        if width > narrowest:  # narrower selections follow
+            certified += newly
     return answers
+
+
+def _width(selector: ColumnSelector) -> int:
+    """How many columns ``selector`` selects."""
+    return 3 * len(selector.triples) + selector.include_last
 
 
 def _mask(selector: ColumnSelector) -> int:
@@ -484,8 +593,13 @@ def _inside(mask: int, certified: list) -> bool:
 
 
 def _certifies(result: RankResult, width: int, tol: float) -> bool:
-    """Whether a verdict on ``width`` columns certifies them as full column rank for inheritance."""
-    return result.rank == width and _clears_margin(result.singular_values, tol)
+    """Whether a verdict on ``width`` columns certifies them as full column rank for inheritance.
+
+    An exact verdict does at full rank; a floating one past the kept side's margin too.
+    """
+    return result.rank == width and (
+        result.backend == EXACT or _clears_margin(result.singular_values, tol)
+    )
 
 
 def _answer(tm: TangentMatrix, sels: list, tol: float, keep: bool) -> list:

@@ -444,6 +444,8 @@ def embed_product(n: int, placements) -> StateVector:
     ``positions`` lists 1-based qubit numbers (in the factor's own order)
     and the positions across all placements partition {1..n}.
     """
+    if n < 1:
+        raise ValueError("qubit count must be at least 1")
     placements = [(tuple(pos), st) for pos, st in placements]
     seen: set = set()
     for pos, st in placements:

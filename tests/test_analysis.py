@@ -448,6 +448,25 @@ def test_report_reads_every_verdict_from_r(monkeypatch):
     assert _full_height_views(monkeypatch, scrambled) == 0
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_haar_report_runs_one_svd(monkeypatch, n):
+    # the full selection is certified as full column rank; every pair and
+    # lone verdict inherits from it
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    report = orbit_report(random_state(n, 150 + n))
+    assert report.rank == 3 * n + 1
+    assert shapes == [(1, 3 * n + 1, 3 * n + 1)]
+    assert {span for row in report.pair_span for span in row} == {3, 6}
+    assert report.lone_span == (4,) * n
+
+
 def test_report_past_one_block_builds_no_real_view(monkeypatch):
     # at n = 11, R is streamed from the state in row blocks: the report builds
     # no real view and factors no matrix of its 2^(n+1) rows

@@ -583,3 +583,25 @@ def test_exact_backend_bytes_are_frozen(case, capsys, monkeypatch):
     out, err = capsys.readouterr()
     digest = tuple(hashlib.sha256(s.encode()).hexdigest()[:16] for s in (out, err))
     assert (code, *digest) == _FROZEN[case]
+
+
+def test_exact_analyze_builds_no_real_view(capsys, monkeypatch):
+    # every exact verdict is read from the Gram, which is streamed from the state
+    import io
+
+    from luorbit import cli, lie_action
+
+    reads = []
+    real = lie_action.TangentMatrix.real
+    monkeypatch.setattr(
+        lie_action.TangentMatrix, "real", property(lambda tm: reads.append(tm.n) or real.fget(tm))
+    )
+    cases = _frozen_cases()
+    names = [name for name in cases if name.startswith("analyze-")]
+    assert {name.rsplit("-", 1)[1] for name in names} >= {"4", "5", "6", "7", "11"}
+    for name in names:
+        argv, stdin = cases[name]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert cli.main(argv) == 0, name
+        assert reads == [], name
+    capsys.readouterr()

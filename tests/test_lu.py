@@ -83,6 +83,26 @@ def test_random_local_unitary_deterministic_per_qubit():
     assert not np.allclose(a.factors[0], a.factors[1])
 
 
+def test_random_local_unitary_validates_no_factor_it_built(monkeypatch):
+    # random's factors are random_su2's draws from the spawned seeds, bit for
+    # bit; it does not validate them again, while a user's LocalUnitary does
+    import luorbit.lu as lu_mod
+
+    checked = []
+    is_su2 = lu_mod._is_su2
+    monkeypatch.setattr(lu_mod, "_is_su2", lambda u: checked.append(u) or is_su2(u))
+    lu = LocalUnitary.random(13, 7)
+    assert checked == []
+    for factor, child in zip(lu.factors, np.random.SeedSequence(7).spawn(13), strict=True):
+        want = random_su2(child)
+        assert factor.dtype == want.dtype == np.complex128
+        assert factor.tobytes() == want.tobytes()
+    assert LocalUnitary(lu.factors).n == 13
+    assert len(checked) == 13
+    with pytest.raises(ValueError, match="factor 13"):
+        LocalUnitary([*lu.factors[:-1], 2 * lu.factors[-1]])
+
+
 def test_exact_states_are_converted_to_float():
     from luorbit import singlet_product
 

@@ -982,6 +982,84 @@ def test_exact_gram_ranks_match_direct_elimination(n, kind, seed):
             assert complement_dim(tm, inside, against) == want, (inside, against)
 
 
+def _oracle_state(kind: str, n: int, rng) -> StateVector:
+    if kind == "rational":
+        return random_rational_state(n, rng)
+    if kind == "pair":
+        return _pair_product(n, rng, *_random_pair_positions(n, rng), mode=EXACT)
+    if kind == "near_pair":
+        return _near_product_pair(n, rng, Fraction(1, 7))
+    if kind == "singlets":
+        return _gram_state("singlets", n, rng)
+    return basis_state(n, int(rng.integers(1 << n)), mode=EXACT)
+
+
+def _assert_exact_verdicts_match_the_object_gram(psi: StateVector, selectors: list) -> None:
+    """Every exact verdict equals Bareiss on the principal block of the object real view's Gram.
+
+    Each query is asked alone on one matrix (``real_rank``), and as a family
+    on another that keeps the full verdict first (``real_ranks``, inheriting).
+    """
+    n = psi.n
+    tm = tangent_matrix(psi)
+    gram = exact_gram(tm)
+    assert tm._real is None  # the Gram is streamed from the state
+    assert tm.real.dtype == object
+    reference = tm.real.T @ tm.real
+    assert np.array_equal(gram, reference)
+    s = gram[3 * n, 3 * n]
+    assert s == sum(p * p for p in psi.parts.flat) > 0
+    for k in range(1, n + 1):
+        t = list(tm.triple_indices(k))
+        assert gram[np.ix_(t, t)].tolist() == [[s, 0, 0], [0, s, 0], [0, 0, s]], k
+    want = []
+    for sel in selectors:
+        cols = list(sel.column_indices(n))
+        want.append(_bareiss_rank(reference[np.ix_(cols, cols)].tolist()))
+        assert real_rank(tm, sel).rank == want[-1], sel
+    family = tangent_matrix(psi)
+    real_rank(family)
+    assert [r.rank for r in real_ranks(family, selectors)] == want
+    assert all(r.backend == EXACT for r in real_ranks(family, selectors))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in ("rational", "singlets", "basis") for n in range(1, 8)]
+    + [(kind, n) for kind in ("pair", "near_pair") for n in range(2, 8)],
+)
+def test_exact_verdicts_match_the_object_gram(kind, n):
+    rng = np.random.default_rng(300 + 10 * n)
+    _assert_exact_verdicts_match_the_object_gram(_oracle_state(kind, n, rng), _every_selector(n))
+
+
+@pytest.mark.parametrize("kind", ["rational", "pair"])
+def test_exact_verdicts_match_the_object_gram_past_one_block(kind):
+    # two row blocks of the real view; orbit_report's selectors and a sample of the rest
+    n = 11
+    rng = np.random.default_rng(311)
+    selectors = [ColumnSelector(p) for p in combinations(range(1, n + 1), 2)]
+    selectors += [ColumnSelector((j,), include_last=True) for j in range(1, n + 1)]
+    selectors += [ColumnSelector.full(n), ColumnSelector(range(1, n + 1))]
+    for _ in range(20):
+        subset = [k for k in range(1, n + 1) if rng.integers(2)] or [1]
+        selectors.append(ColumnSelector(subset, include_last=bool(rng.integers(2))))
+    _assert_exact_verdicts_match_the_object_gram(_oracle_state(kind, n, rng), selectors)
+
+
+def test_exact_verdicts_match_the_object_gram_with_huge_parts():
+    # 40-digit parts: the Gram is a sum of Python-int products
+    tm = tangent_matrix(_forty_digit_state(4))
+    assert rank_mod._int64_parts(tm.parts) is None
+    _assert_exact_verdicts_match_the_object_gram(tm.state, _every_selector(4))
+
+
+def _forty_digit_state(n: int) -> StateVector:
+    return StateVector.from_rational(
+        [(Fraction(10**40 + k, 3 ** (k + 30)), Fraction(-k, 10**25)) for k in range(1 << n)]
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_int64_gram_route_ends_exactly_at_the_bound(n):
     rows, peak = 1 << (n + 1), _int64_peak(n)
@@ -989,7 +1067,7 @@ def test_int64_gram_route_ends_exactly_at_the_bound(n):
     rng = np.random.default_rng(270 + n)
     for top, via_int64 in ((peak, True), (peak + 1, False), (2**63, False)):
         tm = tangent_matrix(_signed_state(n, rng, top))
-        assert (rank_mod._int64_gram(tm.real) is not None) == via_int64, top
+        assert (rank_mod._int64_parts(tm.parts) is not None) == via_int64, top
         gram = exact_gram(tm)
         assert all(type(x) is int for x in gram.flat)
         assert np.array_equal(gram, tm.real.T @ tm.real)
@@ -1006,26 +1084,27 @@ def test_exact_queries_eliminate_only_gram_blocks(monkeypatch):
     # every exact rank is read from the (3n+1)^2 Gram, which each tangent
     # matrix builds once; no 2^(n+1)-row matrix is ever eliminated
     heights, built = [], []
-    bareiss, int64_gram = rank_mod._bareiss_rank, rank_mod._int64_gram
+    bareiss, streamed_gram = rank_mod._bareiss_rank, rank_mod._streamed_gram
 
     def bareiss_spy(matrix):
         heights.append(len(matrix))
         return bareiss(matrix)
 
-    def gram_spy(real):
-        built.append(real)
-        return int64_gram(real)
+    def gram_spy(tm):
+        built.append(tm)
+        return streamed_gram(tm)
 
     monkeypatch.setattr(rank_mod, "_bareiss_rank", bareiss_spy)
-    monkeypatch.setattr(rank_mod, "_int64_gram", gram_spy)
+    monkeypatch.setattr(rank_mod, "_streamed_gram", gram_spy)
 
     def check(n, run):
         heights.clear()
         built.clear()
         run()
         assert built, "no exact tangent matrix was analyzed"
-        assert len({id(real) for real in built}) == len(built)
-        assert max(heights, default=0) <= 3 * n + 1
+        assert len({id(tm) for tm in built}) == len(built)
+        # a verdict eliminates its Schur complement, 3 rows short of the selection
+        assert max(heights, default=0) <= 3 * n + 1 - 3
 
     for n in range(4, 8):
         rng = np.random.default_rng(290 + n)

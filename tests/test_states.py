@@ -220,6 +220,8 @@ def test_embed_product_must_partition():
         embed_product(4, [((1, 2), pair)])
     with pytest.raises(ValueError):
         embed_product(4, [((1, 2), pair), ((2, 3), pair)])
+    with pytest.raises(ValueError, match="at least 1"):
+        embed_product(0, [])
 
 
 def test_singlet_product_matches_embed():
