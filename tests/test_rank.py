@@ -4,6 +4,7 @@ The oracle interleaves real/imaginary parts itself and calls
 np.linalg.matrix_rank, so it shares no code with the implementation.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -422,6 +423,22 @@ def test_streamed_r_matches_lapack_qr(n, kind, seed, eps, tol, block_rows):
         tm = tangent_matrix(_route_state(kind, n, seed, eps))
         selectors = _every_selector(n) if n <= 7 else _report_selectors(n)
         _assert_streamed_r_matches_lapack_qr(tm, selectors, tol)
+
+
+#: sha256 of R's bytes on dense states: every amplitude nonzero, so every row
+#: of the real view is factored, in the same blocks and the same order.
+_FROZEN_DENSE_R = {
+    ("haar", 12): "15ab671ae18c909e7155781fa97e1b5a5cbb8825cadbaf420b40f7a3799d345b",
+    ("haar", 13): "cba6f91db0555c2ac988aee97d7e2bc2d09b7c56a53517a5724603ffdebe0226",
+    ("singlets", 13): "aae77cfb11279084c90984d164a1a25524b3bd3f682870bef6bbadbc038ef913",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(_FROZEN_DENSE_R))
+def test_dense_r_bytes_are_frozen(kind, n):
+    tm = tangent_matrix(_route_state(kind, n, 500 + n, 0.0))
+    digest = hashlib.sha256(lie_action.streamed_r(tm).tobytes()).hexdigest()
+    assert digest == _FROZEN_DENSE_R[kind, n]
 
 
 @pytest.mark.parametrize("n", [11, 12, 13])
