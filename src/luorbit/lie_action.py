@@ -12,21 +12,33 @@ Acting on qubit k of psi = sum_I c_I |I>, the coefficient of |I> becomes
     y:  (-1)**i_k * c_{I with bit k flipped}
     x:  i * c_{I with bit k flipped}
 
-One routine, ``_write_triple``, computes all three on the state's real
-parts, the (2,)*n + (2,) array that every ``StateVector`` holds (float64
-over scale 1, or Python ints over the state's common denominator): axis
-k-1 is qubit k's bit and the last axis is (re, im).  The tangent matrix
-reads that array as it is, with no per-amplitude conversion.  Multiplying
-by i acts on the last axis.  Flattened, the array has position
-``2 * code + part``, so flipping bit k is a gather at the position with
-one bit flipped, and (-1)**i_k a +-1 vector over the positions
-(``_slab_flips``).  ``_write_block`` writes one row block of every
-column: the rows where the leading qubits have fixed bits, a slab of the
-array, in which every other qubit's flip is one gather.  Flipping a
-leading qubit reads the partner slab instead.  The same numpy operations
-run on float64 arrays, on int64 arrays and on object arrays of Python
-ints, so both backends share the routines, and no Kronecker products are
-ever built.
+One routine, ``_write_rows``, computes all three, for every qubit at
+once, on the state's real parts, the (2,)*n + (2,) array that every
+``StateVector`` holds (float64 over scale 1, or Python ints over the
+state's common denominator): axis k-1 is qubit k's bit and the last axis
+is (re, im).  The tangent matrix reads that array as it is, with no
+per-amplitude conversion.  Multiplying by i acts on the last axis.  Read
+as one (re, im) row per basis code, the array gives the rows of any set
+of codes by one gather, and flipping bit k is a gather at the codes with
+bit k flipped; where (-1)**i_k is -1 the gather reads a copy of the parts
+times -1 (``_operands``).  The same numpy
+operations run on float64 arrays, on int64 arrays and on object arrays
+of Python ints, so both backends share the routine, and no Kronecker
+products are ever built.
+
+Row (c, part) of column (k, a) reads psi at c or at c with bit k
+flipped, and the last column reads psi at c.  So the rows of a code c
+are zero in every column unless psi is nonzero at c or at one of its n
+single-bit flips: c is then *live* (``live_codes``).  R
+(``streamed_r``) and the exact Gram (``rank._streamed_gram``) are built
+from the live codes' rows alone, in ``_BLOCK_ROWS``-row blocks
+(``_row_blocks``).  Rows that are zero in every column add nothing to
+``real.T @ real``, so dropping them changes no Gram and no singular value
+of any column subset.  A product of m canonical pairs (n = 2m) has
+2**m nonzero amplitudes and (m + 1) 2**m live codes, of 4**m; when no
+amplitude is zero every code is live, in order, and the blocks are those
+of the whole real view.  ``TangentMatrix.real`` is always the whole
+real view, every code in order.
 """
 
 from __future__ import annotations
@@ -58,87 +70,89 @@ def _times_i(parts: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
 
 
 def _operands(parts: np.ndarray) -> tuple:
-    """``(parts, i_parts, zeros, i_zeros)``: what ``_write_triple`` reads.
+    """``(parts, i_parts, signed, i_signed)``, one (re, im) row per basis code: what ``_write_rows`` reads.
 
-    ``i_parts`` are the real parts of i*psi.  ``zeros`` holds (-(b*0), a*0)
-    for each (a, b) of ``parts``: the terms that a complex128 product by a
-    real s + 0i adds to (a*s, b*s).  They only ever carry signed zeros, but
-    a matrix dump prints those.  ``i_zeros`` holds the same for ``i_parts``.
-    Both are computed once per state, not once per column.
+    ``i_parts`` are the real parts of i*psi.  ``signed`` holds psi's parts
+    times +1, then times -1, each plus (-(b*0), a*0) for its (a, b): the
+    terms that a complex128 product by a real s + 0i adds to (a*s, b*s).
+    They only ever carry signed zeros, but a matrix dump prints those.  Its
+    second half starts 2**n rows in.  ``i_signed`` holds the same for
+    ``i_parts``.  All four are computed once per state, not once per
+    column or block.
     """
+    parts = parts.reshape(-1, 2)
     zero = parts.dtype.type(0)
     swap_zero = np.array([-zero, zero], dtype=parts.dtype)
     i_parts = _times_i(parts, 1, np.empty_like(parts))
-    return parts, i_parts, parts[..., ::-1] * swap_zero, i_parts[..., ::-1] * swap_zero
+    signed = np.empty((2, 2) + parts.shape, dtype=parts.dtype)
+    for p, out in zip((parts, i_parts), signed):
+        zeros = p[:, ::-1] * swap_zero
+        # p * 1 + zeros is p + zeros, and p * -1 + zeros is zeros - p, bit for bit
+        np.add(p, zeros, out=out[0])
+        np.subtract(zeros, p, out=out[1])
+    return parts, i_parts, signed[0].reshape(-1, 2), signed[1].reshape(-1, 2)
 
 
 @functools.lru_cache(maxsize=None)
-def _slab_flips(m: int, dtype) -> tuple:
-    """``(index, signs)`` that flip each qubit of an m-qubit slab, read-only.
+def _qubit_bits(n: int) -> np.ndarray:
+    """Each qubit's bit in a basis code, one row per qubit (qubit k is bit n - k), read-only."""
+    bits = 1 << (n - 1 - np.arange(n))[:, None]
+    bits.flags.writeable = False
+    return bits
 
-    Over the slab's real parts, flattened (position ``2 * code + part``),
-    row j-1 of ``index`` holds every position with qubit j's bit flipped
-    and the same row of ``signs`` holds (-1)**i_j there: one row per
-    qubit, 2**(m+1) columns.  Kept per slab size and dtype: a block holds
-    at most ``_BLOCK_ROWS`` rows, so m stays at most log2(_BLOCK_ROWS) - 1.
+
+def live_codes(parts: np.ndarray) -> np.ndarray:
+    """The basis codes, ascending, whose rows of the real view are not zero in every column.
+
+    Those where psi, given by its ``parts``, is nonzero, and their
+    single-bit flips (module docstring): every code, after one count,
+    when no part is zero.
     """
-    rows = np.arange(2 << m)
-    bit = 1 << (m - np.arange(m))[:, None]  # qubit j is bit m - j + 1
-    index, signs = rows ^ bit, np.where(rows & bit, -1, 1).astype(dtype)
-    index.flags.writeable = signs.flags.writeable = False
-    return index, signs
+    flat = parts.reshape(-1, 2)
+    if np.count_nonzero(flat) == flat.size:  # no part is zero
+        return np.arange(len(flat))
+    support = np.flatnonzero((flat[:, 0] != 0) | (flat[:, 1] != 0))
+    live = np.zeros(len(flat), dtype=bool)
+    live[support] = True
+    live[support ^ _qubit_bits(parts.ndim - 1)] = True
+    return np.flatnonzero(live)
 
 
-def _write_triple(own: tuple, partner: tuple, signs, out: np.ndarray) -> np.ndarray:
-    """Write z, y and x generators on psi to ``out[0]``, ``out[1]``, ``out[2]``; return ``out``.
+def _write_rows(operands: tuple, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the rows of basis ``codes`` of every column of the tangent matrix to ``out``; return ``out``.
 
-    For qubit k, z is i*psi times (-1)**i_k, y is psi with bit k flipped
-    times (-1)**i_k, and x is i*psi with bit k flipped.  ``own`` are the
-    flattened ``_operands`` of the rows written, ``partner`` their first
-    three with bit k flipped, and ``signs`` is (-1)**i_k on the rows
-    written (one number where bit k is fixed across them).  Rows of
-    ``partner``, ``signs`` and the three outputs may stack several qubits.
+    ``out`` holds column j in row j, the (re, im) of ``codes[i]`` at
+    positions 2i and 2i + 1.  For qubit k, z is i*psi times (-1)**i_k, y is
+    psi with bit k flipped times (-1)**i_k, and x is i*psi with bit k
+    flipped: each is one gather of ``operands`` (``_operands``), for every
+    qubit at once, the sign read from the half of ``i_signed`` or
+    ``signed`` that holds it.
     """
-    _, i_parts, _, i_zeros = own
-    p_parts, p_i_parts, p_zeros = partner
-    z, y, x = out
-    np.multiply(i_parts, signs, out=z)
-    z += i_zeros
-    np.multiply(p_parts, signs, out=y)
-    y += p_zeros
-    np.copyto(x, p_i_parts)
+    parts, i_parts, signed, i_signed = operands
+    n = len(parts).bit_length() - 1
+    bits = _qubit_bits(n)
+    flips = codes ^ bits
+    # where bit k is set, read the halves of ``signed`` and ``i_signed`` times -1
+    minus = np.where(codes & bits, len(parts), 0)
+    z, y, x = out[: 3 * n].reshape(n, 3, -1).transpose(1, 0, 2)
+    np.copyto(z, i_signed.take(codes + minus, axis=0).reshape(n, -1))
+    np.copyto(y, signed.take(flips + minus, axis=0).reshape(n, -1))
+    np.copyto(x, i_parts.take(flips, axis=0).reshape(n, -1))
+    _times_i(parts.take(codes, axis=0), -1, out[3 * n].reshape(-1, 2))
     return out
 
 
-def _lead(n: int) -> int:
-    """How many leading qubits' bits pick a row block of an n-qubit real view."""
-    return max(0, n + 1 - (_BLOCK_ROWS.bit_length() - 1))
+def _row_blocks(parts: np.ndarray, codes: np.ndarray):
+    """Yield the tangent matrix's rows at ``codes``, ``_BLOCK_ROWS`` rows a block, as ``_write_rows`` writes them.
 
-
-def _write_block(operands: tuple, lead: int, block: int, out: np.ndarray) -> np.ndarray:
-    """Write one row block of every column of the tangent matrix to ``out``; return ``out``.
-
-    The block holds the rows whose leading ``lead`` qubits have the bits
-    of ``block`` (qubit 1 most significant), in real-view order; ``out``
-    holds column j of the block in row j.  The rows are a slab of each
-    operand.  The other qubits flip within the slab, all at once
-    (``_slab_flips``); flipping a leading qubit reads the partner slab,
-    and its sign is one number on the whole block.
+    Each block is written over the last, so only one is held at a time.
     """
-    n = operands[0].ndim - 1
-    bits = tuple((block >> (lead - 1 - a)) & 1 for a in range(lead))
-    slabs = tuple(op[bits] for op in operands)
-    own = tuple(slab.reshape(-1) for slab in slabs)
-    index, signs = _slab_flips(n - lead, operands[0].dtype)
-    triples = out[: 3 * n].reshape(n, 3, -1)
-    partner = tuple(op[index] for op in own[:3])
-    _write_triple(own, partner, signs, triples[lead:].transpose(1, 0, 2))
-    for k in range(1, lead + 1):
-        flip = bits[: k - 1] + (1 - bits[k - 1],) + bits[k:]
-        partner = tuple(op[flip].reshape(-1) for op in operands[:3])
-        _write_triple(own, partner, signs.dtype.type(1 - 2 * bits[k - 1]), triples[k - 1])
-    _times_i(slabs[0], -1, out[3 * n].reshape(slabs[0].shape))
-    return out
+    operands = _operands(parts)
+    step = _BLOCK_ROWS >> 1
+    buf = np.empty((3 * (parts.ndim - 1) + 1, 2 * min(step, codes.size)), dtype=parts.dtype)
+    for start in range(0, codes.size, step):
+        block = codes[start : start + step]
+        yield _write_rows(operands, block, buf[:, : 2 * block.size])
 
 
 def _triple_columns(k: int, n: int) -> tuple:
@@ -148,10 +162,10 @@ def _triple_columns(k: int, n: int) -> tuple:
     return (3 * k - 3, 3 * k - 2, 3 * k - 1)
 
 
-#: Rows of the real view that ``streamed_r`` generates and factors at a time:
-#: a power of two, so the leading qubits' bits pick each block.  At 2048 rows
-#: a block of up to 64 columns (n <= 21) takes at most 1 MiB, and a matrix
-#: with n <= 10 is one block.
+#: Rows of the real view that ``streamed_r`` and the exact Gram generate at a
+#: time: a multiple of four, so a block holds whole codes and splits into
+#: quarters.  At 2048 rows a block of up to 64 columns (n <= 21) takes at most
+#: 1 MiB, and a matrix with n <= 10 is one block.
 _BLOCK_ROWS = 2048
 
 
@@ -174,21 +188,23 @@ class TangentMatrix:
     verdicts at n <= 3 or that R cannot certify, complement vectors,
     column dumps and the verify column checks.
 
-    ``r_factor`` caches a (3n+1) x (3n+1) triangular R with
+    ``r_factor`` caches a (3n+1) x (3n+1) upper-triangular R with
     ``real = Q R``, Q orthonormal (``streamed_r``), None until a floating
-    query first needs it.  It is streamed from ``parts`` in row blocks, so
-    a floating verdict that R certifies never builds ``real``; a matrix of
-    one block keeps that block as ``real``.  ``ranks`` memoizes rank
+    query first needs it.  It is streamed from ``parts`` in row blocks of
+    the live codes' rows (``live_codes``; the others are zero), so a
+    floating verdict that R certifies never builds ``real``, and a sparse
+    state's R costs what its live rows cost; a matrix of one block with
+    every code live keeps that block as ``real``.  ``ranks`` memoizes rank
     verdicts by ``(ColumnSelector, tol)``; see ``rank.real_rank``.  A bare
     rank that ``rank.span_dims`` reads from R alone is not kept, nor is a
-    verdict inherited from a selection certified as full column rank.  ``gram`` and
-    ``gram_rows`` cache the exact backend's counterpart, the integer Gram
-    ``real.T @ real`` ((3n+1) x (3n+1) Python ints, entry (i, j) is
-    ``scale**2`` times Re<column i|column j>) as an array and as nested
-    lists, None until an exact query first needs them.  It is summed over
-    the row blocks that ``streamed_r`` uses, generated from ``parts`` in
-    int64 where no sum can overflow, so the exact backend never builds
-    ``real``; see ``rank.exact_gram``.
+    verdict inherited from a selection certified as full column rank.
+    ``gram`` and ``gram_rows`` cache the exact backend's counterpart, the
+    integer Gram ``real.T @ real`` ((3n+1) x (3n+1) Python ints, entry
+    (i, j) is ``scale**2`` times Re<column i|column j>) as an array and
+    as nested lists, None until an exact query first needs them.  It is
+    summed over the row blocks that ``streamed_r`` factors, generated from
+    ``parts`` in int64 where no sum can overflow, so the exact backend
+    never builds ``real``; see ``rank.exact_gram``.
     """
 
     state: StateVector
@@ -226,12 +242,12 @@ class TangentMatrix:
     def real(self) -> np.ndarray:
         """The real view, generated block by block on first read."""
         if self._real is None:
-            lead, parts = _lead(self.n), self.parts
-            operands = _operands(parts)
+            parts = self.parts
+            operands, step = _operands(parts), _BLOCK_ROWS >> 1
             buf = np.empty((self.column_count, parts.size), dtype=parts.dtype)
-            height = parts.size >> lead
-            for b in range(1 << lead):
-                _write_block(operands, lead, b, buf[:, b * height : (b + 1) * height])
+            for start in range(0, parts.size >> 1, step):
+                codes = np.arange(start, min(start + step, parts.size >> 1))
+                _write_rows(operands, codes, buf[:, 2 * start : 2 * (start + codes.size)])
             # column j was written to row j: ``real`` is the transpose
             real = buf.T
             real.flags.writeable = False
@@ -255,27 +271,29 @@ def tangent_matrix(psi: StateVector) -> TangentMatrix:
 
 
 def streamed_r(tm: TangentMatrix) -> np.ndarray:
-    """A triangular R with ``tm.real = Q R``, built from row blocks of the real view.
+    """A square upper-triangular R with ``tm.real = Q R``, built from row blocks of the real view.
 
     Tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
-    Comput. 34 (2012)): each ``_BLOCK_ROWS``-row block is generated from
-    ``tm.parts`` and Householder-factored while it is in cache, and the
-    stacked block Rs are factored again, whenever they reach a block's
-    height and at the end.  Only the state, its operands and one block are
-    held at a time.  A real view of one block is built as ``tm.real`` and
-    factored from there.
+    Comput. 34 (2012)) of the live codes' rows (``live_codes``): each
+    ``_BLOCK_ROWS``-row block is generated from ``tm.parts`` and
+    Householder-factored while it is in cache, and the stacked block Rs
+    are factored again, whenever they reach a block's height and at the
+    end.  The rows left out are zero, so ``real.T @ real = R.T @ R`` still
+    holds.  Only the state, its operands and one block are held at a time.
+    A real view that is one block, every code live, is built as
+    ``tm.real`` and factored from there.  With fewer live rows than
+    columns R gets zero rows, to be square.
     """
-    lead = _lead(tm.n)
-    if lead == 0:
+    codes, width = live_codes(tm.parts), tm.column_count
+    if 2 * codes.size == tm.parts.size <= _BLOCK_ROWS:
         return _block_r(tm.real)
-    operands = _operands(tm.parts)
-    buf = np.empty((tm.column_count, tm.parts.size >> lead), dtype=tm.parts.dtype)
     stack: list = []
-    for b in range(1 << lead):
-        stack.append(_block_r(_write_block(operands, lead, b, buf).T))
+    for block in _row_blocks(tm.parts, codes):
+        stack.append(_block_r(block.T))
         if sum(len(r) for r in stack) >= _BLOCK_ROWS:
             stack = [np.linalg.qr(np.vstack(stack), mode="r")]
-    return stack[0] if len(stack) == 1 else np.linalg.qr(np.vstack(stack), mode="r")
+    r = stack[0] if len(stack) == 1 else np.linalg.qr(np.vstack(stack), mode="r")
+    return np.vstack([r, np.zeros((width - len(r), width))]) if len(r) < width else r
 
 
 def _block_r(block: np.ndarray) -> np.ndarray:
@@ -284,8 +302,12 @@ def _block_r(block: np.ndarray) -> np.ndarray:
     ``np.linalg.qr`` copies its input and allocates a work buffer of the
     size of one matrix per call: a quarter's buffer (164 KiB at 2048 rows
     and 40 columns) is reused by the allocator from block to block, where
-    a whole block's was returned to the system and faulted back in.
+    a whole block's was returned to the system and faulted back in.  A
+    block of an odd number of codes, the last of a state's live codes, is
+    factored whole.
     """
     width = block.shape[1]
+    if len(block) % 4:
+        return np.linalg.qr(block, mode="r")
     quarters = np.linalg.qr(block.reshape(4, -1, width), mode="r")
     return np.linalg.qr(quarters.reshape(-1, width), mode="r")

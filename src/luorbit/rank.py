@@ -19,16 +19,21 @@ kernel of A.  Applied to A = ``real[:, S]``, whose Gram is the principal
 submatrix ``G[S, S]``, the rank of any column subset S is that of
 ``G[S, S]``; the arithmetic is exact, so squaring loses nothing (it is
 only in floating point that a Gram squares the noise floor).  Exact
-complements rank the cross block ``G[against, inside]``.
+complements rank the cross block C = ``G[against, inside]`` through
+its 3 x 3 Gram C^T C, by the same identity.
 
-G is the sum of ``block.T @ block`` over the row blocks of the real view
-that ``streamed_r`` factors, each generated from the state's parts in
-turn (``_streamed_gram``); the real view itself is never built.  Every
-entry of the real view is a part up to sign, so the blocks and the sum
-are int64 when every part fits in int64 and ``rows * max|part|**2 <=
-2**63 - 1``: every partial sum of an entry is at most that in magnitude,
-so none can overflow.  Otherwise they hold Python ints.  Either way G is
-read as Python ints, and elimination runs on them.
+Rows of the real view that are zero in every column add nothing to
+A^T A, for A any selection of columns.  So G, and R below, are built
+from the rows of the live codes alone (``lie_action.live_codes``: those
+where the state is nonzero, and their single-bit flips); every other row
+is zero.  G is the sum of ``block.T @ block`` over row blocks of those
+rows, each generated from the state's parts in turn (``_streamed_gram``);
+the real view itself is never built.  Every entry of the real view is a
+part up to sign, so the blocks and the sum are int64 when every part
+fits in int64 and ``rows * max|part|**2 <= 2**63 - 1``, rows the real
+view's height: every partial sum of an entry is at most that in
+magnitude, so none can overflow.  Otherwise they hold Python ints.
+Either way G is read as Python ints, and elimination runs on them.
 
 A triple's z, y and x columns are mutually orthogonal: for distinct
 Paulis P and Q on one qubit, PQ is +-i times a third Pauli, so
@@ -38,10 +43,23 @@ the state, the sum of the squared parts, and so has the last column.  So
 T's three pivots in closed form, a selection T + B has rank
 3 + rank(s * G[B, B] - G[B, T] @ G[T, B]): the Schur complement of
 ``G[T, T]``, scaled by s.  Every exact verdict on a selection with a
-triple takes T as its first triple and runs Bareiss on that (w-3)-square
+triple takes T as its first triple and eliminates that (w-3)-square
 integer matrix, w the selection's width: 3 x 3 for a pair, 1 x 1 for a
 lone triple with the last column (s**2 - |G[last, T]|**2, the
 Bloch-length test), and 3n - 2 square for the full selection.
+
+Every matrix the exact backend eliminates is thus a symmetric positive
+semidefinite Gram: s times a Schur complement of G, the 1 x 1 s itself,
+or C^T C.  ``_psd_rank`` eliminates it on its diagonal and upper
+triangle alone, and only that triangle is built.  In a PSD matrix
+|a_ij|**2 <= a_ii a_jj, so a zero diagonal entry has a zero row and
+column, and every pivot can be taken on the diagonal.  Eliminating a
+positive pivot leaves a positive multiple of a Schur complement, which
+is PSD again, so a zero diagonal entry stays zero with its row and
+column, and the rank is the number of nonzero pivots met in order.
+After pivots P, each entry is a minor of the rows and columns P plus
+its own (Sylvester's identity, as in Bareiss), whichever zero rows were
+skipped, so every division stays exact.
 
 The floating backend for n <= 3 slices the columns it needs out of
 ``TangentMatrix.real``.  For n >= 4 the real view is at least twice as
@@ -49,13 +67,17 @@ tall as it is wide, and the first floating rank query builds
 ``real = Q R`` with Q orthonormal and R of size (3n+1) x (3n+1)
 (``TangentMatrix.r_factor``).  R is streamed from the state by
 tall-skinny QR (``lie_action.streamed_r``): Householder QR of each row
-block, then of the stacked block Rs.  Each step is backward stable, so
-R is the exact R of a matrix within c * eps * |real| of the real view,
-c a modest factor that grows with the height 2**(n+1) (Demmel, Grigori,
-Hoemmen and Langou, SIAM J. Sci. Comput. 34 (2012)).  Any column subset
-of ``real`` thus has the singular values of the same columns of R to
-within c * eps * s[0] (Weyl); nothing is squared, so no precision is
-lost.
+block of the live codes' rows, then of the stacked block Rs, with zero
+rows added when there are fewer live rows than columns.  The rows left
+out are zero, so ``real.T @ real = R.T @ R`` in exact arithmetic, as if
+every row were factored.  Each step is backward stable, so R is the
+exact R of a matrix within c * eps * |real| of the real view, c a modest
+factor that grows with the height factored, at most 2**(n+1) (Demmel,
+Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34 (2012)).  Any
+column subset of ``real`` thus has the singular values of the same
+columns of R to within c * eps * s[0] (Weyl); nothing is squared, so no
+precision is lost.  When no amplitude is zero every row is live, and R
+is the one that factoring every row gives, bit for bit.
 
 One rule reads every floating verdict at n >= 4: reported ones
 (``real_rank``, ``real_ranks``, the tables of ``orbit_report``) and bare
@@ -146,14 +168,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .lie_action import (
-    TangentMatrix,
-    _lead,
-    _operands,
-    _triple_columns,
-    _write_block,
-    streamed_r,
-)
+from .lie_action import TangentMatrix, _row_blocks, _triple_columns, live_codes, streamed_r
 from .states import EXACT, FLOAT
 from .tolerance import DEFAULT_TOL, EPS, GAP_WARNING_THRESHOLD, ROUNDING_FLOOR, check_tol
 
@@ -256,36 +271,31 @@ def _float_rank(view: np.ndarray, tol: float, s: Optional[list] = None) -> RankR
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_rank(mat: list) -> int:
-    """Rank of a matrix of Python ints, given as row lists, by fraction-free elimination.
+def _psd_rank(upper: list) -> int:
+    """Rank of a symmetric positive semidefinite matrix of Python ints, by fraction-free elimination.
 
-    Every division is exact, so the arithmetic stays in the integers and
-    the verdict carries no tolerance at all.  ``mat`` is eliminated in
-    place.
+    ``upper`` holds the matrix as row lists, of which only the entries on
+    and above the diagonal are read; it is eliminated in place.  Pivots
+    are taken on the diagonal, in order (module docstring): a zero
+    diagonal entry has a zero row and column, which stay zero, so they are
+    neither pivots nor updated.  Each step is Bareiss's on the pivots
+    taken so far, so every division is exact and the verdict carries no
+    tolerance at all.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    size = len(upper)
+    rank, prev = 0, 1
+    for k, pivot_row in enumerate(upper):
+        p = pivot_row[k]
+        if not p:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pivot_val = mat[rank][col]
-        for i in range(rank + 1, nrows):
-            factor = mat[i][col]
-            for j in range(col + 1, ncols):
-                mat[i][j] = (pivot_val * mat[i][j] - factor * mat[rank][j]) // prev
-            mat[i][col] = 0
-        prev = pivot_val
-        rank += 1
-        if rank == nrows:
-            break
+        for i in range(k + 1, size):
+            row = upper[i]
+            if not row[i]:  # a zero row, and it stays zero
+                continue
+            c = pivot_row[i]
+            for j in range(i, size):
+                row[j] = (p * row[j] - c * pivot_row[j]) // prev
+        prev, rank = p, rank + 1
     return rank
 
 
@@ -294,21 +304,26 @@ def _exact_rank(tm: TangentMatrix, selector: ColumnSelector) -> RankResult:
 
     The first triple's block of the Gram is s * I_3, s = ``G[last, last]``
     (module docstring), so a selection T + B has rank 3 plus that of
-    ``s * G[B, B] - G[B, T] @ G[T, B]``, which Bareiss eliminates.
+    ``s * G[B, B] - G[B, T] @ G[T, B]``, whose upper triangle alone is
+    built and eliminated.  A selection of the last column alone is s.
     """
-    cols = selector.column_indices(tm.n)
+    gram = _gram_rows(tm)
+    s = gram[tm.last_index][tm.last_index]
     if not selector.triples:
-        rank, block = 0, _gram_block(tm, cols, cols)
+        rank, upper = 0, [[s]]
     else:
-        gram = _gram_rows(tm)
-        s = gram[tm.last_index][tm.last_index]
+        cols = selector.column_indices(tm.n)
         first, rest = cols[:3], cols[3:]
         cross = [[gram[b][t] for t in first] for b in rest]
-        rank, block = 3, [
-            [s * row[j] - (a0 * b0 + a1 * b1 + a2 * b2) for j, (b0, b1, b2) in zip(rest, cross)]
-            for row, (a0, a1, a2) in zip(map(gram.__getitem__, rest), cross)
+        rank, upper = 3, [
+            [None] * a
+            + [
+                s * row[j] - (a0 * b0 + a1 * b1 + a2 * b2)
+                for j, (b0, b1, b2) in zip(rest[a:], cross[a:])
+            ]
+            for a, (row, (a0, a1, a2)) in enumerate(zip(map(gram.__getitem__, rest), cross))
         ]
-    rank += _bareiss_rank(block)
+    rank += _psd_rank(upper)
     return RankResult(rank=rank, gap_ratio=math.inf, backend=EXACT, singular_values=None)
 
 
@@ -320,7 +335,7 @@ def exact_gram(tm: TangentMatrix) -> np.ndarray:
 
     Summed block by block from ``tm.parts`` (``_streamed_gram``); it never
     reads ``tm.real``.  Its rows are also kept as lists, ``tm.gram_rows``,
-    which ``_gram_block`` and ``_exact_rank`` read.
+    which ``_exact_rank`` and ``complement_dim`` read.
     """
     if tm.mode != EXACT:
         raise ValueError("exact_gram requires the exact backend")
@@ -337,11 +352,6 @@ def _gram_rows(tm: TangentMatrix) -> list:
     """``tm.gram_rows``, the exact Gram as nested lists of Python ints."""
     exact_gram(tm)
     return tm.gram_rows
-
-
-def _gram_block(tm: TangentMatrix, rows, cols) -> list:
-    """Entries (i, j) of the exact Gram, i in ``rows`` and j in ``cols``, as fresh row lists."""
-    return [[row[j] for j in cols] for row in map(_gram_rows(tm).__getitem__, rows)]
 
 
 def _int64_parts(parts: np.ndarray) -> Optional[np.ndarray]:
@@ -362,22 +372,19 @@ def _int64_parts(parts: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _streamed_gram(tm: TangentMatrix) -> np.ndarray:
-    """Sum of ``block.T @ block`` over the real view's row blocks, generated from ``tm.parts``.
+    """Sum of ``block.T @ block`` over row blocks of the live codes' rows, generated from ``tm.parts``.
 
-    The blocks are those of ``streamed_r``, written by ``lie_action._write_block``
-    in int64 where ``_int64_parts`` allows it and in Python ints otherwise;
-    one is held at a time.
+    The blocks are those of ``streamed_r`` (``lie_action._row_blocks``), in
+    int64 where ``_int64_parts`` allows it and in Python ints otherwise;
+    one is held at a time.  The rows left out are zero in every column.
     """
     parts = _int64_parts(tm.parts)
     if parts is None:
         parts = tm.parts
-    lead = _lead(tm.n)
-    operands = _operands(parts)
-    buf = np.empty((tm.column_count, parts.size >> lead), dtype=parts.dtype)
     gram = 0
-    for b in range(1 << lead):
-        # row j of the buffer is column j of the block
-        gram = gram + _write_block(operands, lead, b, buf) @ buf.T
+    for block in _row_blocks(parts, live_codes(parts)):
+        # row j of the block is column j of the real view
+        gram = gram + block @ block.T
     return gram
 
 
@@ -642,8 +649,8 @@ def complement_dim(
     3 minus the rank of the projection of the triple's orthonormal columns
     onto the ``against`` span.  Floating mode reads it from R, with an
     absolute cutoff since the projection's singular values are cosines in
-    [0, 1] (module docstring); exact mode ranks the cross block of the
-    integer Gram, ``G[against, inside]``.
+    [0, 1] (module docstring); exact mode ranks the cross block C of the
+    integer Gram, ``G[against, inside]``, as the 3 x 3 Gram C^T C.
     """
     check_tol(tol)
     if inside in against.triples:
@@ -652,8 +659,12 @@ def complement_dim(
         return 3
     if tm.mode == FLOAT:
         return len(_complement_coeffs(tm, inside, against, tol))
-    cross = _gram_block(tm, against.column_indices(tm.n), tm.triple_indices(inside))
-    return 3 - _bareiss_rank(cross)
+    gram = _gram_rows(tm)
+    triple = tm.triple_indices(inside)
+    cross = [[gram[r][t] for t in triple] for r in against.column_indices(tm.n)]
+    # rank C = rank C^T C over the rationals, and C^T C is a 3 x 3 PSD Gram
+    upper = [[None] * a + [sum(r[a] * r[b] for r in cross) for b in range(a, 3)] for a in range(3)]
+    return 3 - _psd_rank(upper)
 
 
 def _complement_coeffs(

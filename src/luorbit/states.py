@@ -25,6 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -473,7 +474,15 @@ def embed_product(n: int, placements) -> StateVector:
 
 
 def canonical_pair_state(mode: str = FLOAT) -> StateVector:
-    """The canonical two-qubit pair state (|00> + |11>)/sqrt(2)."""
+    """The canonical two-qubit pair state (|00> + |11>)/sqrt(2): one shared instance per mode.
+
+    A ``StateVector`` is immutable, so every caller can share it.
+    """
+    return _canonical_pair(mode)
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_pair(mode: str) -> StateVector:
     return _indicator(np.array([True, False, False, True]), mode)
 
 

@@ -72,9 +72,10 @@ def ghz(n=3, mode="float"):
     return StateVector([float(a) for a in amps])
 
 
-def w3(mode="float"):
-    amps = [0] * 8
-    amps[1] = amps[2] = amps[4] = 1
+def w(n=3, mode="float"):
+    amps = [0] * (1 << n)
+    for k in range(n):
+        amps[1 << k] = 1
     if mode == EXACT:
         return StateVector.from_rational(amps)
     return StateVector([float(a) for a in amps])
@@ -88,8 +89,36 @@ def canonical_states(mode="float"):
         ("ground_3", basis_state(3, 0, mode=mode), 6),
         ("pair_x_qubit", singlet_product(3, [(1, 2)], 3, mode=mode), 5),
         ("ghz_3", ghz(mode=mode), 7),
-        ("w_3", w3(mode=mode), 8),
+        ("w_3", w(mode=mode), 8),
     ]
+
+
+#: Orbit dimensions of named families, derived by hand from the stabilizer
+#: algebra, the kernel of the tangent matrix (orbit dimension = 3n minus its
+#: dimension): GHZ_n is stabilized by the traceless combinations of the z
+#: generators (n - 1 dimensions), W_n by the sum of the z generators combined
+#: with n - 2 times the phase (1), and a basis state by each qubit's z
+#: generator combined with the phase (n).
+_NAMED_FAMILIES = {
+    "ghz": (ghz, lambda n: 2 * n + 1),
+    "w": (w, lambda n: 3 * n - 1),
+    "basis": (lambda n, mode: basis_state(n, (1 << n) // 3, mode=mode), lambda n: 2 * n),
+}
+
+_NAMED_FAMILY_CASES = (
+    [(f, n, mode, False) for f in _NAMED_FAMILIES for n in range(3, 8) for mode in ("float", EXACT)]
+    + [(f, n, "float", False) for f in _NAMED_FAMILIES for n in (11, 12, 13)]
+    + [(f, n, "float", True) for f in _NAMED_FAMILIES for n in (3, 4, 7, 11)]
+)
+
+
+@pytest.mark.parametrize("family, n, mode, scrambled", _NAMED_FAMILY_CASES)
+def test_named_families_have_their_orbit_dimensions(family, n, mode, scrambled):
+    build, dimension = _NAMED_FAMILIES[family]
+    psi = build(n, mode)
+    if scrambled:
+        psi = apply_local(psi, LocalUnitary.random(n, 400 + n))
+    assert real_rank(tangent_matrix(psi)).rank - 1 == dimension(n)
 
 
 def random_pairing(n, rng):

@@ -347,6 +347,28 @@ def test_factor_state_builds_one_tangent_matrix(monkeypatch, mode):
     assert calls == ["tangent_matrix"]
 
 
+def test_factor_state_writes_only_live_rows(monkeypatch):
+    # a canonical product at n = 12 has 64 nonzero amplitudes and 448 live
+    # codes of 4096: R is factored from their rows, and no real view is built
+    n = 12
+    pairs = [(1, 9), (2, 4), (3, 12), (5, 6), (7, 11), (8, 10)]
+    psi = embed_product(n, [(pair, canonical_pair_state()) for pair in pairs])
+    live = lie_action.live_codes(psi.parts)
+    assert live.size == 448
+    written, built = [], []
+    write, real = lie_action._write_rows, lie_action.TangentMatrix.real
+    monkeypatch.setattr(
+        lie_action, "_write_rows", lambda *args: written.append(args[2].shape[1]) or write(*args)
+    )
+    monkeypatch.setattr(
+        lie_action.TangentMatrix, "real", property(lambda tm: built.append(tm.n) or real.fget(tm))
+    )
+    out = factor_state(psi)
+    assert out.pairs == tuple(sorted(pairs))
+    assert 0 < sum(written) <= 2 * live.size
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

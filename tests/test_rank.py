@@ -38,7 +38,6 @@ import luorbit.rank as rank_mod
 from luorbit.rank import (
     DEFAULT_TOL,
     GAP_WARNING_THRESHOLD,
-    _bareiss_rank,
     _float_rank,
     _gap_ratio,
     exact_gram,
@@ -320,7 +319,34 @@ def _route_state(kind: str, n: int, seed: int, eps: float) -> StateVector:
         return basis_state(n, int(rng.integers(1 << n)))
     if kind == "rational":
         return random_rational_state(n, rng).to_float()
+    if kind in _SPARSE:
+        return _SPARSE[kind](n, rng)
     return random_state(n, rng)
+
+
+def _canonical_product(n: int, rng) -> StateVector:
+    """Canonical pairs on a random pairing, a Haar qubit on the lone one: ``factor_state``'s input."""
+    order = [int(q) + 1 for q in rng.permutation(n)]
+    placements = [(tuple(order[i : i + 2]), canonical_pair_state()) for i in range(0, n - 1, 2)]
+    if n % 2:
+        placements.append(((order[-1],), random_state(1, rng)))
+    return embed_product(n, placements)
+
+
+def _one_zero(n: int, rng) -> StateVector:
+    """A Haar state with one amplitude set to zero: every code but that one is live."""
+    vec = random_state(n, rng).vector.copy()
+    vec[rng.integers(1 << n)] = 0
+    return StateVector(vec)
+
+
+#: States with zero amplitudes, whose R is factored from their live rows alone.
+_SPARSE = {
+    "canonical": _canonical_product,
+    "ghz": lambda n, rng: StateVector(np.eye(1, 1 << n, 0) + np.eye(1, 1 << n, (1 << n) - 1)),
+    "w": lambda n, rng: StateVector(sum(np.eye(1, 1 << n, 1 << k) for k in range(n))),
+    "one_zero": _one_zero,
+}
 
 
 def _every_selector(n: int) -> list:
@@ -406,16 +432,16 @@ def _assert_streamed_r_matches_lapack_qr(tm, selectors, tol):
     assert np.abs(s - lapack).max() <= ROUNDING_FLOOR * lapack[0]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=4, max_value=10),
-    st.sampled_from(["haar", "singlets", "near_pair", "basis", "rational"]),
+    st.sampled_from(["haar", "singlets", "near_pair", "basis", "rational", *_SPARSE]),
     st.integers(0, 10**6),
     st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
     # 1e-6: between M**2 * eps and 1 / M the rounding floor, not the cutoff / M,
     # bounds the dropped side of a verdict read from R
     st.sampled_from([DEFAULT_TOL, 1e-6, 1e-2, 0.3, 2 * GAP_WARNING_THRESHOLD * _EPS, 1e-12, _EPS]),
-    st.sampled_from(_SMALL_BLOCKS),
+    st.sampled_from(_SMALL_BLOCKS + [lie_action._BLOCK_ROWS]),
 )
 def test_streamed_r_matches_lapack_qr(n, kind, seed, eps, tol, block_rows):
     with pytest.MonkeyPatch.context() as mp:
@@ -442,11 +468,41 @@ def test_dense_r_bytes_are_frozen(kind, n):
 
 
 @pytest.mark.parametrize("n", [11, 12, 13])
-@pytest.mark.parametrize("kind", ["haar", "singlets", "near_pair"])
+@pytest.mark.parametrize("kind", ["haar", "singlets", "near_pair", "basis", *_SPARSE])
 def test_streamed_r_matches_lapack_qr_past_one_block(n, kind):
     tm = tangent_matrix(_route_state(kind, n, 300 + n, 1e-9))
     for tol in (DEFAULT_TOL, 1e-6, 1e-2):
         _assert_streamed_r_matches_lapack_qr(tm, _report_selectors(n), tol)
+
+
+@pytest.mark.parametrize("block_rows", _SMALL_BLOCKS + [lie_action._BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "kind, n", [("basis", 4), ("basis", 9), ("ghz", 5), ("w", 6), ("one_zero", 8)]
+    + [("canonical", n) for n in (4, 5, 9, 10)]
+)
+def test_streamed_r_reads_only_live_rows(monkeypatch, kind, n, block_rows):
+    # R has the Gram of the whole real view, from the live codes' rows alone
+    monkeypatch.setattr(lie_action, "_BLOCK_ROWS", block_rows)
+    psi = _route_state(kind, n, 320 + n, 0.0)
+    tm = tangent_matrix(psi)
+    real = _reference_real(psi)
+    nonzero = np.flatnonzero(np.any(real != 0, axis=1).reshape(-1, 2).any(axis=1))
+    live = lie_action.live_codes(psi.parts)
+    assert set(nonzero) <= set(live)
+    if kind == "basis":  # fewer live rows than columns
+        assert 2 * live.size == 2 * n + 2 < tm.column_count
+    written = []
+    write = lie_action._write_rows
+    monkeypatch.setattr(
+        lie_action, "_write_rows", lambda *args: written.append(args[1].copy()) or write(*args)
+    )
+    r = rank_mod._r_factor(tm)
+    assert r.shape == (tm.column_count, tm.column_count)
+    assert np.array_equal(np.triu(r), r)
+    assert np.array_equal(np.concatenate(written), live)
+    assert np.allclose(r.T @ r, real.T @ real, rtol=0, atol=64 * _EPS)
+    if live.size < 1 << n:
+        assert tm._real is None
 
 
 # ---------------------------------------------------------------------------
@@ -967,6 +1023,30 @@ def _gram_state(kind: str, n: int, rng) -> StateVector:
     return _signed_state(n, rng, _int64_peak(n) + (kind == "past_bound"))
 
 
+def _bareiss_rank(mat: list) -> int:
+    """Reference rank of any matrix of Python ints (row lists), by fraction-free elimination.
+
+    General row pivoting, symmetric or not: the oracle for the package's
+    elimination, which assumes a symmetric positive semidefinite matrix.
+    """
+    mat = [list(row) for row in mat]
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        for row in mat[rank + 1 :]:
+            factor = row[col]
+            for j in range(col + 1, len(top)):
+                row[j] = (top[col] * row[j] - factor * top[j]) // prev
+            row[col] = 0
+        prev = top[col]
+        rank += 1
+    return rank
+
+
 def _cross_product_complement(tm, inside, against) -> int:
     """The reference exact complement: a fresh cross product of real-view columns."""
     inside_view = tm.real[:, list(tm.triple_indices(inside))]
@@ -1101,17 +1181,17 @@ def test_exact_queries_eliminate_only_gram_blocks(monkeypatch):
     # every exact rank is read from the (3n+1)^2 Gram, which each tangent
     # matrix builds once; no 2^(n+1)-row matrix is ever eliminated
     heights, built = [], []
-    bareiss, streamed_gram = rank_mod._bareiss_rank, rank_mod._streamed_gram
+    eliminate, streamed_gram = rank_mod._psd_rank, rank_mod._streamed_gram
 
-    def bareiss_spy(matrix):
+    def eliminate_spy(matrix):
         heights.append(len(matrix))
-        return bareiss(matrix)
+        return eliminate(matrix)
 
     def gram_spy(tm):
         built.append(tm)
         return streamed_gram(tm)
 
-    monkeypatch.setattr(rank_mod, "_bareiss_rank", bareiss_spy)
+    monkeypatch.setattr(rank_mod, "_psd_rank", eliminate_spy)
     monkeypatch.setattr(rank_mod, "_streamed_gram", gram_spy)
 
     def check(n, run):
