@@ -185,8 +185,9 @@ class TangentMatrix:
     product is Re<u|v>.  It is float64 in float mode and holds Python ints
     in exact mode, every entry ``scale`` times the true one.  It is built
     on first read, and only what needs its rows reads it: floating
-    verdicts at n <= 3 or that R cannot certify, complement vectors,
-    column dumps and the verify column checks.
+    verdicts that R cannot certify, complement vectors, column dumps, the
+    verify column checks, and R itself when the real view is one block
+    with every code live (``streamed_r``).
 
     ``r_factor`` caches a (3n+1) x (3n+1) upper-triangular R with
     ``real = Q R``, Q orthonormal (``streamed_r``), None until a floating

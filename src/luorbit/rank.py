@@ -61,25 +61,23 @@ After pivots P, each entry is a minor of the rows and columns P plus
 its own (Sylvester's identity, as in Bareiss), whichever zero rows were
 skipped, so every division stays exact.
 
-The floating backend for n <= 3 slices the columns it needs out of
-``TangentMatrix.real``.  For n >= 4 the real view is at least twice as
-tall as it is wide, and the first floating rank query builds
-``real = Q R`` with Q orthonormal and R of size (3n+1) x (3n+1)
-(``TangentMatrix.r_factor``).  R is streamed from the state by
-tall-skinny QR (``lie_action.streamed_r``): Householder QR of each row
-block of the live codes' rows, then of the stacked block Rs, with zero
-rows added when there are fewer live rows than columns.  The rows left
-out are zero, so ``real.T @ real = R.T @ R`` in exact arithmetic, as if
-every row were factored.  Each step is backward stable, so R is the
-exact R of a matrix within c * eps * |real| of the real view, c a modest
-factor that grows with the height factored, at most 2**(n+1) (Demmel,
-Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34 (2012)).  Any
-column subset of ``real`` thus has the singular values of the same
-columns of R to within c * eps * s[0] (Weyl); nothing is squared, so no
-precision is lost.  When no amplitude is zero every row is live, and R
-is the one that factoring every row gives, bit for bit.
+At every n, the first floating rank query builds ``real = Q R`` with Q
+orthonormal and R of size (3n+1) x (3n+1) (``TangentMatrix.r_factor``).
+R is streamed from the state by tall-skinny QR
+(``lie_action.streamed_r``): Householder QR of each row block of the
+live codes' rows, then of the stacked block Rs, with zero rows added
+when there are fewer live rows than columns.  The rows left out are
+zero, so ``real.T @ real = R.T @ R`` in exact arithmetic, as if every
+row were factored.  Each step is backward stable, so R is the exact R of
+a matrix within c * eps * |real| of the real view, c a modest factor
+that grows with the height factored, at most 2**(n+1) (Demmel, Grigori,
+Hoemmen and Langou, SIAM J. Sci. Comput. 34 (2012)).  Any column
+subset of ``real`` thus has the singular values of the same columns of R
+to within c * eps * s[0] (Weyl); nothing is squared, so no precision is
+lost.  When no amplitude is zero every row is live, and R is the one
+that factoring every row gives, bit for bit.
 
-One rule reads every floating verdict at n >= 4: reported ones
+One rule reads every floating verdict: reported ones
 (``real_rank``, ``real_ranks``, the tables of ``orbit_report``) and bare
 ranks (``span_dims``) alike, for the full selection and for proper
 subsets, of full rank or deficient.  With s the singular values of the
@@ -133,24 +131,25 @@ margin.  A family first takes as certified every verdict that
 lone tables take no SVD and no elimination.  An inherited verdict has
 gap ratio inf and no singular values, and is not kept.
 
-A floating family at n >= 4 is then answered widest selection first,
+A family on either backend is then answered widest selection first,
 each selection it certifies as full column rank certifying the narrower
-ones too.  The selections of one width that remain share one stacked SVD
-of their R slices (LAPACK decomposes each matrix of a stack as it would
-alone).  ``real_ranks`` keeps every verdict it reads from R;
-``span_dims`` returns a rank it reads from R for a proper subset bare,
-kept nowhere.  Float n <= 3, and the exact backend, answer each query that
-remains with ``real_rank``'s verdict.
+ones too, and ``_answer`` makes every verdict, for a family and for
+``real_rank`` alike.  The selections of one width that remain go to it
+together: an exact matrix eliminates each and keeps every verdict; a
+floating one gives them one stacked SVD of their R slices (LAPACK
+decomposes each matrix of a stack as it would alone).  ``real_ranks``
+keeps every verdict it reads from R; ``span_dims`` returns a rank it
+reads from R for a proper subset bare, kept nowhere.
 
-Float complements (``complement_dim``, ``complement_basis``) read R at
-every n (R is square for n >= 1): its columns have the inner products of
-the real view's.  An SVD of the ``against`` columns of R gives an
-orthonormal basis of their span (same relative cutoff as a verdict), and
-the triple's columns of R are projected onto it.  One qubit's z, y and x
-actions are orthonormal on a unit-norm state, so the triple needs no QR,
-and the projection's singular values are cosines in [0, 1]: their cutoff
-is the absolute ``s > tol``.  The right singular vectors at or below it
-are the complement's coefficients in the triple's columns of the real view.
+Float complements (``complement_dim``, ``complement_basis``) read R too:
+its columns have the inner products of the real view's.  An SVD of the
+``against`` columns of R gives an orthonormal basis of their span (same
+relative cutoff as a verdict), and the triple's columns of R are
+projected onto it.  One qubit's z, y and x actions are orthonormal on a
+unit-norm state, so the triple needs no QR, and the projection's
+singular values are cosines in [0, 1]: their cutoff is the absolute
+``s > tol``.  The right singular vectors at or below it are the complement's
+coefficients in the triple's columns of the real view.
 
 ``tol`` must be finite and lie in [eps, 1) with eps the float64 machine
 epsilon (``check_tol``): below eps the cutoff sits under rounding noise,
@@ -162,7 +161,7 @@ and at 1 or above it discards every singular value.  ``DEFAULT_TOL``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Optional
 
@@ -179,10 +178,12 @@ class ColumnSelector:
 
     triples: frozenset
     include_last: bool = False
+    _columns: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, triples: Iterable[int] = (), include_last: bool = False):
         object.__setattr__(self, "triples", frozenset(int(k) for k in triples))
         object.__setattr__(self, "include_last", bool(include_last))
+        object.__setattr__(self, "_columns", {})
 
     @classmethod
     def full(cls, n: int) -> "ColumnSelector":
@@ -193,11 +194,17 @@ class ColumnSelector:
         return not self.triples and not self.include_last
 
     def column_indices(self, n: int) -> tuple:
-        """Concrete column indices for an n-qubit tangent matrix."""
-        cols = [c for k in sorted(self.triples) for c in _triple_columns(k, n)]
-        if self.include_last:
-            cols.append(3 * n)
-        return tuple(cols)
+        """Concrete column indices for an n-qubit tangent matrix, built once per n.
+
+        Raises ``ValueError`` for the first triple outside 1..n.
+        """
+        cols = self._columns.get(n)
+        if cols is None:
+            cols = [c for k in sorted(self.triples) for c in _triple_columns(k, n)]
+            if self.include_last:
+                cols.append(3 * n)
+            cols = self._columns[n] = tuple(cols)
+        return cols
 
 
 @dataclass(frozen=True)
@@ -407,7 +414,8 @@ def real_rank(
     if selector is None:
         selector = ColumnSelector.full(tm.n)
     _check_query(selector, tol)
-    return _verdict(tm, selector, tol)
+    result = tm.ranks.get((selector, tol))
+    return _answer(tm, [selector], tol, keep=True)[0][1] if result is None else result
 
 
 def _check_query(selector: ColumnSelector, tol: float) -> None:
@@ -415,26 +423,6 @@ def _check_query(selector: ColumnSelector, tol: float) -> None:
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
     check_tol(tol)
-
-
-def _verdict(tm: TangentMatrix, selector: ColumnSelector, tol: float) -> RankResult:
-    """``real_rank``'s verdict on a checked query, kept in ``tm.ranks``."""
-    key = (selector, tol)
-    result = tm.ranks.get(key)
-    if result is None:
-        if tm.mode == FLOAT and _reads_r(tm):
-            return _answer(tm, [selector], tol, keep=True)[0][1]
-        if tm.mode == FLOAT:
-            result = _float_rank(tm.real[:, list(selector.column_indices(tm.n))], tol)
-        else:
-            result = _exact_rank(tm, selector)
-        tm.ranks[key] = result
-    return result
-
-
-def _reads_r(tm: TangentMatrix) -> bool:
-    """Whether floating rank verdicts read R: the real view is at least twice as tall as wide."""
-    return 1 << (tm.n + 1) >= 2 * tm.column_count
 
 
 def _r_factor(tm: TangentMatrix) -> np.ndarray:
@@ -445,7 +433,11 @@ def _r_factor(tm: TangentMatrix) -> np.ndarray:
 
 
 def _clears_margin(s, tol: float) -> bool:
-    """Whether the smallest of ``s`` lies above ``GAP_WARNING_THRESHOLD`` times the cutoff."""
+    """Whether the smallest of ``s`` lies above ``GAP_WARNING_THRESHOLD`` times the cutoff.
+
+    The kept side's margin, for every verdict: one expression, so that
+    equal values at tol = 1 / M round the same way wherever it is tested.
+    """
     return s[-1] > GAP_WARNING_THRESHOLD * tol * s[0]
 
 
@@ -453,13 +445,12 @@ def _certified_rank(s: list, tol: float) -> Optional[int]:
     """The rank an R slice with singular values ``s`` certifies, or None (module docstring)."""
     if _clears_margin(s, tol):
         return len(s)
-    if tol < GAP_WARNING_THRESHOLD * EPS:
-        return None
     rank = retained_rank(s, tol)
-    cut = tol * s[0]
-    # at rank == len(s), s[-1] failed the margin above, so kept is False and s[rank] unread
-    kept = rank == 0 or s[rank - 1] > GAP_WARNING_THRESHOLD * cut
-    floor = min(cut / GAP_WARNING_THRESHOLD, ROUNDING_FLOOR * s[0])
+    # at rank == len(s) the kept side failed its margin above, and there is no s[rank]
+    if rank == len(s) or tol < GAP_WARNING_THRESHOLD * EPS:
+        return None
+    kept = rank == 0 or _clears_margin(s[:rank], tol)
+    floor = min(tol * s[0] / GAP_WARNING_THRESHOLD, ROUNDING_FLOOR * s[0])
     return rank if kept and s[rank] < floor else None
 
 
@@ -481,9 +472,9 @@ def span_dims(
 ) -> list:
     """``real_rank``'s rank of each selector, in the caller's order.
 
-    The ranks of ``real_ranks``' verdicts on the family.  A rank read from
-    R for a proper subset, or inherited on either backend, is returned
-    bare and kept nowhere.
+    The ranks of ``real_ranks``' verdicts on the family, by the same
+    widest-first walk.  A rank read from R for a proper subset, or
+    inherited on either backend, is returned bare and kept nowhere.
     """
     return [rank for rank, _ in _family(tm, list(selectors), tol, keep=False)]
 
@@ -497,15 +488,15 @@ def real_ranks(
     keeps at the same tol as full column rank (past the kept side's margin,
     in floating mode) inherits its column count with no decomposition or
     elimination: its verdict has gap ratio inf, no singular values, the
-    matrix's backend, and is not kept.  A floating matrix with n >= 4
-    answers the rest widest selection first and inherits from the
-    selections it certifies on the way; the rest of each width share one
-    stacked SVD of their R slices, and each verdict is read from its slice
-    wherever R certifies it, from the real view otherwise (module
-    docstring).  An exact matrix, or a floating one with n <= 3, answers
-    the rest of the queries alone.  Kept verdicts are read first; every
-    other query is checked, in order, before any is answered, so a bad
-    selector or tol raises what ``real_rank`` raises.
+    matrix's backend, and is not kept.  Either backend answers the rest
+    widest selection first and inherits from the selections it certifies
+    on the way.  The rest of each width are answered together: an exact
+    matrix eliminates each; a floating one gives them one stacked SVD of
+    their R slices, and reads each verdict from its slice wherever R
+    certifies it, from the real view otherwise (module docstring).  Kept
+    verdicts are read first; every other query is checked, in order,
+    before any is answered, so a bad selector or tol raises what
+    ``real_rank`` raises.
     """
     return [
         RankResult(rank=rank, gap_ratio=math.inf, backend=tm.mode) if verdict is None else verdict
@@ -516,65 +507,41 @@ def real_ranks(
 def _family(tm: TangentMatrix, selectors: list, tol: float, keep: bool) -> list:
     """``(rank, verdict)`` of each selector; verdict None where only the rank is known.
 
-    An R-read verdict on a proper subset is made and kept only when ``keep``.
+    Kept verdicts are read first; every other query is checked, in order,
+    and then answered widest first.  A selection inside one certified as
+    full column rank, kept or answered on the way, inherits its column
+    count; the rest of each width go to ``_answer`` together.  An R-read
+    verdict on a proper subset is made and kept only when ``keep``.
     """
     known = [tm.ranks.get((sel, tol)) for sel in selectors]
-    if all(result is not None for result in known):
-        return [(result.rank, result) for result in known]
-    for sel, result in zip(selectors, known):
-        if result is None:  # a kept verdict passed these checks when it was made
-            _check_query(sel, tol)
-            triples = sel.triples
-            if triples and (min(triples) < 1 or max(triples) > tm.n):
-                sel.column_indices(tm.n)  # raises for the first triple out of range
+    answers = [None if result is None else (result.rank, result) for result in known]
+    todo = [i for i, result in enumerate(known) if result is None]
+    if not todo:
+        return answers
+    for i in todo:  # a kept verdict passed these checks when it was made
+        _check_query(selectors[i], tol)
+        selectors[i].column_indices(tm.n)  # checks the qubit range, and builds what _answer reads
     certified = [
         _mask(sel)
         for (sel, at), result in tm.ranks.items()
         if at == tol and _certifies(result, _width(sel), tol)
     ]
-    if tm.mode == FLOAT and _reads_r(tm):
-        return _widest_first(tm, selectors, known, certified, tol, keep)
-    answers = []
-    for sel, result in zip(selectors, known):
-        if result is None and certified and _inside(_mask(sel), certified):
-            answers.append((_width(sel), None))
-            continue
-        if result is None:
-            result = _verdict(tm, sel, tol)
-        answers.append((result.rank, result))
-    return answers
-
-
-def _widest_first(
-    tm: TangentMatrix, selectors: list, known: list, certified: list, tol: float, keep: bool
-) -> list:
-    """``(rank, verdict)`` of each selection, widest first, inheriting full column rank downward.
-
-    ``known`` holds each selection's verdict from ``tm.ranks``, or None;
-    ``certified`` the masks of the selections certified as full column
-    rank so far, which this extends.
-    """
-    answers = [None if result is None else (result.rank, result) for result in known]
     widths = [_width(sel) for sel in selectors]
-    todo_widest_first = sorted(
-        (i for i, result in enumerate(known) if result is None),
-        key=widths.__getitem__,
-        reverse=True,
-    )
-    narrowest = widths[todo_widest_first[-1]]
-    for width, group in groupby(todo_widest_first, key=widths.__getitem__):
-        todo = []
+    todo.sort(key=widths.__getitem__, reverse=True)
+    narrowest = widths[todo[-1]]
+    for width, group in groupby(todo, key=widths.__getitem__):
+        ask = []
         for i in group:
             if certified and _inside(_mask(selectors[i]), certified):
                 answers[i] = (width, None)
             else:
-                todo.append(i)
-        if not todo:
+                ask.append(i)
+        if not ask:
             continue
         full = width == tm.column_count
         newly = []  # selections of this width certified as full column rank
         for i, (rank, verdict, certifies) in zip(
-            todo, _answer(tm, [selectors[i] for i in todo], tol, keep or full)
+            ask, _answer(tm, [selectors[i] for i in ask], tol, keep or full)
         ):
             answers[i] = (rank, verdict)
             if certifies:
@@ -610,14 +577,22 @@ def _certifies(result: RankResult, width: int, tol: float) -> bool:
 
 
 def _answer(tm: TangentMatrix, sels: list, tol: float, keep: bool) -> list:
-    """``(rank, verdict, certifies)`` of ``sels``, selections of one width.
+    """``(rank, verdict, certifies)`` of ``sels``, selections of one width: where every verdict is made.
 
-    One stacked SVD of their R slices.  A rank R certifies is read from
-    its slice; its verdict is made and kept in ``tm.ranks`` only when
-    ``keep``, and is None otherwise.  Every other selection gets the
-    verdict of its columns of the real view, kept.  ``certifies`` tells
-    whether the selection is certified as full column rank.
+    ``certifies`` tells whether the selection is certified as full column
+    rank.  An exact matrix eliminates each selection's block of the Gram
+    (``_exact_rank``) and keeps every verdict; full rank certifies.  A
+    floating one takes one stacked SVD of their R slices.  A rank R
+    certifies is read from its slice; its verdict is made and kept in
+    ``tm.ranks`` only when ``keep``, and is None otherwise.  Every other
+    selection gets the verdict of its columns of the real view, kept.
     """
+    if tm.mode == EXACT:
+        out = []
+        for sel in sels:
+            verdict = tm.ranks[(sel, tol)] = _exact_rank(tm, sel)
+            out.append((verdict.rank, verdict, verdict.rank == _width(sel)))
+        return out
     cols = np.array([sel.column_indices(tm.n) for sel in sels])
     slices = _r_factor(tm)[:, cols].transpose(1, 0, 2)
     stacked = np.linalg.svd(slices, compute_uv=False).tolist()

@@ -445,13 +445,19 @@ def test_report_computes_each_rank_once(monkeypatch, mode):
 
 
 def _full_height_views(monkeypatch, psi) -> int:
-    """How many views passed to _float_rank during orbit_report(psi) have every row."""
+    """How many views that _float_rank decomposes during orbit_report(psi) have every row.
+
+    A verdict read from R comes with its slice's singular values, so only
+    views passed without them are counted: at n = 1 an R slice has as many
+    rows as the real view.
+    """
     heights = []
     original = rank_mod._float_rank
 
-    def spy(view, *args, **kwargs):
-        heights.append(view.shape[0])
-        return original(view, *args, **kwargs)
+    def spy(view, tol, s=None):
+        if s is None:
+            heights.append(view.shape[0])
+        return original(view, tol, s)
 
     monkeypatch.setattr(rank_mod, "_float_rank", spy)
     orbit_report(psi)
@@ -468,6 +474,13 @@ def test_report_reads_every_verdict_from_r(monkeypatch):
     assert _full_height_views(monkeypatch, lone_product) == 0
     scrambled = apply_local(lone_product, LocalUnitary.random(9, 141))
     assert _full_height_views(monkeypatch, scrambled) == 0
+    # R is square at every n, and serves the smallest states too
+    for n in (1, 2, 3):
+        assert _full_height_views(monkeypatch, random_state(n, 142 + n)) == 0
+        product = singlet_product(n, [(1, 2)] if n > 1 else [], lone=n if n % 2 else None)
+        assert _full_height_views(monkeypatch, product) == 0
+        scrambled = apply_local(product, LocalUnitary.random(n, 145 + n))
+        assert _full_height_views(monkeypatch, scrambled) == 0
 
 
 @pytest.mark.parametrize("n", [8, 12])

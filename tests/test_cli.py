@@ -362,6 +362,15 @@ def test_verify_single_suite_passes():
     assert out.startswith("PASS triplesprop")
 
 
+def test_verify_at_tol_one_over_m_passes():
+    # a lone triple's singular values are equal to rounding, right at the kept
+    # side's margin when tol = 1 / M: the verdict falls back, it does not crash
+    code, out, err = run("verify", "--suite", "ranktripluinv", "--qubits", "4",
+                         "--trials", "20", "--tol", "1e-3")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS ranktripluinv")
+
+
 def test_verify_unknown_suite():
     code, _, err = run("verify", "--suite", "bogus")
     assert code == 2

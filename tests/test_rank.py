@@ -262,6 +262,17 @@ def test_gap_ratio_is_inf_only_under_the_rounding_floor():
     assert _gap_ratio([1.0, 0.5], 2) == math.inf and _gap_ratio([1.0, 0.5], 0) == 0.0
 
 
+def test_certified_rank_reads_no_value_past_equal_ones():
+    # at tol = 1 / M the kept side's margin is the largest value itself: equal
+    # values (a lone triple's, to rounding) fail it, and certify nothing
+    tol = 1 / GAP_WARNING_THRESHOLD
+    # for the last four, M * tol * v and M * (tol * v) round apart
+    values = (1.0, np.nextafter(1.0, 0.0), 1 - 5 * _EPS / 2, 0.12499464239080965, 3.908203055550574)
+    for value in values:
+        for count in range(1, 5):
+            assert rank_mod._certified_rank([value] * count, tol) is None, (value, count)
+
+
 def test_tol_override_changes_verdict():
     tm = tangent_matrix(random_state(2, 241))
     # absurdly large tolerance collapses everything but the top direction
@@ -366,13 +377,15 @@ _SMALL_BLOCKS = [8, 32, 256]
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=9),
     st.sampled_from(["haar", "singlets", "near_pair", "basis", "rational"]),
     st.integers(0, 10**6),
     st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
     st.sampled_from(_SMALL_BLOCKS + [lie_action._BLOCK_ROWS]),
+    # 1e-3 is 1 / M: a triple's equal singular values sit at the kept side's margin
+    st.sampled_from([DEFAULT_TOL, 1e-6, 1e-3]),
 )
-def test_float_route_matches_direct_slices(n, kind, seed, eps, block_rows):
+def test_float_route_matches_direct_slices(n, kind, seed, eps, block_rows, tol):
     # Every reported verdict against an SVD of the selection's real-view
     # columns: equal ranks, and equal gap ratios once the rounding floor
     # applies to both sides.
@@ -380,14 +393,13 @@ def test_float_route_matches_direct_slices(n, kind, seed, eps, block_rows):
         mp.setattr(lie_action, "_BLOCK_ROWS", block_rows)
         tm = tangent_matrix(_route_state(kind, n, seed, eps))
         for sel in _every_selector(n):
-            got = real_rank(tm, sel)
-            want = _float_rank(tm.real[:, list(sel.column_indices(n))], DEFAULT_TOL)
+            got = real_rank(tm, sel, tol)
+            want = _float_rank(tm.real[:, list(sel.column_indices(n))], tol)
             assert (got.rank, got.gap_ratio) == (want.rank, want.gap_ratio), sel
-        if n >= 4:
-            # R's singular values are the real view's to within the floor
-            full = np.array(real_rank(tm).singular_values)
-            direct = np.linalg.svd(tm.real, compute_uv=False)
-            assert np.abs(full - direct).max() <= ROUNDING_FLOOR * direct[0]
+        # R's singular values are the real view's to within the floor
+        full = np.array(real_rank(tm).singular_values)
+        direct = np.linalg.svd(tm.real, compute_uv=False)
+        assert np.abs(full - direct).max() <= ROUNDING_FLOOR * direct[0]
 
 
 def _report_selectors(n: int) -> list:
@@ -739,6 +751,21 @@ def test_exact_span_dims_match_real_rank(n, kind):
         order = rng.permutation(len(selectors))
         got = span_dims(tangent_matrix(psi), [selectors[i] for i in order])
         assert got == [want[i] for i in order]
+
+
+def test_exact_family_takes_one_elimination_widest_first(monkeypatch):
+    # the full selection is answered first and certifies every pair inside it
+    tm = tangent_matrix(random_rational_state(4, 5))
+    calls = []
+
+    def spy(tm, sel, _exact_rank=rank_mod._exact_rank):
+        calls.append(sel)
+        return _exact_rank(tm, sel)
+
+    monkeypatch.setattr(rank_mod, "_exact_rank", spy)
+    pairs = [ColumnSelector(p) for p in combinations(range(1, 5), 2)]
+    assert span_dims(tm, [ColumnSelector.full(4)] + pairs) == [13] + [6] * 6
+    assert calls == [ColumnSelector.full(4)]
 
 
 def _count_svd_matrices(monkeypatch) -> list:
