@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,11 +28,15 @@ def _is_su2(u: np.ndarray) -> bool:
 
 
 def random_su2(seed) -> np.ndarray:
-    """Haar-distributed SU(2) element from a normalized 4-d Gaussian quaternion."""
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(4)
-    w, x, y, z = q / np.linalg.norm(q)
-    return np.array([[w + 1j * z, y + 1j * x], [-y + 1j * x, w - 1j * z]])
+    """Haar-distributed SU(2) element from a normalized 4-d Gaussian quaternion.
+
+    The norm is ``np.linalg.norm``'s own, the square root of ``q.dot(q)``,
+    and the entries are built from Python floats: numpy-scalar arithmetic
+    would give the same bits, several times slower.
+    """
+    q = np.random.default_rng(seed).standard_normal(4)
+    w, x, y, z = (q / math.sqrt(q.dot(q))).tolist()
+    return np.array([[complex(w, z), complex(y, x)], [complex(-y, x), complex(w, -z)]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +74,25 @@ class LocalUnitary:
         """Independent Haar factors, one per qubit, from a single seed."""
         if n < 1:
             raise ValueError("qubit count must be at least 1")
-        children = np.random.SeedSequence(_entropy(seed)).spawn(n)
+        children = _seed_sequence(seed).spawn(n)
         return cls._of(tuple(random_su2(c) for c in children))
 
 
-def _entropy(seed):
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """A fresh ``SeedSequence`` for ``seed``, whose children the caller may spawn.
+
+    A ``SeedSequence`` is copied with its entropy, spawn key and pool size,
+    so sibling children of one root give distinct draws, and the caller's
+    own object spawns nothing.  A ``Generator`` gives a stable entropy from
+    its stream; anything else is the entropy itself.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed.entropy
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
     if isinstance(seed, np.random.Generator):
-        # Derive a stable child entropy from the generator's stream.
-        return int(seed.integers(0, 2**63))
-    return seed
+        return np.random.SeedSequence(int(seed.integers(0, 2**63)))
+    return np.random.SeedSequence(seed)
 
 
 def apply_local(psi, lu: LocalUnitary):

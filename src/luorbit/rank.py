@@ -89,6 +89,16 @@ selection's R slice, k the number strictly above the cutoff
   (the dropped side's margin) and the rounding floor
   ``ROUNDING_FLOOR * s[0]``.
 
+s is in descending order, and M times the cutoff lies above the cutoff,
+which lies above the dropped side's bound, the smaller of the cutoff / M
+and the floor (each is a rounded multiple of s[0], and rounding keeps
+their order).  So the rule reads the same as: R certifies k when k
+values lie past the kept side's margin and every other value lies under
+the dropped side's bound; those k are then exactly the values above the
+cutoff.  At tol < M * eps only k = len(s) is certified.  That is how
+``_certified_ranks`` decides a whole stack of slices at once, one count
+per side over the stack's singular values.
+
 A certified verdict is read from the slice.  Any other comes from the
 selection's columns of the real view, as a direct SVD gives it, and is
 kept in ``tm.ranks``.  The rule holds while rounding stays under the gap
@@ -132,14 +142,21 @@ lone tables take no SVD and no elimination.  An inherited verdict has
 gap ratio inf and no singular values, and is not kept.
 
 A family on either backend is then answered widest selection first,
-each selection it certifies as full column rank certifying the narrower
-ones too, and ``_answer`` makes every verdict, for a family and for
-``real_rank`` alike.  The selections of one width that remain go to it
+one width group at a time, each selection it certifies as full column
+rank certifying the narrower ones too, and ``_answer`` makes every
+verdict, for a family and for ``real_rank`` alike.  Each selection holds
+its columns as bits (``ColumnSelector.mask``), so a selection lies inside
+a certified one exactly when it meets no bit of that one's complement:
+one array test decides which selections of a group inherit, against
+every certified mask at once.  The rest of the group go to ``_answer``
 together: an exact matrix eliminates each and keeps every verdict; a
 floating one gives them one stacked SVD of their R slices (LAPACK
-decomposes each matrix of a stack as it would alone).  ``real_ranks``
-keeps every verdict it reads from R; ``span_dims`` returns a rank it
-reads from R for a proper subset bare, kept nowhere.
+decomposes each matrix of a stack as it would alone) and decides the
+rule on the stack's singular values as arrays.  Only the selections R
+cannot certify, and the verdicts that are kept, are then visited one at
+a time.  ``real_ranks`` keeps every verdict it reads from R;
+``span_dims`` returns a rank it reads from R for a proper subset bare,
+kept nowhere.
 
 Float complements (``complement_dim``, ``complement_basis``) read R too:
 its columns have the inner products of the real view's.  An SVD of the
@@ -162,7 +179,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterable, Optional
 
 import numpy as np
@@ -174,15 +191,28 @@ from .tolerance import DEFAULT_TOL, EPS, GAP_WARNING_THRESHOLD, ROUNDING_FLOOR, 
 
 @dataclass(frozen=True)
 class ColumnSelector:
-    """A subset of tangent-matrix columns: whole triples plus the last column."""
+    """A subset of tangent-matrix columns: whole triples plus the last column.
+
+    ``width`` counts the columns selected, and ``mask`` holds them as bits:
+    bit k for triple k, bit 0 for the last column, so a selection lies
+    inside another exactly when its bits do.  Both are computed once, at
+    construction, and ``column_indices`` once per n.  A selection with a
+    triple outside 1..n never has its mask read: ``column_indices``
+    rejects it first.
+    """
 
     triples: frozenset
     include_last: bool = False
+    width: int = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
     _columns: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, triples: Iterable[int] = (), include_last: bool = False):
-        object.__setattr__(self, "triples", frozenset(int(k) for k in triples))
-        object.__setattr__(self, "include_last", bool(include_last))
+        triples, include_last = frozenset(int(k) for k in triples), bool(include_last)
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "include_last", include_last)
+        object.__setattr__(self, "width", 3 * len(triples) + include_last)
+        object.__setattr__(self, "mask", sum(1 << k for k in triples if k > 0) | include_last)
         object.__setattr__(self, "_columns", {})
 
     @classmethod
@@ -413,16 +443,19 @@ def real_rank(
     """
     if selector is None:
         selector = ColumnSelector.full(tm.n)
-    _check_query(selector, tol)
+    check_tol(tol)
     result = tm.ranks.get((selector, tol))
-    return _answer(tm, [selector], tol, keep=True)[0][1] if result is None else result
+    if result is None:  # a kept verdict passed every check when it was made
+        _check_selector(selector, tm.n)
+        result = _answer(tm, [selector], tol, keep=True)[1][0]
+    return result
 
 
-def _check_query(selector: ColumnSelector, tol: float) -> None:
-    """The checks every rank query makes first; ``column_indices`` then checks the qubit range."""
+def _check_selector(selector: ColumnSelector, n: int) -> None:
+    """The check of each query's selection, after ``check_tol``: not empty, triples in 1..n."""
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
-    check_tol(tol)
+    selector.column_indices(n)  # raises for a triple outside 1..n, and builds what _answer reads
 
 
 def _r_factor(tm: TangentMatrix) -> np.ndarray:
@@ -432,26 +465,34 @@ def _r_factor(tm: TangentMatrix) -> np.ndarray:
     return tm.r_factor
 
 
-def _clears_margin(s, tol: float) -> bool:
-    """Whether the smallest of ``s`` lies above ``GAP_WARNING_THRESHOLD`` times the cutoff.
+def _clears_margin(smallest, largest, tol: float):
+    """Whether ``smallest`` lies above ``GAP_WARNING_THRESHOLD`` times the cutoff ``tol * largest``.
 
-    The kept side's margin, for every verdict: one expression, so that
-    equal values at tol = 1 / M round the same way wherever it is tested.
+    The kept side's margin, for every verdict, on floats or elementwise on
+    arrays: one expression, so that equal values at tol = 1 / M round the
+    same way wherever it is tested.
     """
-    return s[-1] > GAP_WARNING_THRESHOLD * tol * s[0]
+    return smallest > GAP_WARNING_THRESHOLD * tol * largest
 
 
-def _certified_rank(s: list, tol: float) -> Optional[int]:
-    """The rank an R slice with singular values ``s`` certifies, or None (module docstring)."""
-    if _clears_margin(s, tol):
-        return len(s)
-    rank = retained_rank(s, tol)
-    # at rank == len(s) the kept side failed its margin above, and there is no s[rank]
-    if rank == len(s) or tol < GAP_WARNING_THRESHOLD * EPS:
-        return None
-    kept = rank == 0 or _clears_margin(s[:rank], tol)
-    floor = min(tol * s[0] / GAP_WARNING_THRESHOLD, ROUNDING_FLOOR * s[0])
-    return rank if kept and s[rank] < floor else None
+def _certified_ranks(s: np.ndarray, tol: float) -> tuple:
+    """``(ranks, certified)`` of R slices whose singular values are the rows of ``s`` (module docstring).
+
+    Each row is in descending order.  ``ranks`` counts the values past the
+    kept side's margin, and R certifies a row exactly when every other
+    value lies under the dropped side's bound, the smaller of the cutoff
+    / M and the rounding floor; at tol < M * eps, only when there is no
+    other value.  Each count is one expression over the ``(k, w)`` block.
+    A certified row's rank is its number of values above the cutoff, as
+    ``retained_rank`` counts them: the margin lies above the cutoff and the
+    bound under it.  An uncertified row's count is not a rank.
+    """
+    top = s[:, :1]
+    ranks = _clears_margin(s, top, tol).sum(axis=1)
+    if tol < GAP_WARNING_THRESHOLD * EPS:  # the cutoff lies within rounding of zero
+        return ranks, ranks == s.shape[1]
+    bound = np.minimum(tol * top / GAP_WARNING_THRESHOLD, ROUNDING_FLOOR * top)
+    return ranks, ranks == (s >= bound).sum(axis=1)
 
 
 def span_dim(
@@ -476,7 +517,7 @@ def span_dims(
     widest-first walk.  A rank read from R for a proper subset, or
     inherited on either backend, is returned bare and kept nowhere.
     """
-    return [rank for rank, _ in _family(tm, list(selectors), tol, keep=False)]
+    return _family(tm, list(selectors), tol, keep=False)[0]
 
 
 def real_ranks(
@@ -498,72 +539,72 @@ def real_ranks(
     before any is answered, so a bad selector or tol raises what
     ``real_rank`` raises.
     """
+    ranks, verdicts = _family(tm, list(selectors), tol, keep=True)
     return [
         RankResult(rank=rank, gap_ratio=math.inf, backend=tm.mode) if verdict is None else verdict
-        for rank, verdict in _family(tm, list(selectors), tol, keep=True)
+        for rank, verdict in zip(ranks, verdicts)
     ]
 
 
-def _family(tm: TangentMatrix, selectors: list, tol: float, keep: bool) -> list:
-    """``(rank, verdict)`` of each selector; verdict None where only the rank is known.
+def _family(tm: TangentMatrix, selectors: list, tol: float, keep: bool) -> tuple:
+    """``(ranks, verdicts)`` of ``selectors``, in order; a verdict is None where only the rank is known.
 
-    Kept verdicts are read first; every other query is checked, in order,
-    and then answered widest first.  A selection inside one certified as
-    full column rank, kept or answered on the way, inherits its column
-    count; the rest of each width go to ``_answer`` together.  An R-read
-    verdict on a proper subset is made and kept only when ``keep``.
+    Kept verdicts are read first.  Every other query is checked, tol once
+    and then each selection in order, and answered widest first, one width
+    group at a time.  The group's selections that lie inside one certified
+    as full column rank, kept or answered on the way, inherit its column
+    count: one test of the group's masks against every certified mask.  The
+    rest go to ``_answer`` together, and those it certifies join the
+    certified masks.  An R-read verdict on a proper subset is made and kept
+    only when ``keep``.
     """
-    known = [tm.ranks.get((sel, tol)) for sel in selectors]
-    answers = [None if result is None else (result.rank, result) for result in known]
-    todo = [i for i, result in enumerate(known) if result is None]
+    verdicts = [None] * len(selectors)
+    if tm.ranks:
+        verdicts = [tm.ranks.get((sel, tol)) for sel in selectors]
+    ranks = [None if verdict is None else verdict.rank for verdict in verdicts]
+    todo = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if not todo:
-        return answers
-    for i in todo:  # a kept verdict passed these checks when it was made
-        _check_query(selectors[i], tol)
-        selectors[i].column_indices(tm.n)  # checks the qubit range, and builds what _answer reads
-    certified = [
-        _mask(sel)
-        for (sel, at), result in tm.ranks.items()
-        if at == tol and _certifies(result, _width(sel), tol)
-    ]
-    widths = [_width(sel) for sel in selectors]
+        return ranks, verdicts
+    check_tol(tol)  # a kept verdict passed every check when it was made
+    n = tm.n
+    for i in todo:
+        _check_selector(selectors[i], n)
+    widths = [sel.width for sel in selectors]
     todo.sort(key=widths.__getitem__, reverse=True)
-    narrowest = widths[todo[-1]]
+    # the complements of the selections certified as full column rank (``_outside``)
+    holes = [
+        ~sel.mask
+        for (sel, at), verdict in tm.ranks.items()
+        if at == tol and _certifies(verdict, sel.width, tol)
+    ]
     for width, group in groupby(todo, key=widths.__getitem__):
-        ask = []
-        for i in group:
-            if certified and _inside(_mask(selectors[i]), certified):
-                answers[i] = (width, None)
+        group = list(group)
+        asked = []
+        for i, ask in zip(group, _outside([selectors[i].mask for i in group], holes)):
+            if ask:
+                asked.append(i)
             else:
-                ask.append(i)
-        if not ask:
+                ranks[i] = width
+        if not asked:
             continue
-        full = width == tm.column_count
-        newly = []  # selections of this width certified as full column rank
-        for i, (rank, verdict, certifies) in zip(
-            ask, _answer(tm, [selectors[i] for i in ask], tol, keep or full)
-        ):
-            answers[i] = (rank, verdict)
-            if certifies:
-                newly.append(_mask(selectors[i]))
-        if width > narrowest:  # narrower selections follow
-            certified += newly
-    return answers
+        keeps = keep or width == tm.column_count
+        got, made, certifies = _answer(tm, [selectors[i] for i in asked], tol, keeps)
+        for i, rank, verdict in zip(asked, got, made):
+            ranks[i], verdicts[i] = rank, verdict
+        holes += [~selectors[i].mask for i, c in zip(asked, certifies) if c]
+    return ranks, verdicts
 
 
-def _width(selector: ColumnSelector) -> int:
-    """How many columns ``selector`` selects."""
-    return 3 * len(selector.triples) + selector.include_last
+def _outside(masks: list, holes: list) -> list:
+    """Whether each of ``masks`` lies outside every certified selection; ``holes`` are their complements.
 
-
-def _mask(selector: ColumnSelector) -> int:
-    """Bit k for triple k, bit 0 for the last column: a subset of columns is a subset of bits."""
-    return sum(map((1).__lshift__, selector.triples)) | selector.include_last
-
-
-def _inside(mask: int, certified: list) -> bool:
-    """Whether the selection ``mask`` lies inside one of the ``certified`` selections."""
-    return any(not mask & ~c for c in certified)
+    One array test of every mask against every hole: a mask lies outside a
+    certified selection exactly when it meets a bit of that one's complement.
+    """
+    if not holes:
+        return [True] * len(masks)
+    met = np.bitwise_and.outer(np.array(masks, dtype=np.int64), np.array(holes, dtype=np.int64))
+    return met.all(axis=1).tolist()
 
 
 def _certifies(result: RankResult, width: int, tol: float) -> bool:
@@ -572,45 +613,49 @@ def _certifies(result: RankResult, width: int, tol: float) -> bool:
     An exact verdict does at full rank; a floating one past the kept side's margin too.
     """
     return result.rank == width and (
-        result.backend == EXACT or _clears_margin(result.singular_values, tol)
+        result.backend == EXACT
+        or _clears_margin(result.singular_values[-1], result.singular_values[0], tol)
     )
 
 
-def _answer(tm: TangentMatrix, sels: list, tol: float, keep: bool) -> list:
-    """``(rank, verdict, certifies)`` of ``sels``, selections of one width: where every verdict is made.
+def _answer(tm: TangentMatrix, sels: list, tol: float, keep: bool) -> tuple:
+    """``(ranks, verdicts, certifies)`` of ``sels``, selections of one width: where every verdict is made.
 
-    ``certifies`` tells whether the selection is certified as full column
+    ``certifies`` tells whether a selection is certified as full column
     rank.  An exact matrix eliminates each selection's block of the Gram
     (``_exact_rank``) and keeps every verdict; full rank certifies.  A
-    floating one takes one stacked SVD of their R slices.  A rank R
-    certifies is read from its slice; its verdict is made and kept in
-    ``tm.ranks`` only when ``keep``, and is None otherwise.  Every other
-    selection gets the verdict of its columns of the real view, kept.
+    floating one takes one stacked SVD of their R slices and decides the
+    whole stack at once (``_certified_ranks``).  A rank R certifies is read
+    from its slice; its verdict is made and kept in ``tm.ranks`` only when
+    ``keep``, and is None otherwise.  Every other selection gets the verdict
+    of its columns of the real view, kept.
     """
+    width = sels[0].width
     if tm.mode == EXACT:
-        out = []
-        for sel in sels:
-            verdict = tm.ranks[(sel, tol)] = _exact_rank(tm, sel)
-            out.append((verdict.rank, verdict, verdict.rank == _width(sel)))
-        return out
-    cols = np.array([sel.column_indices(tm.n) for sel in sels])
+        made = [_exact_rank(tm, sel) for sel in sels]
+        tm.ranks.update(((sel, tol), verdict) for sel, verdict in zip(sels, made))
+        ranks = [verdict.rank for verdict in made]
+        return ranks, made, [rank == width for rank in ranks]
+    n = tm.n
+    columns = chain.from_iterable(sel.column_indices(n) for sel in sels)
+    cols = np.fromiter(columns, dtype=np.intp, count=len(sels) * width).reshape(-1, width)
     slices = _r_factor(tm)[:, cols].transpose(1, 0, 2)
-    stacked = np.linalg.svd(slices, compute_uv=False).tolist()
-    out = []
-    for sel, c, r_slice, s in zip(sels, cols, slices, stacked):
-        rank = _certified_rank(s, tol)
-        if rank is None:
-            verdict = _float_rank(tm.real[:, c], tol)
-            tm.ranks[(sel, tol)] = verdict
-            out.append((verdict.rank, verdict, _certifies(verdict, len(s), tol)))
+    stacked = np.linalg.svd(slices, compute_uv=False)
+    ranks, certified = _certified_ranks(stacked, tol)
+    ranks = ranks.tolist()
+    # R certifies full column rank only past the kept side's margin, where rank == width
+    certifies = [rank == width for rank in ranks]
+    made = [None] * len(sels)
+    for j, ok in enumerate(certified.tolist()):
+        if not ok:
+            verdict = _float_rank(tm.real[:, cols[j]], tol)
+            ranks[j], certifies[j] = verdict.rank, _certifies(verdict, width, tol)
+        elif keep:
+            verdict = _float_rank(slices[j], tol, stacked[j].tolist())
+        else:
             continue
-        verdict = None
-        if keep:
-            verdict = _float_rank(r_slice, tol, s)
-            tm.ranks[(sel, tol)] = verdict
-        # R certifies full column rank only past the kept side's margin
-        out.append((rank, verdict, rank == len(s)))
-    return out
+        made[j] = tm.ranks[(sels[j], tol)] = verdict
+    return ranks, made, certifies
 
 
 def complement_dim(

@@ -9,6 +9,7 @@ full state dumps so any counterexample can be replayed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,18 +216,28 @@ def _suite_triplesprop(n, rng, tol):
     return failures, [psi]
 
 
+@functools.lru_cache(maxsize=4)
+def _triple_union_selectors(n: int) -> tuple:
+    """``(queries, selectors)``: every nonempty triple subset, without and with the last column.
+
+    Built once per n, so the selectors' column indices are too.  There are
+    2 * (2**n - 1) of them, so only the last few n are held.
+    """
+    queries = tuple(
+        (subset, include_last)
+        for size in range(1, n + 1)
+        for subset in combinations(range(1, n + 1), size)
+        for include_last in (False, True)
+    )
+    return queries, tuple(ColumnSelector(*query) for query in queries)
+
+
 def _suite_ranktripluinv(n, rng, tol):
     """Every triple-union span (with or without the last column) is LU-invariant."""
     psi = _mixed_pool(n, rng)
     scrambled = _scramble(psi, rng)
     tm_a, tm_b = tangent_matrix(psi), tangent_matrix(scrambled)
-    queries = [
-        (subset, include_last)
-        for size in range(1, n + 1)
-        for subset in combinations(range(1, n + 1), size)
-        for include_last in (False, True)
-    ]
-    selectors = [ColumnSelector(*query) for query in queries]
+    queries, selectors = _triple_union_selectors(n)
     dims = zip(queries, span_dims(tm_a, selectors, tol), span_dims(tm_b, selectors, tol))
     failures = [
         f"span of triples {subset} (last={include_last}) changed "

@@ -1,5 +1,7 @@
 """Local unitaries: sampling, application, and the induced triple rotation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,47 @@ def test_random_local_unitary_validates_no_factor_it_built(monkeypatch):
     assert len(checked) == 13
     with pytest.raises(ValueError, match="factor 13"):
         LocalUnitary([*lu.factors[:-1], 2 * lu.factors[-1]])
+
+
+def _numpy_scalar_su2(seed) -> np.ndarray:
+    """``random_su2``'s formula in numpy-scalar arithmetic, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(4)
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([[w + 1j * z, y + 1j * x], [-y + 1j * x, w - 1j * z]])
+
+
+def test_random_su2_matches_its_numpy_scalar_formula():
+    seeds = list(range(2000)) + np.random.SeedSequence(11).spawn(200)
+    for seed in seeds:
+        got, want = random_su2(seed), _numpy_scalar_su2(seed)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.tobytes() == want.tobytes(), seed
+
+
+def test_sibling_seed_sequences_give_distinct_local_unitaries():
+    a, b = np.random.SeedSequence(42).spawn(2)
+    first, second = LocalUnitary.random(3, a), LocalUnitary.random(3, b)
+    for fa, fb in zip(first.factors, second.factors):
+        assert not np.allclose(fa, fb)
+    # the same child gives the same unitary, and is not spawned from itself
+    again = LocalUnitary.random(3, a)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(first.factors, again.factors))
+    assert a.n_children_spawned == 0
+
+
+def test_int_and_root_seeds_keep_their_factors():
+    # the digest of every factor of these draws, frozen before sibling seeds
+    # were told apart: int seeds and root SeedSequences draw exactly as before
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for n in (1, 3, 8):
+            for s in (seed, np.random.SeedSequence(seed)):
+                for factor in LocalUnitary.random(n, s).factors:
+                    digest.update(factor.tobytes())
+    assert digest.hexdigest() == (
+        "edb1b77881360bfdc2bf0df9ad3998e145ba73817a9491640125b69a2df6b3de"
+    )
 
 
 def test_exact_states_are_converted_to_float():

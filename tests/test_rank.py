@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from luorbit import (
     ColumnSelector,
     EXACT,
+    FLOAT,
     StateVector,
     basis_state,
     canonical_pair_state,
@@ -38,6 +39,7 @@ import luorbit.rank as rank_mod
 from luorbit.rank import (
     DEFAULT_TOL,
     GAP_WARNING_THRESHOLD,
+    RankResult,
     _float_rank,
     _gap_ratio,
     exact_gram,
@@ -49,6 +51,7 @@ from luorbit.verify import (
     _pair_product,
     _partial_pair_state,
     _random_pair_positions,
+    _random_pairing,
     _scramble,
     _scrambled_singlet_product,
     _unentangled_product,
@@ -161,6 +164,15 @@ def test_selector_validation():
     assert ColumnSelector((1,), include_last=True).column_indices(2) == (0, 1, 2, 6)
 
 
+def test_selector_mask_and_width():
+    # bit k for triple k and bit 0 for the last column; neither enters equality
+    sel = ColumnSelector((3, 1), include_last=True)
+    assert (sel.mask, sel.width) == (0b1011, 7)
+    assert (ColumnSelector((2,)).mask, ColumnSelector((2,)).width) == (0b100, 3)
+    assert sel == ColumnSelector((1, 3), True) and hash(sel) == hash(ColumnSelector((1, 3), True))
+    assert not ColumnSelector((1,)).mask & ~sel.mask and ColumnSelector((2,)).mask & ~sel.mask
+
+
 # ---------------------------------------------------------------------------
 # the exact backend
 # ---------------------------------------------------------------------------
@@ -270,7 +282,8 @@ def test_certified_rank_reads_no_value_past_equal_ones():
     values = (1.0, np.nextafter(1.0, 0.0), 1 - 5 * _EPS / 2, 0.12499464239080965, 3.908203055550574)
     for value in values:
         for count in range(1, 5):
-            assert rank_mod._certified_rank([value] * count, tol) is None, (value, count)
+            _, certified = rank_mod._certified_ranks(np.full((1, count), value), tol)
+            assert not certified.any(), (value, count)
 
 
 def test_tol_override_changes_verdict():
@@ -804,6 +817,88 @@ def test_span_dims_stack_each_width_into_one_svd(monkeypatch):
     assert len(counts) <= len(widths)
     assert sum(counts) < len(selectors)
     assert tm.ranks.keys() == {(ColumnSelector.full(8), DEFAULT_TOL)}
+
+
+#: Where the family walk is checked: the default tol, a middle one, 1 / M (where
+#: a triple's equal singular values fail the kept side's margin), the smallest
+#: tol that reads deficient ranks from R, and eps, where R certifies full rank only.
+_WALK_TOLS = [DEFAULT_TOL, 1e-6, 1 / GAP_WARNING_THRESHOLD, 2 * GAP_WARNING_THRESHOLD * _EPS, _EPS]
+
+
+def _walk_states(n: int, rng, mode: str) -> list:
+    """Generic, paired, unentangled, near-pair and named states on n qubits, in ``mode``.
+
+    Floating states are scrambled by a local unitary where that keeps them
+    generic; exact ones stay rational, with a rational state for Haar's.
+    """
+    exact = mode == EXACT
+    generic = random_rational_state if exact else random_state
+    ends = [0] * (1 << n)
+    ends[0] = ends[-1] = 1
+    named = [
+        basis_state(n, int(rng.integers(1 << n)), mode=mode),
+        StateVector.from_rational(ends),
+        StateVector.from_rational([int(code.bit_count() == 1) for code in range(1 << n)]),
+    ]
+    states = [generic(n, rng)]
+    if n >= 2:
+        pairs, lone = _random_pairing(n, rng)
+        singlets = singlet_product(n, pairs, lone, mode=mode)
+        paired = _pair_product(n, rng, *_random_pair_positions(n, rng), mode=mode)
+        near = [_near_product_pair(n, rng, Fraction(1, 10**k)) for k in (9, 11)]
+        states += [singlets, paired] + near
+    chosen = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    positions = sorted(int(q) + 1 for q in chosen)
+    states.append(_with_rest(n, rng, [((p,), generic(1, rng)) for p in positions], generic))
+    if not exact:
+        states = [_scramble(psi.to_float(), rng) for psi in states]
+        named = [psi.to_float() for psi in named]
+    return states + named
+
+
+def _assert_walk_matches_single_queries(psi: StateVector, tol: float) -> None:
+    """Every family route gives each selector ``real_rank``'s verdict on a fresh matrix."""
+    n = psi.n
+    selectors = _every_selector(n)
+    oracle = tangent_matrix(psi)
+    want = [real_rank(oracle, sel, tol) for sel in selectors]
+    ranks = [verdict.rank for verdict in want]
+    # a family's verdicts: made ones equal the single query's in rank, gap ratio and
+    # singular values; inherited ones carry its rank alone
+    for sel, got, single in zip(selectors, real_ranks(tangent_matrix(psi), selectors, tol), want):
+        if got.singular_values is None and got.backend != EXACT:
+            single = RankResult(rank=single.rank, gap_ratio=math.inf, backend=got.backend)
+        assert got == single, (sel, tol)
+    # bare ranks; each width asked takes at most one SVD of stacked R slices
+    shapes = []
+
+    def spy(a, *args, _svd=np.linalg.svd, **kwargs):
+        shapes.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+
+    tm = tangent_matrix(psi)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", spy)
+        assert span_dims(tm, selectors, tol) == ranks, tol
+    stacked = [shape[-1] for shape in shapes if len(shape) == 3]
+    assert len(stacked) == len(set(stacked)), shapes
+    # inherited from a kept full verdict, in another order
+    inherits = tangent_matrix(psi)
+    real_rank(inherits, tol=tol)
+    order = np.random.default_rng(n).permutation(len(selectors))
+    assert span_dims(inherits, [selectors[i] for i in order], tol) == [ranks[i] for i in order]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_family_walk_matches_single_queries(mode, n):
+    # exact verdicts take no tol, so one is enough for them past five qubits
+    tols = _WALK_TOLS if mode == FLOAT or n <= 5 else [DEFAULT_TOL]
+    rng = np.random.default_rng(820 + n)
+    for psi in _walk_states(n, rng, mode):
+        assert psi.mode == mode
+        for tol in tols:
+            _assert_walk_matches_single_queries(psi, tol)
 
 
 # ---------------------------------------------------------------------------
