@@ -2,8 +2,9 @@
 
 All commands speak JSON on files or stdin/stdout and are deterministic
 given their flags and seeds.  Exit codes: 0 success, 1 analysis errors
-(zero vectors, non-minimal inputs to compare, failed verification),
-2 usage errors (bad flags, malformed files, unknown suites).
+(zero vectors, running out of memory, non-minimal inputs to compare,
+failed verification), 2 usage errors (bad flags, malformed files, unknown
+suites).
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ class _UsageError(Exception):
 
 #: Largest ``--qubits`` accepted: 2**30 complex128 amplitudes already take 16 GiB.
 #: A float ``analyze`` peaks at the state, a few arrays of its size and one
-#: row block of the tangent matrix, since R is streamed from the state (the
-#: whole real view only if a verdict near the cutoff falls back to it), and
+#: row block of the tangent matrix, since R is streamed from the state, and
 #: an exact ``analyze`` likewise, since its integer Gram is summed block by
-#: block; ``verify`` and ``--dump-matrix`` still build the whole
-#: 2**(n+1) x (3n+1) real view (19.6 GB at n = 24), so they run out of
-#: memory well below the bound.
+#: block.  Columns of the 2**(n+1) x (3n+1) real view are generated only
+#: where a reader asks for them: ``verify`` holds at most six at a time, a
+#: verdict near the cutoff holds its selection's, and only ``--dump-matrix``
+#: and a fallback of the full selection hold every column (19.6 GB at
+#: n = 24).  Running out of memory there exits 1 (``main``).
 _MAX_QUBITS = 30
 
 
@@ -164,7 +166,7 @@ def _parse_pairs(text: str):
 
 def _matrix_dump(psi: StateVector) -> dict:
     tm = tangent_matrix(psi)
-    columns = [_json_amplitudes(tm.real[:, j], tm.scale) for j in range(tm.column_count)]
+    columns = [_json_amplitudes(col, tm.scale) for col in tm.columns(range(tm.column_count)).T]
     return {"n": tm.n, "mode": tm.mode, "columns": columns}
 
 
@@ -413,6 +415,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ZeroStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
+    except MemoryError:
+        print("error: out of memory; the state is too large for this command", file=sys.stderr)
         return EXIT_ANALYSIS
 
 

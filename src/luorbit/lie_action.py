@@ -30,15 +30,16 @@ Row (c, part) of column (k, a) reads psi at c or at c with bit k
 flipped, and the last column reads psi at c.  So the rows of a code c
 are zero in every column unless psi is nonzero at c or at one of its n
 single-bit flips: c is then *live* (``live_codes``).  R
-(``streamed_r``) and the exact Gram (``rank._streamed_gram``) are built
+(``streamed_r``) and the Gram (``rank._streamed_gram``) are built
 from the live codes' rows alone, in ``_BLOCK_ROWS``-row blocks
 (``_row_blocks``).  Rows that are zero in every column add nothing to
 ``real.T @ real``, so dropping them changes no Gram and no singular value
 of any column subset.  A product of m canonical pairs (n = 2m) has
 2**m nonzero amplitudes and (m + 1) 2**m live codes, of 4**m; when no
 amplitude is zero every code is live, in order, and the blocks are those
-of the whole real view.  ``TangentMatrix.real`` is always the whole
-real view, every code in order.
+of the whole real view.  ``TangentMatrix.columns`` generates any columns
+over every code, in order, from the same blocks of every code's rows,
+and keeps none of them.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def _triple_columns(k: int, n: int) -> tuple:
     return (3 * k - 3, 3 * k - 2, 3 * k - 1)
 
 
-#: Rows of the real view that ``streamed_r`` and the exact Gram generate at a
-#: time: a multiple of four, so a block holds whole codes and splits into
+#: Rows of the real view that ``streamed_r``, the Gram and ``columns`` generate
+#: at a time: a multiple of four, so a block holds whole codes and splits into
 #: quarters.  At 2048 rows a block of up to 64 columns (n <= 21) takes at most
 #: 1 MiB, and a matrix with n <= 10 is one block.
 _BLOCK_ROWS = 2048
@@ -179,33 +180,31 @@ class TangentMatrix:
     unitary group, plus one.
 
     ``parts`` and ``scale`` are psi's own (``StateVector.parts``, read as
-    they are); every column is generated from ``parts``.  ``real`` is the
-    matrix's real view, 2**(n+1) x (3n+1) and read-only: amplitude a + bi
-    of basis code c fills rows 2c (a) and 2c+1 (b), so a column dot
-    product is Re<u|v>.  It is float64 in float mode and holds Python ints
-    in exact mode, every entry ``scale`` times the true one.  It is built
-    on first read, and only what needs its rows reads it: floating
-    verdicts that R cannot certify, complement vectors, column dumps, the
-    verify column checks, and R itself when the real view is one block
-    with every code live (``streamed_r``).
+    they are); every column is generated from ``parts``.  The matrix's
+    real view is 2**(n+1) x (3n+1): amplitude a + bi of basis code c fills
+    rows 2c (a) and 2c+1 (b), so a column dot product is Re<u|v>.  It is
+    float64 in float mode and holds Python ints in exact mode, every entry
+    ``scale`` times the true one.  No attribute holds it: ``columns``
+    generates the columns a reader asks for, and only what needs their
+    rows asks (floating verdicts that R cannot certify, complement
+    vectors, column dumps and the verify column checks).
 
     ``r_factor`` caches a (3n+1) x (3n+1) upper-triangular R with
     ``real = Q R``, Q orthonormal (``streamed_r``), None until a floating
     query first needs it.  It is streamed from ``parts`` in row blocks of
     the live codes' rows (``live_codes``; the others are zero), so a
-    floating verdict that R certifies never builds ``real``, and a sparse
-    state's R costs what its live rows cost; a matrix of one block with
-    every code live keeps that block as ``real``.  ``ranks`` memoizes rank
+    floating verdict that R certifies generates no column, and a sparse
+    state's R costs what its live rows cost.  ``ranks`` memoizes rank
     verdicts by ``(ColumnSelector, tol)``; see ``rank.real_rank``.  A bare
     rank that ``rank.span_dims`` reads from R alone is not kept, nor is a
     verdict inherited from a selection certified as full column rank.
-    ``gram`` and ``gram_rows`` cache the exact backend's counterpart, the
-    integer Gram ``real.T @ real`` ((3n+1) x (3n+1) Python ints, entry
-    (i, j) is ``scale**2`` times Re<column i|column j>) as an array and
-    as nested lists, None until an exact query first needs them.  It is
-    summed over the row blocks that ``streamed_r`` factors, generated from
-    ``parts`` in int64 where no sum can overflow, so the exact backend
-    never builds ``real``; see ``rank.exact_gram``.
+    ``gram`` and ``gram_rows`` cache the Gram ``real.T @ real``
+    ((3n+1) x (3n+1), entry (i, j) is ``scale**2`` times Re<column
+    i|column j>) as an array and as nested lists, None until a query
+    first needs them; see ``rank.gram``.  It is summed over the row blocks
+    that ``streamed_r`` factors, in floats on the floating backend and in
+    integers on the exact one (int64 where no sum can overflow), so
+    neither builds the real view.  Only an exact Gram decides ranks.
     """
 
     state: StateVector
@@ -213,7 +212,6 @@ class TangentMatrix:
     r_factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     gram: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     gram_rows: Optional[list] = field(default=None, init=False, repr=False, compare=False)
-    _real: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -239,21 +237,21 @@ class TangentMatrix:
     def last_index(self) -> int:
         return 3 * self.n
 
-    @property
-    def real(self) -> np.ndarray:
-        """The real view, generated block by block on first read."""
-        if self._real is None:
-            parts = self.parts
-            operands, step = _operands(parts), _BLOCK_ROWS >> 1
-            buf = np.empty((self.column_count, parts.size), dtype=parts.dtype)
-            for start in range(0, parts.size >> 1, step):
-                codes = np.arange(start, min(start + step, parts.size >> 1))
-                _write_rows(operands, codes, buf[:, 2 * start : 2 * (start + codes.size)])
-            # column j was written to row j: ``real`` is the transpose
-            real = buf.T
-            real.flags.writeable = False
-            object.__setattr__(self, "_real", real)
-        return self._real
+    def columns(self, cols) -> np.ndarray:
+        """The real view's columns ``cols``, in that order, over every code: 2**(n+1) x len(cols).
+
+        Written from the row blocks of every code (``_row_blocks``), one
+        block at a time, and kept nowhere: each call generates them again.
+        """
+        cols = list(cols)
+        parts = self.parts
+        buf = np.empty((len(cols), parts.size), dtype=parts.dtype)
+        start = 0
+        for block in _row_blocks(parts, np.arange(parts.size >> 1)):
+            buf[:, start : start + block.shape[1]] = block[cols]
+            start += block.shape[1]
+        # column j was written to row j: the columns are the transpose
+        return buf.T
 
     def triple_indices(self, k: int) -> tuple:
         """Column indices of qubit k's generator triple."""
@@ -261,7 +259,7 @@ class TangentMatrix:
 
     def column(self, j: int):
         """Column j as amplitudes: complex ndarray (float) or (Fraction, Fraction) pairs (exact)."""
-        return _amplitudes_of(self.real[:, j], self.scale)
+        return _amplitudes_of(self.columns([j])[:, 0], self.scale)
 
 
 def tangent_matrix(psi: StateVector) -> TangentMatrix:
@@ -272,7 +270,7 @@ def tangent_matrix(psi: StateVector) -> TangentMatrix:
 
 
 def streamed_r(tm: TangentMatrix) -> np.ndarray:
-    """A square upper-triangular R with ``tm.real = Q R``, built from row blocks of the real view.
+    """A square upper-triangular R with ``real = Q R``, built from row blocks of the real view.
 
     Tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
     Comput. 34 (2012)) of the live codes' rows (``live_codes``): each
@@ -281,15 +279,11 @@ def streamed_r(tm: TangentMatrix) -> np.ndarray:
     are factored again, whenever they reach a block's height and at the
     end.  The rows left out are zero, so ``real.T @ real = R.T @ R`` still
     holds.  Only the state, its operands and one block are held at a time.
-    A real view that is one block, every code live, is built as
-    ``tm.real`` and factored from there.  With fewer live rows than
-    columns R gets zero rows, to be square.
+    With fewer live rows than columns R gets zero rows, to be square.
     """
-    codes, width = live_codes(tm.parts), tm.column_count
-    if 2 * codes.size == tm.parts.size <= _BLOCK_ROWS:
-        return _block_r(tm.real)
+    width = tm.column_count
     stack: list = []
-    for block in _row_blocks(tm.parts, codes):
+    for block in _row_blocks(tm.parts, live_codes(tm.parts)):
         stack.append(_block_r(block.T))
         if sum(len(r) for r in stack) >= _BLOCK_ROWS:
             stack = [np.linalg.qr(np.vstack(stack), mode="r")]

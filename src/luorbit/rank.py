@@ -12,7 +12,7 @@ Two interchangeable backends:
   over its common denominator; tolerance-free.
 
 The exact backend builds ``G = real.T @ real`` once per state
-(``TangentMatrix.gram``, ``exact_gram``), (3n+1) x (3n+1), and answers
+(``TangentMatrix.gram``, ``gram``), (3n+1) x (3n+1), and answers
 every query from it.  Over the rationals rank(A^T A) = rank(A) for any
 real A: A^T A x = 0 gives |A x|^2 = x^T A^T A x = 0, so both have the
 kernel of A.  Applied to A = ``real[:, S]``, whose Gram is the principal
@@ -101,14 +101,17 @@ per side over the stack's singular values.
 
 A certified verdict is read from the slice.  Any other comes from the
 selection's columns of the real view, as a direct SVD gives it, and is
-kept in ``tm.ranks``.  The rule holds while rounding stays under the gap
-between the cutoff / M and the cutoff, (1 - 1/M) times the cutoff: a
-value above M times the cutoff cannot then fall to it, nor a value under
-the cutoff / M rise past it, so the real view keeps the same k values.
-On the dropped side rounding may use nearly the whole cutoff, not just
-the cutoff / M.  tol >= M * eps keeps that room above (M - 1) * eps *
-s[0], so c may grow to about M; below it the cutoff sits within rounding
-of zero, and R certifies only full rank.
+kept in ``tm.ranks``: ``TangentMatrix.columns`` generates those columns
+alone, over every code, so a pair's fallback holds 2**(n+1) x 6 values
+and only a fallback of the full selection holds every column.  The rule
+holds while rounding stays under the gap between the cutoff / M and
+the cutoff, (1 - 1/M) times the cutoff: a value above M times the cutoff
+cannot then fall to it, nor a value under the cutoff / M rise past it,
+so the real view keeps the same k values.  On the dropped side rounding
+may use nearly the whole cutoff, not just the cutoff / M.  tol >= M * eps
+keeps that room above (M - 1) * eps * s[0], so c may grow to about M;
+below it the cutoff sits within rounding of zero, and R certifies only
+full rank.
 
 The contract this gives, against a direct SVD of the selection's
 columns of the real view: the same rank, always; singular values within
@@ -166,7 +169,9 @@ projected onto it.  One qubit's z, y and x actions are orthonormal on a
 unit-norm state, so the triple needs no QR, and the projection's
 singular values are cosines in [0, 1]: their cutoff is the absolute
 ``s > tol``.  The right singular vectors at or below it are the complement's
-coefficients in the triple's columns of the real view.
+coefficients in the triple's columns of the real view; ``complement_basis``
+generates those three columns (``TangentMatrix.columns``) and multiplies
+them by the coefficients.
 
 ``tol`` must be finite and lie in [eps, 1) with eps the float64 machine
 epsilon (``check_tol``): below eps the cutoff sits under rounding noise,
@@ -177,6 +182,7 @@ and at 1 or above it discards every singular value.  ``DEFAULT_TOL``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, groupby
@@ -367,27 +373,30 @@ def _exact_rank(tm: TangentMatrix, selector: ColumnSelector) -> RankResult:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def exact_gram(tm: TangentMatrix) -> np.ndarray:
-    """``tm.gram``, the integer Gram ``real.T @ real`` of an exact matrix, built on first use.
+def gram(tm: TangentMatrix) -> np.ndarray:
+    """``tm.gram``, the Gram ``real.T @ real`` of either backend, built on first use.
 
-    Summed block by block from ``tm.parts`` (``_streamed_gram``); it never
-    reads ``tm.real``.  Its rows are also kept as lists, ``tm.gram_rows``,
-    which ``_exact_rank`` and ``complement_dim`` read.
+    Summed block by block from ``tm.parts`` (``_streamed_gram``); the real
+    view is never built.  On the exact backend it holds Python ints, and
+    every exact verdict reads it; its rows are also kept as lists,
+    ``tm.gram_rows``, which ``_exact_rank`` and ``complement_dim`` read.
+    On the floating backend it holds float64 and serves only checks with
+    an absolute slack, such as the verify oracles' orthogonality tests:
+    squaring the spectrum lifts its noise floor above the rank cutoff, so
+    no floating verdict is ever read from it.
     """
-    if tm.mode != EXACT:
-        raise ValueError("exact_gram requires the exact backend")
     if tm.gram is None:
         rows = _streamed_gram(tm).tolist()
-        gram = np.array(rows, dtype=object)
-        gram.flags.writeable = False
-        object.__setattr__(tm, "gram", gram)
+        matrix = np.array(rows, dtype=tm.parts.dtype)
+        matrix.flags.writeable = False
+        object.__setattr__(tm, "gram", matrix)
         object.__setattr__(tm, "gram_rows", rows)
     return tm.gram
 
 
 def _gram_rows(tm: TangentMatrix) -> list:
     """``tm.gram_rows``, the exact Gram as nested lists of Python ints."""
-    exact_gram(tm)
+    gram(tm)
     return tm.gram_rows
 
 
@@ -411,18 +420,18 @@ def _int64_parts(parts: np.ndarray) -> Optional[np.ndarray]:
 def _streamed_gram(tm: TangentMatrix) -> np.ndarray:
     """Sum of ``block.T @ block`` over row blocks of the live codes' rows, generated from ``tm.parts``.
 
-    The blocks are those of ``streamed_r`` (``lie_action._row_blocks``), in
-    int64 where ``_int64_parts`` allows it and in Python ints otherwise;
-    one is held at a time.  The rows left out are zero in every column.
+    The blocks are those of ``streamed_r`` (``lie_action._row_blocks``):
+    float parts as they are, exact ones in int64 where ``_int64_parts``
+    allows it and in Python ints otherwise; one is held at a time.  The
+    rows left out are zero in every column.
     """
-    parts = _int64_parts(tm.parts)
-    if parts is None:
-        parts = tm.parts
-    gram = 0
+    ints = _int64_parts(tm.parts) if tm.mode == EXACT else None
+    parts = tm.parts if ints is None else ints
+    total = 0
     for block in _row_blocks(parts, live_codes(parts)):
         # row j of the block is column j of the real view
-        gram = gram + block @ block.T
-    return gram
+        total = total + block @ block.T
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +451,19 @@ def real_rank(
     kept in ``tm.ranks``, so repeated queries within a report reuse it.
     """
     if selector is None:
-        selector = ColumnSelector.full(tm.n)
+        selector = _full_selector(tm.n)
     check_tol(tol)
     result = tm.ranks.get((selector, tol))
     if result is None:  # a kept verdict passed every check when it was made
         _check_selector(selector, tm.n)
         result = _answer(tm, [selector], tol, keep=True)[1][0]
     return result
+
+
+@functools.lru_cache(maxsize=None)
+def _full_selector(n: int) -> ColumnSelector:
+    """``ColumnSelector.full(n)``, ``real_rank``'s default selection, built once per n."""
+    return ColumnSelector.full(n)
 
 
 def _check_selector(selector: ColumnSelector, n: int) -> None:
@@ -648,7 +663,7 @@ def _answer(tm: TangentMatrix, sels: list, tol: float, keep: bool) -> tuple:
     made = [None] * len(sels)
     for j, ok in enumerate(certified.tolist()):
         if not ok:
-            verdict = _float_rank(tm.real[:, cols[j]], tol)
+            verdict = _float_rank(tm.columns(cols[j]), tol)
             ranks[j], certifies[j] = verdict.rank, _certifies(verdict, width, tol)
         elif keep:
             verdict = _float_rank(slices[j], tol, stacked[j].tolist())
@@ -690,7 +705,7 @@ def complement_dim(
 def _complement_coeffs(
     tm: TangentMatrix, inside: int, against: ColumnSelector, tol: float
 ) -> np.ndarray:
-    """d x 3 rows C: ``tm.real[:, triple] @ C.T`` spans the complement; reads only R."""
+    """d x 3 rows C: the triple's real-view columns times ``C.T`` span the complement; reads only R."""
     r = _r_factor(tm)
     u, s, _ = np.linalg.svd(r[:, list(against.column_indices(tm.n))], full_matrices=False)
     projected = u[:, s > tol * s[0]].T @ r[:, list(tm.triple_indices(inside))]
@@ -719,4 +734,4 @@ def complement_basis(
     if inside in against.triples:
         raise ValueError(f"triple {inside} may not appear in the 'against' selection")
     coeffs = np.eye(3) if against.is_empty else _complement_coeffs(tm, inside, against, tol)
-    return tm.real[:, list(tm.triple_indices(inside))] @ coeffs.T
+    return tm.columns(tm.triple_indices(inside)) @ coeffs.T

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +27,7 @@ from .analysis import (
 )
 from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import ColumnSelector, complement_basis, exact_gram, span_dim, span_dims
+from .rank import ColumnSelector, complement_basis, gram, span_dim, span_dims
 from .states import (
     EXACT,
     FLOAT,
@@ -173,15 +172,10 @@ def _pair_isolation(tm, l: int, lp: int, tol) -> list:
         failures.append(f"pair ({l},{lp}) spans {span} dimensions, expected 3")
     pair_cols = [*tm.triple_indices(l), *tm.triple_indices(lp)]
     other_cols = [c for c in range(tm.column_count) if c not in pair_cols]
-    if tm.mode == EXACT:
-        dots = exact_gram(tm)[np.ix_(pair_cols, other_cols)]
-        for i, j in zip(*np.nonzero(dots)):
-            failures.append(f"exact columns {pair_cols[i]},{other_cols[j]} not orthogonal")
-    else:
-        dots = tm.real[:, pair_cols].T @ tm.real[:, other_cols]
-        worst = float(np.abs(dots).max())
-        if worst > INNER_PRODUCT_ATOL:
-            failures.append(f"pair span leaks onto other columns (dot {worst:.3e})")
+    # an exact Gram holds integers, so a nonzero dot is at least 1 and clears the slack
+    worst = np.abs(gram(tm)[np.ix_(pair_cols, other_cols)]).max()
+    if worst > INNER_PRODUCT_ATOL:
+        failures.append(f"pair span leaks onto other columns (dot {worst / tm.scale**2:.3e})")
     return failures
 
 
@@ -204,15 +198,9 @@ def _suite_triplesprop(n, rng, tol):
     for k in range(1, n + 1):
         idx = tm.triple_indices(k)
         for a, b in combinations(idx, 2):
-            if psi.mode == EXACT:
-                dot = exact_gram(tm)[a, b]
-                if dot != 0:
-                    dot = Fraction(dot, tm.scale**2)
-                    failures.append(f"triple {k}: exact columns {a},{b} not orthogonal ({dot})")
-            else:
-                dot = tm.real[:, a] @ tm.real[:, b]
-                if abs(float(dot)) > INNER_PRODUCT_ATOL:
-                    failures.append(f"triple {k}: columns {a},{b} have dot {float(dot):.3e}")
+            dot = gram(tm)[a, b]
+            if abs(dot) > INNER_PRODUCT_ATOL:
+                failures.append(f"triple {k}: columns {a},{b} have dot {dot / tm.scale**2:.3e}")
     return failures, [psi]
 
 
@@ -257,13 +245,12 @@ def _suite_twocommonstrong(n, rng, tol):
     psi = _pair_product(n, rng, l, lp, mode=EXACT if exact else FLOAT)
     tm = tangent_matrix(psi)
     failures = []
-
-    atol = 0 if exact else ROUNDOFF_ATOL
+    zl, yl, xl, zr, yr, xr = tm.columns(tm.triple_indices(l) + tm.triple_indices(lp)).T
 
     def _close(a, b, sign=1):
-        return np.abs(tm.real[:, a] - sign * tm.real[:, b]).max() <= atol
+        # exact columns hold integers, so the slack tells them apart as zero does
+        return np.abs(a - sign * b).max() <= ROUNDOFF_ATOL
 
-    (zl, yl, xl), (zr, yr, xr) = tm.triple_indices(l), tm.triple_indices(lp)
     if not _close(zl, zr):
         failures.append("z-generator columns of the paired qubits differ")
     if not _close(xl, xr):

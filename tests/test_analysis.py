@@ -17,6 +17,7 @@ import luorbit.rank as rank_mod
 from luorbit import (
     EXACT,
     FLOAT,
+    SUITES,
     InconsistentStructureError,
     LocalUnitary,
     NonCanonicalFactorError,
@@ -37,9 +38,11 @@ from luorbit import (
     orbit_dimension,
     orbit_report,
     pairing_equal,
+    random_rational_state,
     random_state,
     singlet_product,
     tensor,
+    verify_proposition,
 )
 
 
@@ -356,12 +359,12 @@ def test_factor_state_writes_only_live_rows(monkeypatch):
     live = lie_action.live_codes(psi.parts)
     assert live.size == 448
     written, built = [], []
-    write, real = lie_action._write_rows, lie_action.TangentMatrix.real
+    write, columns = lie_action._write_rows, lie_action.TangentMatrix.columns
     monkeypatch.setattr(
         lie_action, "_write_rows", lambda *args: written.append(args[2].shape[1]) or write(*args)
     )
     monkeypatch.setattr(
-        lie_action.TangentMatrix, "real", property(lambda tm: built.append(tm.n) or real.fget(tm))
+        lie_action.TangentMatrix, "columns", lambda tm, cols: built.append(tm.n) or columns(tm, cols)
     )
     out = factor_state(psi)
     assert out.pairs == tuple(sorted(pairs))
@@ -514,13 +517,13 @@ def test_report_past_one_block_builds_no_real_view(monkeypatch):
             return _factor(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
-    real = lie_action.TangentMatrix.real
+    columns = lie_action.TangentMatrix.columns
 
-    def real_spy(tm):
+    def columns_spy(tm, cols):
         built.append(tm.n)
-        return real.fget(tm)
+        return columns(tm, cols)
 
-    monkeypatch.setattr(lie_action.TangentMatrix, "real", property(real_spy))
+    monkeypatch.setattr(lie_action.TangentMatrix, "columns", columns_spy)
     pairs = [(1, 7), (2, 10), (3, 5), (4, 11), (6, 9)]
     product = apply_local(singlet_product(n, pairs, lone=8), LocalUnitary.random(n, 142))
     for psi in (random_state(n, 143), product):
@@ -535,3 +538,36 @@ def test_report_past_one_block_builds_no_real_view(monkeypatch):
 def test_dimensions_add_across_tensor_products():
     a, b = random_state(2, 130), random_state(2, 131)
     assert orbit_dimension(tensor(a, b)) == orbit_dimension(a) + orbit_dimension(b)
+
+
+def test_only_verify_and_fallbacks_generate_columns(monkeypatch):
+    # reports and factoring read R or the Gram alone; a verify suite reads at
+    # most a pair's six columns at a time
+    asked = []
+    columns = lie_action.TangentMatrix.columns
+
+    def columns_spy(tm, cols):
+        cols = list(cols)
+        asked.append(len(cols))
+        return columns(tm, cols)
+
+    monkeypatch.setattr(lie_action.TangentMatrix, "columns", columns_spy)
+    for n in (4, 7, 9):
+        pairs = [(2 * i + 1, 2 * i + 2) for i in range(n // 2)]
+        lone = n if n % 2 else None
+        for mode in (FLOAT, EXACT):
+            product = singlet_product(n, pairs, lone, mode=mode)
+            orbit_report(product)
+            placements = [(pair, canonical_pair_state(mode=mode)) for pair in pairs]
+            if lone is not None:
+                placements.append(((lone,), basis_state(1, 1, mode=mode)))
+            factor_state(embed_product(n, placements))
+        orbit_report(random_state(n, 150 + n))
+        orbit_report(random_rational_state(n, 160 + n))
+        orbit_report(apply_local(product, LocalUnitary.random(n, 170 + n)))
+    assert asked == []
+    for n in (6, 8):
+        for name, (_, min_n, max_n) in SUITES.items():
+            if min_n <= n and (max_n is None or n <= max_n):
+                assert verify_proposition(name, n, trials=4, seed=180 + n).passed, name
+    assert asked and max(asked) <= 6

@@ -275,6 +275,21 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, command, state, m
     assert len(errors) == 1 and message in errors[0], err
 
 
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    from luorbit import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "orbit_report", exhausted)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(luorbit.basis_state(2, 0).to_json_dict()), encoding="utf-8")
+    assert cli.main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_backend_exact_requires_exact_file():
     _, psi, _ = run("generate", "w", "--qubits", "2")
     code, _, _ = run("analyze", "-", "--backend", "exact", stdin=psi)
@@ -601,9 +616,9 @@ def test_exact_analyze_builds_no_real_view(capsys, monkeypatch):
     from luorbit import cli, lie_action
 
     reads = []
-    real = lie_action.TangentMatrix.real
+    columns = lie_action.TangentMatrix.columns
     monkeypatch.setattr(
-        lie_action.TangentMatrix, "real", property(lambda tm: reads.append(tm.n) or real.fget(tm))
+        lie_action.TangentMatrix, "columns", lambda tm, cols: reads.append(tm.n) or columns(tm, cols)
     )
     cases = _frozen_cases()
     names = [name for name in cases if name.startswith("analyze-")]

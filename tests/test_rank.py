@@ -42,10 +42,9 @@ from luorbit.rank import (
     RankResult,
     _float_rank,
     _gap_ratio,
-    exact_gram,
     retained_rank,
 )
-from luorbit.tolerance import ROUNDING_FLOOR
+from luorbit.tolerance import INNER_PRODUCT_ATOL, ROUNDING_FLOOR
 from luorbit.verify import (
     _mixed_pool,
     _pair_product,
@@ -405,13 +404,14 @@ def test_float_route_matches_direct_slices(n, kind, seed, eps, block_rows, tol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lie_action, "_BLOCK_ROWS", block_rows)
         tm = tangent_matrix(_route_state(kind, n, seed, eps))
+        real = tm.columns(range(tm.column_count))
         for sel in _every_selector(n):
             got = real_rank(tm, sel, tol)
-            want = _float_rank(tm.real[:, list(sel.column_indices(n))], tol)
+            want = _float_rank(real[:, list(sel.column_indices(n))], tol)
             assert (got.rank, got.gap_ratio) == (want.rank, want.gap_ratio), sel
         # R's singular values are the real view's to within the floor
         full = np.array(real_rank(tm).singular_values)
-        direct = np.linalg.svd(tm.real, compute_uv=False)
+        direct = np.linalg.svd(real, compute_uv=False)
         assert np.abs(full - direct).max() <= ROUNDING_FLOOR * direct[0]
 
 
@@ -424,10 +424,13 @@ def _report_selectors(n: int) -> list:
     )
 
 
-def _reference_real(psi: StateVector) -> np.ndarray:
-    """The real view from numpy's complex products on the amplitude tensor, interleaved here."""
+def _reference_real(psi: StateVector, amps=None) -> np.ndarray:
+    """The real view from numpy's complex products on the amplitude tensor, interleaved here.
+
+    ``amps`` defaults to psi's amplitudes.
+    """
     n = psi.n
-    amps = psi.vector.reshape((2,) * n)
+    amps = (psi.vector if amps is None else amps).reshape((2,) * n)
     cols = []
     for k in range(n):
         signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * (n - 1 - k))
@@ -439,19 +442,52 @@ def _reference_real(psi: StateVector) -> np.ndarray:
     return view
 
 
-def _assert_streamed_r_matches_lapack_qr(tm, selectors, tol):
+@pytest.mark.parametrize("n", range(1, 7))
+def test_columns_match_the_reference_in_any_order(n):
+    rng = np.random.default_rng(330 + n)
+    width = 3 * n + 1
+    orders = [rng.permutation(width), rng.integers(width, size=2 * width), [width - 1, 0, width - 1]]
+    for kind in ("haar", "singlets", "ghz", "one_zero"):
+        psi = _route_state(kind, n, 330 + n, 0.0)
+        tm, reference = tangent_matrix(psi), _reference_real(psi)
+        for cols in orders:
+            # bytes, so that signed zeros count
+            assert tm.columns(cols).tobytes() == reference[:, cols].tobytes(), (kind, list(cols))
+    # exact columns are Python ints, scale times the true entries
+    psi = random_rational_state(n, rng)
+    parts = np.array(psi.parts.tolist(), dtype=np.float64)
+    assert np.abs(parts).max() < 2**53  # so the float reference below is exact
+    reference = _reference_real(psi, parts[..., 0] + 1j * parts[..., 1])
+    for cols in orders:
+        got = tangent_matrix(psi).columns(cols)
+        assert all(type(x) is int for x in got.flat)
+        assert np.array_equal(got.astype(np.float64), reference[:, cols]), list(cols)
+
+
+def test_default_selection_is_built_once_per_n():
+    a, b = tangent_matrix(random_state(4, 290)), tangent_matrix(random_state(4, 291))
+    real_rank(a)
+    real_rank(b)
+    ((key_a, _),), ((key_b, _),) = a.ranks, b.ranks
+    assert key_a is key_b is rank_mod._full_selector(4)
+    assert key_a == ColumnSelector.full(4)
+
+
+def _assert_streamed_r_matches_lapack_qr(tm, selectors, tols):
     """Verdicts and R's singular values against a twin built by LAPACK's QR of a reference view.
 
-    The twin's real view and R come from ``_reference_real``, so a fault in
-    generating the real view's blocks shows too.
+    The twin's R comes from ``_reference_real``, and the generated columns
+    must equal that view bit for bit, so a fault in generating the real
+    view's blocks shows too.
     """
     twin = tangent_matrix(tm.state)
     reference = _reference_real(tm.state)
-    object.__setattr__(twin, "_real", reference)
+    assert tm.columns(range(tm.column_count)).tobytes() == reference.tobytes()
     object.__setattr__(twin, "r_factor", np.linalg.qr(reference, mode="r"))
-    got, want = real_ranks(tm, selectors, tol), real_ranks(twin, selectors, tol)
-    for sel, g, w in zip(selectors, got, want):
-        assert (g.rank, g.gap_ratio) == (w.rank, w.gap_ratio), sel
+    for tol in tols:
+        got, want = real_ranks(tm, selectors, tol), real_ranks(twin, selectors, tol)
+        for sel, g, w in zip(selectors, got, want):
+            assert (g.rank, g.gap_ratio) == (w.rank, w.gap_ratio), (sel, tol)
     s = np.linalg.svd(rank_mod._r_factor(tm), compute_uv=False)
     lapack = np.linalg.svd(twin.r_factor, compute_uv=False)
     assert np.abs(s - lapack).max() <= ROUNDING_FLOOR * lapack[0]
@@ -473,7 +509,7 @@ def test_streamed_r_matches_lapack_qr(n, kind, seed, eps, tol, block_rows):
         mp.setattr(lie_action, "_BLOCK_ROWS", block_rows)
         tm = tangent_matrix(_route_state(kind, n, seed, eps))
         selectors = _every_selector(n) if n <= 7 else _report_selectors(n)
-        _assert_streamed_r_matches_lapack_qr(tm, selectors, tol)
+        _assert_streamed_r_matches_lapack_qr(tm, selectors, [tol])
 
 
 #: sha256 of R's bytes on dense states: every amplitude nonzero, so every row
@@ -496,8 +532,7 @@ def test_dense_r_bytes_are_frozen(kind, n):
 @pytest.mark.parametrize("kind", ["haar", "singlets", "near_pair", "basis", *_SPARSE])
 def test_streamed_r_matches_lapack_qr_past_one_block(n, kind):
     tm = tangent_matrix(_route_state(kind, n, 300 + n, 1e-9))
-    for tol in (DEFAULT_TOL, 1e-6, 1e-2):
-        _assert_streamed_r_matches_lapack_qr(tm, _report_selectors(n), tol)
+    _assert_streamed_r_matches_lapack_qr(tm, _report_selectors(n), [DEFAULT_TOL, 1e-6, 1e-2])
 
 
 @pytest.mark.parametrize("block_rows", _SMALL_BLOCKS + [lie_action._BLOCK_ROWS])
@@ -526,8 +561,6 @@ def test_streamed_r_reads_only_live_rows(monkeypatch, kind, n, block_rows):
     assert np.array_equal(np.triu(r), r)
     assert np.array_equal(np.concatenate(written), live)
     assert np.allclose(r.T @ r, real.T @ real, rtol=0, atol=64 * _EPS)
-    if live.size < 1 << n:
-        assert tm._real is None
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +583,9 @@ _SMALL_TOLS = [2 * GAP_WARNING_THRESHOLD * _EPS, 1e-12]
 def _assert_span_dim_matches_direct_slices(tm, tol):
     n = tm.n
     margin = GAP_WARNING_THRESHOLD / 2
+    real = tm.columns(range(tm.column_count))
     for sel in _every_selector(n):
-        direct = np.linalg.svd(tm.real[:, list(sel.column_indices(n))], compute_uv=False)
+        direct = np.linalg.svd(real[:, list(sel.column_indices(n))], compute_uv=False)
         got = span_dim(tm, sel.triples, sel.include_last, tol=tol)
         assert got == retained_rank(direct, tol), sel
         if (sel, tol) not in tm.ranks:
@@ -710,10 +744,11 @@ def _assert_span_dims_match_span_dim(psi, tol, seed):
     assert shuffled == [got[i] for i in order]
     # a full rank read from R or inherited clears the cutoff on the real view by M/2
     margin = GAP_WARNING_THRESHOLD / 2
+    real = tm.columns(range(tm.column_count))
     for sel, rank in zip(selectors, got):
         cols = list(sel.column_indices(n))
         if rank == len(cols) and (sel, tol) not in tm.ranks:
-            direct = np.linalg.svd(tm.real[:, cols], compute_uv=False)
+            direct = np.linalg.svd(real[:, cols], compute_uv=False)
             assert direct[-1] > margin * tol * direct[0], sel
 
 
@@ -1029,10 +1064,8 @@ def _full_height_complement(tm, inside, against, tol):
     columns.  Returns the complement basis, the projection's singular
     values and the kept singular values of the ``against`` columns.
     """
-    basis_inside, _ = np.linalg.qr(tm.real[:, list(tm.triple_indices(inside))])
-    u, s_against, _ = np.linalg.svd(
-        tm.real[:, list(against.column_indices(tm.n))], full_matrices=False
-    )
+    basis_inside, _ = np.linalg.qr(tm.columns(tm.triple_indices(inside)))
+    u, s_against, _ = np.linalg.svd(tm.columns(against.column_indices(tm.n)), full_matrices=False)
     kept = s_against > tol * s_against[0]
     _, s, vt = np.linalg.svd(u[:, kept].T @ basis_inside, full_matrices=True)
     return basis_inside @ vt[np.count_nonzero(s > tol) :].T, s, s_against[kept]
@@ -1171,8 +1204,8 @@ def _bareiss_rank(mat: list) -> int:
 
 def _cross_product_complement(tm, inside, against) -> int:
     """The reference exact complement: a fresh cross product of real-view columns."""
-    inside_view = tm.real[:, list(tm.triple_indices(inside))]
-    against_view = tm.real[:, list(against.column_indices(tm.n))]
+    inside_view = tm.columns(tm.triple_indices(inside))
+    against_view = tm.columns(against.column_indices(tm.n))
     return 3 - _bareiss_rank((against_view.T @ inside_view).tolist())
 
 
@@ -1189,7 +1222,7 @@ def test_exact_gram_ranks_match_direct_elimination(n, kind, seed):
     tm = tangent_matrix(_gram_state(kind, n, rng))
     for sel in _every_selector(n):
         got = real_rank(tm, sel)
-        assert got.rank == _bareiss_rank(tm.real[:, list(sel.column_indices(n))].tolist()), sel
+        assert got.rank == _bareiss_rank(tm.columns(sel.column_indices(n)).tolist()), sel
     for inside in range(1, n + 1):
         others = [k for k in range(1, n + 1) if k != inside]
         subset = [k for k in others if rng.integers(2)]
@@ -1221,10 +1254,10 @@ def _assert_exact_verdicts_match_the_object_gram(psi: StateVector, selectors: li
     """
     n = psi.n
     tm = tangent_matrix(psi)
-    gram = exact_gram(tm)
-    assert tm._real is None  # the Gram is streamed from the state
-    assert tm.real.dtype == object
-    reference = tm.real.T @ tm.real
+    gram = rank_mod.gram(tm)
+    real = tm.columns(range(tm.column_count))
+    assert real.dtype == object
+    reference = real.T @ real
     assert np.array_equal(gram, reference)
     s = gram[3 * n, 3 * n]
     assert s == sum(p * p for p in psi.parts.flat) > 0
@@ -1287,16 +1320,24 @@ def test_int64_gram_route_ends_exactly_at_the_bound(n):
     for top, via_int64 in ((peak, True), (peak + 1, False), (2**63, False)):
         tm = tangent_matrix(_signed_state(n, rng, top))
         assert (rank_mod._int64_parts(tm.parts) is not None) == via_int64, top
-        gram = exact_gram(tm)
+        gram = rank_mod.gram(tm)
         assert all(type(x) is int for x in gram.flat)
-        assert np.array_equal(gram, tm.real.T @ tm.real)
+        real = tm.columns(range(tm.column_count))
+        assert np.array_equal(gram, real.T @ real)
         assert gram[0, 0] == rows * top**2
-        assert exact_gram(tm) is gram
+        assert rank_mod.gram(tm) is gram
 
 
-def test_exact_gram_is_exact_only():
-    with pytest.raises(ValueError, match="exact"):
-        exact_gram(tangent_matrix(random_state(2, 280)))
+def test_gram_serves_both_backends():
+    # a float Gram is the real view's, summed over the live rows in float64: one
+    # block at n = 3, a state with zero amplitudes at n = 6, two blocks at n = 11
+    for kind, n in (("haar", 3), ("one_zero", 6), ("ghz", 6), ("haar", 11)):
+        tm = tangent_matrix(_route_state(kind, n, 280 + n, 0.0))
+        gram = rank_mod.gram(tm)
+        real = _reference_real(tm.state)
+        assert gram.dtype == np.float64 and not gram.flags.writeable
+        assert np.allclose(gram, real.T @ real, rtol=0, atol=INNER_PRODUCT_ATOL), (kind, n)
+        assert rank_mod.gram(tm) is gram
 
 
 def test_exact_queries_eliminate_only_gram_blocks(monkeypatch):
