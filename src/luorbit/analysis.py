@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .lie_action import TangentMatrix, tangent_matrix
-from .rank import ColumnSelector, RankResult, real_rank, real_ranks, span_dims
+from .rank import ColumnSelector, RankResult, SelectorFamily, real_rank, real_ranks, span_dims
 from .states import (
     StateVector,
     ZeroResidualError,
@@ -118,20 +118,21 @@ def detect_unentangled(
 
 @functools.lru_cache(maxsize=None)
 def _pair_selectors(n: int) -> tuple:
-    """``(pairs, selectors)``: every qubit pair (l, l') of n qubits, sorted, and its selector.
+    """``(pairs, selectors)``: every qubit pair (l, l') of n qubits, sorted, and the family of their selectors.
 
     Built once per n: ``orbit_report`` and the detectors that its
     ``classify_min_orbit`` call runs after it share the keys of every pair
-    verdict, so reading a kept verdict again builds nothing.
+    verdict, so reading a kept verdict again builds nothing, and every
+    walk of the family reads one plan (``rank.SelectorFamily``).
     """
     pairs = tuple(combinations(range(1, n + 1), 2))
-    return pairs, tuple(ColumnSelector(p) for p in pairs)
+    return pairs, SelectorFamily(ColumnSelector(p) for p in pairs)
 
 
 @functools.lru_cache(maxsize=None)
 def _lone_selectors(n: int) -> tuple:
-    """Each qubit's triple with the last column, in qubit order; built once per n, as above."""
-    return tuple(ColumnSelector((j,), include_last=True) for j in range(1, n + 1))
+    """The family of each qubit's triple with the last column, in qubit order; built once per n, as above."""
+    return SelectorFamily(ColumnSelector((j,), include_last=True) for j in range(1, n + 1))
 
 
 @dataclass(frozen=True)

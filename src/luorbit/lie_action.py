@@ -38,8 +38,9 @@ of any column subset.  A product of m canonical pairs (n = 2m) has
 2**m nonzero amplitudes and (m + 1) 2**m live codes, of 4**m; when no
 amplitude is zero every code is live, in order, and the blocks are those
 of the whole real view.  ``TangentMatrix.columns`` generates any columns
-over every code, in order, from the same blocks of every code's rows,
-and keeps none of them.
+over every code, in order, from blocks of every code's rows that hold
+only the asked qubits' triples and the last column if asked, and keeps
+none of them.
 """
 
 from __future__ import annotations
@@ -119,41 +120,50 @@ def live_codes(parts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(live)
 
 
-def _write_rows(operands: tuple, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the rows of basis ``codes`` of every column of the tangent matrix to ``out``; return ``out``.
+def _write_rows(operands: tuple, codes: np.ndarray, out: np.ndarray, bits=None) -> np.ndarray:
+    """Write the rows of basis ``codes`` of tangent-matrix columns to ``out``; return ``out``.
 
-    ``out`` holds column j in row j, the (re, im) of ``codes[i]`` at
-    positions 2i and 2i + 1.  For qubit k, z is i*psi times (-1)**i_k, y is
-    psi with bit k flipped times (-1)**i_k, and x is i*psi with bit k
-    flipped: each is one gather of ``operands`` (``_operands``), for every
-    qubit at once, the sign read from the half of ``i_signed`` or
-    ``signed`` that holds it.
+    The columns are the triples of the qubits whose bits are ``bits``, one
+    row each (every qubit's by default, from ``_qubit_bits``), the i-th
+    qubit's z, y and x in rows 3i, 3i + 1 and 3i + 2, and then the last
+    column when ``out`` has a row more.  By default ``out`` thus holds
+    column j in row j.  The (re, im) of ``codes[i]`` go to positions 2i and
+    2i + 1.  For qubit k, z is i*psi times (-1)**i_k, y is psi with bit k
+    flipped times (-1)**i_k, and x is i*psi with bit k flipped: each is
+    one gather of ``operands`` (``_operands``), for every qubit at once, the
+    sign read from the half of ``i_signed`` or ``signed`` that holds it.
     """
     parts, i_parts, signed, i_signed = operands
-    n = len(parts).bit_length() - 1
-    bits = _qubit_bits(n)
-    flips = codes ^ bits
-    # where bit k is set, read the halves of ``signed`` and ``i_signed`` times -1
-    minus = np.where(codes & bits, len(parts), 0)
-    z, y, x = out[: 3 * n].reshape(n, 3, -1).transpose(1, 0, 2)
-    np.copyto(z, i_signed.take(codes + minus, axis=0).reshape(n, -1))
-    np.copyto(y, signed.take(flips + minus, axis=0).reshape(n, -1))
-    np.copyto(x, i_parts.take(flips, axis=0).reshape(n, -1))
-    _times_i(parts.take(codes, axis=0), -1, out[3 * n].reshape(-1, 2))
+    if bits is None:
+        bits = _qubit_bits(len(parts).bit_length() - 1)
+    m = len(bits)
+    if m:
+        flips = codes ^ bits
+        # where bit k is set, read the halves of ``signed`` and ``i_signed`` times -1
+        minus = np.where(codes & bits, len(parts), 0)
+        z, y, x = out[: 3 * m].reshape(m, 3, -1).transpose(1, 0, 2)
+        np.copyto(z, i_signed.take(codes + minus, axis=0).reshape(m, -1))
+        np.copyto(y, signed.take(flips + minus, axis=0).reshape(m, -1))
+        np.copyto(x, i_parts.take(flips, axis=0).reshape(m, -1))
+    if len(out) > 3 * m:
+        _times_i(parts.take(codes, axis=0), -1, out[3 * m].reshape(-1, 2))
     return out
 
 
-def _row_blocks(parts: np.ndarray, codes: np.ndarray):
+def _row_blocks(parts: np.ndarray, codes: np.ndarray, bits=None, last: bool = True):
     """Yield the tangent matrix's rows at ``codes``, ``_BLOCK_ROWS`` rows a block, as ``_write_rows`` writes them.
 
-    Each block is written over the last, so only one is held at a time.
+    Every column by default; else the triples of the qubits whose bits
+    are ``bits`` and the last column if ``last``.  Each block is written
+    over the last, so only one is held at a time.
     """
     operands = _operands(parts)
     step = _BLOCK_ROWS >> 1
-    buf = np.empty((3 * (parts.ndim - 1) + 1, 2 * min(step, codes.size)), dtype=parts.dtype)
+    height = 3 * (parts.ndim - 1 if bits is None else len(bits)) + last
+    buf = np.empty((height, 2 * min(step, codes.size)), dtype=parts.dtype)
     for start in range(0, codes.size, step):
         block = codes[start : start + step]
-        yield _write_rows(operands, block, buf[:, : 2 * block.size])
+        yield _write_rows(operands, block, buf[:, : 2 * block.size], bits)
 
 
 def _triple_columns(k: int, n: int) -> tuple:
@@ -240,17 +250,25 @@ class TangentMatrix:
     def columns(self, cols) -> np.ndarray:
         """The real view's columns ``cols``, in that order, over every code: 2**(n+1) x len(cols).
 
-        Written from the row blocks of every code (``_row_blocks``), one
-        block at a time, and kept nowhere: each call generates them again.
+        ``cols`` follows numpy's index rules.  Each block of every code's
+        rows (``_row_blocks``) holds the triples of the qubits asked and the
+        last column if it is asked, nothing else; one block is held at a
+        time, and nothing is kept: each call generates them again.
         """
-        cols = list(cols)
-        parts = self.parts
-        buf = np.empty((len(cols), parts.size), dtype=parts.dtype)
+        n, parts = self.n, self.parts
+        # the last column is qubit n's first
+        qubit, kind = np.divmod(np.arange(self.column_count)[list(cols)], 3)
+        asked = np.zeros(n + 1, dtype=bool)
+        asked[qubit] = True
+        # a block holds the asked qubits' triples in qubit order, then the last column
+        rows = 3 * (np.cumsum(asked) - 1)[qubit] + kind
+        blocks = _row_blocks(parts, np.arange(parts.size >> 1), _qubit_bits(n)[asked[:n]], asked[n])
+        buf = np.empty((len(rows), parts.size), dtype=parts.dtype)
         start = 0
-        for block in _row_blocks(parts, np.arange(parts.size >> 1)):
-            buf[:, start : start + block.shape[1]] = block[cols]
+        for block in blocks:
+            buf[:, start : start + block.shape[1]] = block[rows]
             start += block.shape[1]
-        # column j was written to row j: the columns are the transpose
+        # each column was written as a row: the columns are the transpose
         return buf.T
 
     def triple_indices(self, k: int) -> tuple:

@@ -161,6 +161,20 @@ a time.  ``real_ranks`` keeps every verdict it reads from R;
 ``span_dims`` returns a rank it reads from R for a proper subset bare,
 kept nowhere.
 
+What a walk needs of its selectors depends only on them and on n, not
+on the state, so it is planned once (``_plan``): each selector checked
+against n, in order; the width groups, widest first, each holding its
+selections' positions in the family, their masks as int64 and their
+columns as one ``(k, width)`` index array, which gathers the group's R
+slices as it is.  A ``SelectorFamily`` keeps its plan for each n, so the
+families the package asks again and again (the pair and lone tables, the
+subset suites) are planned on first use and every later walk, on any
+matrix, only reads the plan.  Any other iterable is planned for its one
+walk, as ``real_rank``'s one selection is.  Kept verdicts are still read
+before tol and the selectors are checked, and a selection with a kept
+verdict is left out of its group, so the plan changes no verdict, no
+kept entry and no order of work.
+
 Float complements (``complement_dim``, ``complement_basis``) read R too:
 its columns have the inner products of the real view's.  An SVD of the
 ``against`` columns of R gives an orthonormal basis of their span (same
@@ -185,8 +199,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby
-from typing import Iterable, Optional
+from itertools import compress, groupby
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -241,6 +255,75 @@ class ColumnSelector:
                 cols.append(3 * n)
             cols = self._columns[n] = tuple(cols)
         return cols
+
+
+class SelectorFamily(tuple):
+    """A fixed tuple of ``ColumnSelector``s that keeps its walk plan for each n.
+
+    ``span_dims`` and ``real_ranks`` walk a family by its plan (``_plan``):
+    each selector checked against n, and the selections grouped by width,
+    widest first, with each group's positions, bit masks and column
+    indices as arrays.  The plan depends only on the selectors and n, so a
+    family builds it once per n, on the first walk that needs it, and every
+    later walk on any n-qubit matrix reads it.  Any other iterable of
+    selectors gets a plan of its own, used once.
+    """
+
+    def __new__(cls, selectors: Iterable[ColumnSelector]):
+        family = super().__new__(cls, selectors)
+        family._plans = {}
+        return family
+
+    def plan(self, n: int) -> tuple:
+        """``_plan`` of this family at n, built on the first call for n."""
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = self._plans[n] = _plan(self, n)
+        return plan
+
+
+class _Group(NamedTuple):
+    """The selections of one width in a plan: positions in their family, selectors, masks and columns.
+
+    ``masks`` holds each selection's ``ColumnSelector.mask`` as int64, and
+    ``cols`` its ``column_indices`` as the rows of a ``(k, width)`` array.
+    """
+
+    width: int
+    at: list
+    sels: list
+    masks: np.ndarray
+    cols: np.ndarray
+
+    def only(self, flags: list) -> Optional["_Group"]:
+        """The group of the selections whose ``flags`` are true, in order: this one if all are, None if none."""
+        rows = list(compress(range(len(flags)), flags))
+        if len(rows) == len(flags) or not rows:
+            return self if rows else None
+        at, sels = self.at, self.sels
+        return _Group(
+            self.width, [at[j] for j in rows], [sels[j] for j in rows], self.masks[rows], self.cols[rows]
+        )
+
+
+def _plan(selectors: Sequence, n: int) -> tuple:
+    """The width groups of ``selectors`` at n, widest first, each in the family's order.
+
+    Each selector is checked first, in order (``_check_selector``), so a
+    bad one raises what ``real_rank`` raises for it.
+    """
+    for sel in selectors:
+        _check_selector(sel, n)
+    widths = [sel.width for sel in selectors]
+    order = sorted(range(len(selectors)), key=widths.__getitem__, reverse=True)
+    groups = []
+    for width, at in groupby(order, key=widths.__getitem__):
+        at = list(at)
+        sels = [selectors[i] for i in at]
+        masks = np.array([sel.mask for sel in sels], dtype=np.int64)
+        cols = np.array([sel.column_indices(n) for sel in sels], dtype=np.intp)
+        groups.append(_Group(width, at, sels, masks, cols))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -455,8 +538,8 @@ def real_rank(
     check_tol(tol)
     result = tm.ranks.get((selector, tol))
     if result is None:  # a kept verdict passed every check when it was made
-        _check_selector(selector, tm.n)
-        result = _answer(tm, [selector], tol, keep=True)[1][0]
+        (group,) = _plan([selector], tm.n)
+        result = _answer(tm, group, tol, keep=True)[1][0]
     return result
 
 
@@ -470,7 +553,7 @@ def _check_selector(selector: ColumnSelector, n: int) -> None:
     """The check of each query's selection, after ``check_tol``: not empty, triples in 1..n."""
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
-    selector.column_indices(n)  # raises for a triple outside 1..n, and builds what _answer reads
+    selector.column_indices(n)  # raises for a triple outside 1..n, and builds what _plan reads
 
 
 def _r_factor(tm: TangentMatrix) -> np.ndarray:
@@ -531,8 +614,10 @@ def span_dims(
     The ranks of ``real_ranks``' verdicts on the family, by the same
     widest-first walk.  A rank read from R for a proper subset, or
     inherited on either backend, is returned bare and kept nowhere.
+    ``selectors`` may be any iterable; a ``SelectorFamily`` is walked by
+    the plan it keeps for n, anything else by a plan made for this walk.
     """
-    return _family(tm, list(selectors), tol, keep=False)[0]
+    return _family(tm, _as_family(selectors), tol, keep=False)[0]
 
 
 def real_ranks(
@@ -552,73 +637,76 @@ def real_ranks(
     certifies it, from the real view otherwise (module docstring).  Kept
     verdicts are read first; every other query is checked, in order,
     before any is answered, so a bad selector or tol raises what
-    ``real_rank`` raises.
+    ``real_rank`` raises.  ``selectors`` may be any iterable, and a
+    ``SelectorFamily`` is checked and planned only on its first walk at n
+    (``span_dims``).
     """
-    ranks, verdicts = _family(tm, list(selectors), tol, keep=True)
+    ranks, verdicts = _family(tm, _as_family(selectors), tol, keep=True)
     return [
         RankResult(rank=rank, gap_ratio=math.inf, backend=tm.mode) if verdict is None else verdict
         for rank, verdict in zip(ranks, verdicts)
     ]
 
 
-def _family(tm: TangentMatrix, selectors: list, tol: float, keep: bool) -> tuple:
-    """``(ranks, verdicts)`` of ``selectors``, in order; a verdict is None where only the rank is known.
+def _as_family(selectors: Iterable[ColumnSelector]) -> SelectorFamily:
+    """``selectors`` if it is a ``SelectorFamily``, else a family of them whose plan is used once."""
+    return selectors if isinstance(selectors, SelectorFamily) else SelectorFamily(selectors)
 
-    Kept verdicts are read first.  Every other query is checked, tol once
-    and then each selection in order, and answered widest first, one width
-    group at a time.  The group's selections that lie inside one certified
-    as full column rank, kept or answered on the way, inherit its column
-    count: one test of the group's masks against every certified mask.  The
-    rest go to ``_answer`` together, and those it certifies join the
-    certified masks.  An R-read verdict on a proper subset is made and kept
-    only when ``keep``.
+
+def _family(tm: TangentMatrix, family: SelectorFamily, tol: float, keep: bool) -> tuple:
+    """``(ranks, verdicts)`` of ``family``, in order; a verdict is None where only the rank is known.
+
+    Kept verdicts are read first.  The rest are checked, tol once and then
+    each selection in order when the family's plan at n is built
+    (``SelectorFamily.plan``), and answered widest first, one width group
+    of the plan at a time.  The group's selections that lie inside one
+    certified as full column rank, kept or answered on the way, inherit its
+    column count: one test of the group's masks against every certified
+    mask.  The rest go to ``_answer`` together, and those it certifies join
+    the certified masks.  An R-read verdict on a proper subset is made and
+    kept only when ``keep``.
     """
-    verdicts = [None] * len(selectors)
+    verdicts = [None] * len(family)
     if tm.ranks:
-        verdicts = [tm.ranks.get((sel, tol)) for sel in selectors]
+        verdicts = [tm.ranks.get((sel, tol)) for sel in family]
     ranks = [None if verdict is None else verdict.rank for verdict in verdicts]
-    todo = [i for i, verdict in enumerate(verdicts) if verdict is None]
+    todo = verdicts.count(None)
     if not todo:
         return ranks, verdicts
     check_tol(tol)  # a kept verdict passed every check when it was made
-    n = tm.n
-    for i in todo:
-        _check_selector(selectors[i], n)
-    widths = [sel.width for sel in selectors]
-    todo.sort(key=widths.__getitem__, reverse=True)
+    plan = family.plan(tm.n)
     # the complements of the selections certified as full column rank (``_outside``)
     holes = [
         ~sel.mask
         for (sel, at), verdict in tm.ranks.items()
         if at == tol and _certifies(verdict, sel.width, tol)
     ]
-    for width, group in groupby(todo, key=widths.__getitem__):
-        group = list(group)
-        asked = []
-        for i, ask in zip(group, _outside([selectors[i].mask for i in group], holes)):
-            if ask:
-                asked.append(i)
-            else:
-                ranks[i] = width
-        if not asked:
+    for group in plan:
+        if todo < len(family):
+            group = group.only([verdicts[i] is None for i in group.at])
+        if group is not None and holes:
+            outside = _outside(group.masks, holes)
+            for i, ask in zip(group.at, outside):
+                if not ask:
+                    ranks[i] = group.width
+            group = group.only(outside)
+        if group is None:
             continue
-        keeps = keep or width == tm.column_count
-        got, made, certifies = _answer(tm, [selectors[i] for i in asked], tol, keeps)
-        for i, rank, verdict in zip(asked, got, made):
+        keeps = keep or group.width == tm.column_count
+        got, made, certifies = _answer(tm, group, tol, keeps)
+        for i, rank, verdict in zip(group.at, got, made):
             ranks[i], verdicts[i] = rank, verdict
-        holes += [~selectors[i].mask for i, c in zip(asked, certifies) if c]
+        holes += [~sel.mask for sel, c in zip(group.sels, certifies) if c]
     return ranks, verdicts
 
 
-def _outside(masks: list, holes: list) -> list:
-    """Whether each of ``masks`` lies outside every certified selection; ``holes`` are their complements.
+def _outside(masks: np.ndarray, holes: list) -> list:
+    """Whether each of the int64 ``masks`` lies outside every certified selection; ``holes`` are their complements.
 
     One array test of every mask against every hole: a mask lies outside a
     certified selection exactly when it meets a bit of that one's complement.
     """
-    if not holes:
-        return [True] * len(masks)
-    met = np.bitwise_and.outer(np.array(masks, dtype=np.int64), np.array(holes, dtype=np.int64))
+    met = np.bitwise_and.outer(masks, np.array(holes, dtype=np.int64))
     return met.all(axis=1).tolist()
 
 
@@ -633,27 +721,25 @@ def _certifies(result: RankResult, width: int, tol: float) -> bool:
     )
 
 
-def _answer(tm: TangentMatrix, sels: list, tol: float, keep: bool) -> tuple:
-    """``(ranks, verdicts, certifies)`` of ``sels``, selections of one width: where every verdict is made.
+def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
+    """``(ranks, verdicts, certifies)`` of a plan's ``group`` of one width: where every verdict is made.
 
     ``certifies`` tells whether a selection is certified as full column
     rank.  An exact matrix eliminates each selection's block of the Gram
     (``_exact_rank``) and keeps every verdict; full rank certifies.  A
-    floating one takes one stacked SVD of their R slices and decides the
-    whole stack at once (``_certified_ranks``).  A rank R certifies is read
-    from its slice; its verdict is made and kept in ``tm.ranks`` only when
-    ``keep``, and is None otherwise.  Every other selection gets the verdict
-    of its columns of the real view, kept.
+    floating one takes one stacked SVD of their R slices, gathered by the
+    group's column array as it is, and decides the whole stack at once
+    (``_certified_ranks``).  A rank R certifies is read from its slice; its
+    verdict is made and kept in ``tm.ranks`` only when ``keep``, and is
+    None otherwise.  Every other selection gets the verdict of its columns
+    of the real view, kept.
     """
-    width = sels[0].width
+    width, sels, cols = group.width, group.sels, group.cols
     if tm.mode == EXACT:
         made = [_exact_rank(tm, sel) for sel in sels]
         tm.ranks.update(((sel, tol), verdict) for sel, verdict in zip(sels, made))
         ranks = [verdict.rank for verdict in made]
         return ranks, made, [rank == width for rank in ranks]
-    n = tm.n
-    columns = chain.from_iterable(sel.column_indices(n) for sel in sels)
-    cols = np.fromiter(columns, dtype=np.intp, count=len(sels) * width).reshape(-1, width)
     slices = _r_factor(tm)[:, cols].transpose(1, 0, 2)
     stacked = np.linalg.svd(slices, compute_uv=False)
     ranks, certified = _certified_ranks(stacked, tol)

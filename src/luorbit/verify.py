@@ -20,6 +20,8 @@ from .analysis import (
     InconsistentStructureError,
     NotMinimal,
     SingletPairing,
+    _lone_selectors,
+    _pair_selectors,
     classify_min_orbit,
     min_orbit_dimension,
     orbit_dimension,
@@ -27,7 +29,7 @@ from .analysis import (
 )
 from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import ColumnSelector, complement_basis, gram, span_dim, span_dims
+from .rank import ColumnSelector, SelectorFamily, complement_basis, gram, span_dim, span_dims
 from .states import (
     EXACT,
     FLOAT,
@@ -208,8 +210,9 @@ def _suite_triplesprop(n, rng, tol):
 def _triple_union_selectors(n: int) -> tuple:
     """``(queries, selectors)``: every nonempty triple subset, without and with the last column.
 
-    Built once per n, so the selectors' column indices are too.  There are
-    2 * (2**n - 1) of them, so only the last few n are held.
+    Built once per n, so the selectors' column indices and the family's
+    walk plan (``rank.SelectorFamily``) are too.  There are 2 * (2**n - 1)
+    of them, so only the last few n are held.
     """
     queries = tuple(
         (subset, include_last)
@@ -217,7 +220,18 @@ def _triple_union_selectors(n: int) -> tuple:
         for subset in combinations(range(1, n + 1), size)
         for include_last in (False, True)
     )
-    return queries, tuple(ColumnSelector(*query) for query in queries)
+    return queries, SelectorFamily(ColumnSelector(*query) for query in queries)
+
+
+@functools.lru_cache(maxsize=4)
+def _subsets_with_last(n: int) -> tuple:
+    """``(subsets, selectors)``: every nonempty triple subset, and the family of its selectors with the last column.
+
+    The with-last half of ``_triple_union_selectors``, in its order and
+    with its selectors, kept as a family of its own once per n.
+    """
+    queries, selectors = _triple_union_selectors(n)
+    return tuple(subset for subset, _ in queries[1::2]), SelectorFamily(selectors[1::2])
 
 
 def _suite_ranktripluinv(n, rng, tol):
@@ -306,10 +320,9 @@ def _suite_minrankMstrong(n, rng, tol):
     3q/2 + 1 (q even) or (3q+1)/2 + 1 (q odd) dimensions."""
     psi = _mixed_pool(n, rng)
     tm = tangent_matrix(psi)
-    subsets = [s for q in range(1, n + 1) for s in combinations(range(1, n + 1), q)]
-    got = span_dims(tm, [ColumnSelector(s, include_last=True) for s in subsets], tol)
+    subsets, selectors = _subsets_with_last(n)
     failures = []
-    for subset, span in zip(subsets, got):
+    for subset, span in zip(subsets, span_dims(tm, selectors, tol)):
         floor = min_orbit_dimension(len(subset)) + 1
         if span < floor:
             failures.append(f"triples {subset} plus last span {span} < floor {floor}")
@@ -388,8 +401,8 @@ def _suite_twotripspan3factors(n, rng, tol):
             failures.append("oracle wrongly calls the unbalanced pair maximally entangled")
     else:
         psi = random_state(n, rng)
-        pairs = list(combinations(range(1, n + 1), 2))
-        spans = span_dims(tangent_matrix(psi), [ColumnSelector(p) for p in pairs], tol)
+        pairs, selectors = _pair_selectors(n)
+        spans = span_dims(tangent_matrix(psi), selectors, tol)
         for (l, lp), span in zip(pairs, spans):
             span3 = span == 3
             is_product, balanced = _pair_factor_evidence(psi, l, lp)
@@ -416,8 +429,7 @@ def _suite_trippluslonelyspan3(n, rng, tol):
             failures.append(f"construction failed: qubit {j} purity {_purity(psi, j)}")
     else:
         psi = random_state(n, rng)
-        lone = [ColumnSelector((j,), include_last=True) for j in range(1, n + 1)]
-        spans = span_dims(tangent_matrix(psi), lone, tol)
+        spans = span_dims(tangent_matrix(psi), _lone_selectors(n), tol)
         for j, span in enumerate(spans, start=1):
             span3 = span == 3
             pure = _purity(psi, j) > 1.0 - ORACLE_TOL
@@ -445,8 +457,8 @@ def _suite_unentrank(n, rng, tol):
 def _suite_pair_span_trichotomy(n, rng, tol):
     """Every pair of triples spans exactly 3, 5, or 6 real dimensions."""
     psi = _mixed_pool(n, rng)
-    pairs = list(combinations(range(1, n + 1), 2))
-    spans = span_dims(tangent_matrix(psi), [ColumnSelector(p) for p in pairs], tol)
+    pairs, selectors = _pair_selectors(n)
+    spans = span_dims(tangent_matrix(psi), selectors, tol)
     failures = [
         f"pair ({l},{lp}) spans {span}, outside {{3, 5, 6}}"
         for (l, lp), span in zip(pairs, spans)

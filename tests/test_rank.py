@@ -18,6 +18,7 @@ from luorbit import (
     ColumnSelector,
     EXACT,
     FLOAT,
+    SelectorFamily,
     StateVector,
     basis_state,
     canonical_pair_state,
@@ -447,6 +448,8 @@ def test_columns_match_the_reference_in_any_order(n):
     rng = np.random.default_rng(330 + n)
     width = 3 * n + 1
     orders = [rng.permutation(width), rng.integers(width, size=2 * width), [width - 1, 0, width - 1]]
+    # one kind alone: every z column, every x column, the last column
+    orders += [list(range(0, width - 1, 3)), list(range(2, width - 1, 3)), [width - 1]]
     for kind in ("haar", "singlets", "ghz", "one_zero"):
         psi = _route_state(kind, n, 330 + n, 0.0)
         tm, reference = tangent_matrix(psi), _reference_real(psi)
@@ -462,6 +465,20 @@ def test_columns_match_the_reference_in_any_order(n):
         got = tangent_matrix(psi).columns(cols)
         assert all(type(x) is int for x in got.flat)
         assert np.array_equal(got.astype(np.float64), reference[:, cols]), list(cols)
+
+
+def test_columns_write_only_the_asked_triples(monkeypatch):
+    # each block holds the asked qubits' triples, and the last column only when asked
+    tm = tangent_matrix(random_state(5, 335))
+    heights = []
+    write = lie_action._write_rows
+    monkeypatch.setattr(
+        lie_action, "_write_rows", lambda *args: heights.append(len(args[2])) or write(*args)
+    )
+    for cols, height in [((3, 4, 5), 3), ((4,), 3), ((15,), 1), ((0, 15, 13), 7), (range(16), 16)]:
+        heights.clear()
+        tm.columns(cols)
+        assert heights and set(heights) == {height}, cols
 
 
 def test_default_selection_is_built_once_per_n():
@@ -724,6 +741,125 @@ def test_span_dim_raises_what_real_rank_raises(psi):
         family = [sel, ColumnSelector((1,)), ColumnSelector((), include_last=True)]
         assert _query_error(lambda: span_dims(tm, family, tol)) == want
     assert tm.ranks == {}
+
+
+#: Where a family's walk is checked against a plain list's: three float tols,
+#: and one for exact verdicts, which take none.
+_PLAN_TOLS = {FLOAT: [DEFAULT_TOL, 1e-6, 1e-3], EXACT: [DEFAULT_TOL]}
+
+
+def _family_outcomes(psi: StateVector, selectors, tol: float, kept: bool) -> list:
+    """``span_dims`` and ``real_ranks`` of ``selectors``, each on a fresh matrix, and what each kept.
+
+    With ``kept``, every matrix first keeps the full selection's verdict and
+    those of every third selector of the family.
+    """
+    outcomes = []
+    for query in (span_dims, real_ranks):
+        tm = tangent_matrix(psi)
+        if kept:
+            real_rank(tm, tol=tol)
+            real_ranks(tm, list(selectors)[::3], tol)
+        outcomes += [query(tm, selectors, tol), list(tm.ranks.items())]
+    return outcomes
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_family_walks_as_a_plain_list_does(mode, n):
+    # one family, its plan built once, against the same selectors as a list on each walk:
+    # equal ranks, verdicts and kept verdicts, in the same order
+    family = SelectorFamily(_every_selector(n))
+    rng = np.random.default_rng(840 + n)
+    for psi in _walk_states(n, rng, mode)[:4]:
+        for tol in _PLAN_TOLS[mode]:
+            for kept in (False, True):
+                got = _family_outcomes(psi, family, tol, kept)
+                assert got == _family_outcomes(psi, list(family), tol, kept), (tol, kept)
+    assert list(family._plans) == [n]
+
+
+def test_a_family_is_planned_once_per_n(monkeypatch):
+    built = []
+    plan = rank_mod._plan
+    monkeypatch.setattr(rank_mod, "_plan", lambda sels, n: built.append((sels, n)) or plan(sels, n))
+    family = SelectorFamily(_every_selector(4))
+    rng = np.random.default_rng(341)
+    for psi in [random_state(4, 341), random_rational_state(4, rng), _mixed_pool(4, rng)]:
+        for tol in (DEFAULT_TOL, 1e-3):
+            tm = tangent_matrix(psi)
+            span_dims(tm, family, tol)
+            real_ranks(tm, family, tol)
+            real_ranks(tangent_matrix(psi), family, tol)
+    assert [(sels is family, n) for sels, n in built] == [(True, 4)]
+    # any other iterable gets a plan of its own on each walk
+    built.clear()
+    span_dims(tangent_matrix(random_state(4, 342)), iter(family))
+    span_dims(tangent_matrix(random_state(4, 343)), list(family))
+    assert [(type(sels), len(sels), n) for sels, n in built] == [(SelectorFamily, 30, 4)] * 2
+    # the package's cached families, on two states each
+    built.clear()
+    for n in (5, 6):
+        for seed in range(2):
+            psi = random_state(n, 344 + seed)
+            orbit_report(psi)
+            for suite in ("ranktripluinv", "minrankMstrong", "pair_span_trichotomy"):
+                verify_proposition(suite, n, trials=2, seed=seed)
+    families = [(id(sels), n) for sels, n in built if isinstance(sels, SelectorFamily)]
+    assert len(families) == len(set(families))
+
+
+def test_a_family_raises_what_real_rank_raises():
+    # tol first, then each selector in order, before any verdict is made; a plan
+    # that fails is not kept, so every walk raises again
+    rng = np.random.default_rng(345)
+    for psi in [random_state(4, 345), random_rational_state(4, rng)]:
+        tm = tangent_matrix(psi)
+        empty, outside = ColumnSelector(()), ColumnSelector((5,), include_last=True)
+        one = ColumnSelector((1,))
+        cases = [
+            ([one, empty, outside], DEFAULT_TOL, empty),
+            ([one, outside, empty], DEFAULT_TOL, outside),
+            ([one, ColumnSelector((0,)), empty], DEFAULT_TOL, ColumnSelector((0,))),
+            ([empty, one], math.nan, one),
+            ([outside, one], 1.0, one),
+        ]
+        for selectors, tol, first_bad in cases:
+            want = _query_error(lambda: real_rank(tm, first_bad, tol))
+            family = SelectorFamily(selectors)
+            for query in (span_dims, real_ranks, span_dims):
+                assert _query_error(lambda: query(tm, family, tol)) == want, selectors
+                assert _query_error(lambda: query(tm, selectors, tol)) == want, selectors
+            assert family._plans == {}
+        assert tm.ranks == {}
+        # a planned family still checks tol first
+        family = SelectorFamily([one, ColumnSelector((2,), include_last=True)])
+        span_dims(tm, family)
+        assert _query_error(lambda: span_dims(tm, family, 0.0)) == _query_error(
+            lambda: real_rank(tm, one, 0.0)
+        )
+
+
+def test_one_family_serves_two_qubit_counts():
+    family = SelectorFamily(_every_selector(3))
+    rng = np.random.default_rng(346)
+    for n in (3, 5, 3):
+        for psi in [random_state(n, 346 + n), random_rational_state(n, rng)]:
+            for query in (span_dims, real_ranks):
+                got = query(tangent_matrix(psi), family)
+                assert got == query(tangent_matrix(psi), list(family)), (n, psi.mode)
+    assert sorted(family._plans) == [3, 5]
+    # each n has its own column indices: the last column is 9 at n = 3 and 15 at n = 5
+    assert family.plan(3)[0].cols.tolist() == [list(range(10))]
+    assert family.plan(5)[0].cols.tolist() == [list(range(9)) + [15]]
+    # a family valid at one n and not at another
+    wide = SelectorFamily([ColumnSelector((1,)), ColumnSelector((4, 5))])
+    small = tangent_matrix(random_state(3, 347))
+    assert _query_error(lambda: span_dims(small, wide)) == _query_error(
+        lambda: real_rank(small, ColumnSelector((4, 5)))
+    )
+    assert span_dims(tangent_matrix(random_state(5, 348)), wide) == [3, 6]
+    assert list(wide._plans) == [5]
 
 
 # ---------------------------------------------------------------------------
