@@ -3,8 +3,8 @@
 All commands speak JSON on files or stdin/stdout and are deterministic
 given their flags and seeds.  Exit codes: 0 success, 1 analysis errors
 (zero vectors, running out of memory, non-minimal inputs to compare,
-failed verification), 2 usage errors (bad flags, malformed files, unknown
-suites).
+failed verification, a reader that closed stdout early), 2 usage errors
+(bad flags, malformed files, unknown suites).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -102,8 +103,7 @@ def _read_state(path) -> StateVector:
 
 def _prepare_state(args) -> StateVector:
     """Load a state and apply the --backend / --lu-seed flags in order."""
-    backend = getattr(args, "backend", None)
-    lu_seed = getattr(args, "lu_seed", None)
+    backend, lu_seed = args.backend, args.lu_seed
     if backend == EXACT and lu_seed is not None:
         raise _UsageError("--lu-seed scrambles with floating unitaries; "
                           "it cannot be combined with --backend exact")
@@ -338,15 +338,14 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_state_flags(sub, lu: bool = True):
+def _add_state_flags(sub):
     sub.add_argument("state", help="state JSON file, or - for stdin")
     sub.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
                      help=f"relative singular-value threshold (default {DEFAULT_TOL:g})")
     sub.add_argument("--backend", choices=[FLOAT, EXACT], default=None,
                      help="force a numeric backend (default: follow the file)")
-    if lu:
-        sub.add_argument("--lu-seed", type=_seed, default=None, dest="lu_seed",
-                         help="scramble with a seeded random local unitary first")
+    sub.add_argument("--lu-seed", type=_seed, default=None, dest="lu_seed",
+                     help="scramble with a seeded random local unitary first")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
@@ -409,7 +408,14 @@ _cached_parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _cached_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ANALYSIS
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

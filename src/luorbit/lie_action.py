@@ -30,17 +30,18 @@ Row (c, part) of column (k, a) reads psi at c or at c with bit k
 flipped, and the last column reads psi at c.  So the rows of a code c
 are zero in every column unless psi is nonzero at c or at one of its n
 single-bit flips: c is then *live* (``live_codes``).  R
-(``streamed_r``) and the Gram (``rank._streamed_gram``) are built
-from the live codes' rows alone, in ``_BLOCK_ROWS``-row blocks
-(``_row_blocks``).  Rows that are zero in every column add nothing to
-``real.T @ real``, so dropping them changes no Gram and no singular value
-of any column subset.  A product of m canonical pairs (n = 2m) has
-2**m nonzero amplitudes and (m + 1) 2**m live codes, of 4**m; when no
-amplitude is zero every code is live, in order, and the blocks are those
-of the whole real view.  ``TangentMatrix.columns`` generates any columns
-over every code, in order, from blocks of every code's rows that hold
-only the asked qubits' triples and the last column if asked, and keeps
-none of them.
+(``streamed_r``) and the exact Gram (``_streamed_gram``) are built from
+the live codes' rows alone, in ``_BLOCK_ROWS``-row blocks
+(``_row_blocks``), at most once per matrix, which keeps what it built
+(``TangentMatrix.r_factor`` and ``TangentMatrix.gram``).  Rows that are
+zero in every column add nothing to ``real.T @ real``, so dropping them
+changes no Gram and no singular value of any column subset.  A product
+of m canonical pairs (n = 2m) has 2**m nonzero amplitudes and
+(m + 1) 2**m live codes, of 4**m; when no amplitude is zero every code
+is live, in order, and the blocks are those of the whole real view.
+``TangentMatrix.columns`` generates any columns over every code, in
+order, from blocks of every code's rows that hold only the asked qubits'
+triples and the last column if asked, and keeps none of them.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import StateVector, _amplitudes_of
+from .states import EXACT, StateVector, _amplitudes_of
 
 
 def _times_i(parts: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
@@ -166,6 +167,43 @@ def _row_blocks(parts: np.ndarray, codes: np.ndarray, bits=None, last: bool = Tr
         yield _write_rows(operands, block, buf[:, : 2 * block.size], bits)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _int64_parts(parts: np.ndarray) -> Optional[np.ndarray]:
+    """Exact ``parts`` as int64, or None if the int64 Gram could overflow.
+
+    Every entry of the real view is some part up to sign, so each partial
+    sum of a Gram entry is at most ``rows * max|part|**2`` in magnitude,
+    rows = ``parts.size``.
+    """
+    try:
+        ints = parts.astype(np.int64)
+    except OverflowError:
+        return None
+    peak = max(int(ints.max()), -int(ints.min()))
+    if parts.size * peak * peak > _INT64_MAX:
+        return None
+    return ints
+
+
+def _streamed_gram(tm: TangentMatrix) -> np.ndarray:
+    """The exact Gram: the sum of ``block.T @ block`` over row blocks of the live codes' rows.
+
+    The blocks are those of ``streamed_r`` (``_row_blocks``), generated
+    from ``tm.parts`` in int64 where ``_int64_parts`` allows it and in
+    Python ints otherwise; one is held at a time.  The rows left out are
+    zero in every column.
+    """
+    ints = _int64_parts(tm.parts)
+    parts = tm.parts if ints is None else ints
+    total = 0
+    for block in _row_blocks(parts, live_codes(parts)):
+        # row j of the block is column j of the real view
+        total = total + block @ block.T
+    return total
+
+
 def _triple_columns(k: int, n: int) -> tuple:
     """Column indices of qubit k's z, y, x generators in an n-qubit tangent matrix."""
     if not 1 <= k <= n:
@@ -173,7 +211,7 @@ def _triple_columns(k: int, n: int) -> tuple:
     return (3 * k - 3, 3 * k - 2, 3 * k - 1)
 
 
-#: Rows of the real view that ``streamed_r``, the Gram and ``columns`` generate
+#: Rows of the real view that ``streamed_r``, the exact Gram and ``columns`` generate
 #: at a time: a multiple of four, so a block holds whole codes and splits into
 #: quarters.  At 2048 rows a block of up to 64 columns (n <= 21) takes at most
 #: 1 MiB, and a matrix with n <= 10 is one block.
@@ -197,31 +235,48 @@ class TangentMatrix:
     ``scale`` times the true one.  No attribute holds it: ``columns``
     generates the columns a reader asks for, and only what needs their
     rows asks (floating verdicts that R cannot certify, complement
-    vectors, column dumps and the verify column checks).
+    vectors of ``rank.complement_basis``, column dumps and the
+    ``twocommonstrong`` column checks).
 
-    ``r_factor`` caches a (3n+1) x (3n+1) upper-triangular R with
-    ``real = Q R``, Q orthonormal (``streamed_r``), None until a floating
-    query first needs it.  It is streamed from ``parts`` in row blocks of
-    the live codes' rows (``live_codes``; the others are zero), so a
-    floating verdict that R certifies generates no column, and a sparse
-    state's R costs what its live rows cost.  ``ranks`` memoizes rank
-    verdicts by ``(ColumnSelector, tol)``; see ``rank.real_rank``.  A bare
-    rank that ``rank.span_dims`` reads from R alone is not kept, nor is a
-    verdict inherited from a selection certified as full column rank.
-    ``gram`` and ``gram_rows`` cache the Gram ``real.T @ real``
-    ((3n+1) x (3n+1), entry (i, j) is ``scale**2`` times Re<column
-    i|column j>) as an array and as nested lists, None until a query
-    first needs them; see ``rank.gram``.  It is summed over the row blocks
-    that ``streamed_r`` factors, in floats on the floating backend and in
-    integers on the exact one (int64 where no sum can overflow), so
-    neither builds the real view.  Only an exact Gram decides ranks.
+    Every other reader reads one (3n+1)-square factor of the real view,
+    built on first read and then held: ``r_factor`` on the floating
+    backend (a float ``gram`` is read from it), ``gram`` on the exact
+    one.  ``ranks`` memoizes rank verdicts by ``(ColumnSelector, tol)``;
+    see ``rank.real_rank``.  A bare rank that ``rank.span_dims`` reads
+    from R alone is not kept, nor is a verdict inherited from a selection
+    certified as full column rank.
     """
 
     state: StateVector
     ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    r_factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    gram: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    gram_rows: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def r_factor(self) -> np.ndarray:
+        """An upper-triangular R with ``real = Q R``, Q orthonormal: ``streamed_r``, built once.
+
+        It is streamed from ``parts`` in row blocks of the live codes' rows
+        (``live_codes``; the others are zero), so a floating verdict that R
+        certifies generates no column, and a sparse state's R costs what
+        its live rows cost.
+        """
+        return streamed_r(self)
+
+    @functools.cached_property
+    def gram(self) -> list:
+        """The Gram ``real.T @ real`` as (3n+1) row lists, built once.
+
+        Entry (i, j) is ``scale**2`` times Re<column i|column j>.  Exact:
+        Python ints summed over the live rows' blocks (``_streamed_gram``);
+        every exact verdict reads them.  Floating: ``R.T @ R`` from
+        ``r_factor``, with no rows generated.  A float Gram serves only
+        checks with an absolute slack, such as the verify oracles'
+        orthogonality tests: squaring the spectrum lifts its noise floor
+        above the rank cutoff, so no floating verdict is read from it.
+        """
+        if self.mode == EXACT:
+            return _streamed_gram(self).tolist()
+        r = self.r_factor
+        return (r.T @ r).tolist()
 
     @property
     def n(self) -> int:

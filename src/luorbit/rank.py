@@ -11,8 +11,8 @@ Two interchangeable backends:
   Gram of the real view, whose entries are the state's integer parts
   over its common denominator; tolerance-free.
 
-The exact backend builds ``G = real.T @ real`` once per state
-(``TangentMatrix.gram``, ``gram``), (3n+1) x (3n+1), and answers
+The exact backend builds ``G = real.T @ real`` once per matrix
+(``TangentMatrix.gram``, (3n+1) row lists of Python ints), and answers
 every query from it.  Over the rationals rank(A^T A) = rank(A) for any
 real A: A^T A x = 0 gives |A x|^2 = x^T A^T A x = 0, so both have the
 kernel of A.  Applied to A = ``real[:, S]``, whose Gram is the principal
@@ -27,12 +27,13 @@ A^T A, for A any selection of columns.  So G, and R below, are built
 from the rows of the live codes alone (``lie_action.live_codes``: those
 where the state is nonzero, and their single-bit flips); every other row
 is zero.  G is the sum of ``block.T @ block`` over row blocks of those
-rows, each generated from the state's parts in turn (``_streamed_gram``);
-the real view itself is never built.  Every entry of the real view is a
-part up to sign, so the blocks and the sum are int64 when every part
-fits in int64 and ``rows * max|part|**2 <= 2**63 - 1``, rows the real
-view's height: every partial sum of an entry is at most that in
-magnitude, so none can overflow.  Otherwise they hold Python ints.
+rows, each generated from the state's parts in turn
+(``lie_action._streamed_gram``); the real view itself is never built.
+Every entry of the real view is a part up to sign, so the blocks and the
+sum are int64 when every part fits in int64 and
+``rows * max|part|**2 <= 2**63 - 1``, rows the real view's height: every
+partial sum of an entry is at most that in magnitude, so none can
+overflow.  Otherwise they hold Python ints.
 Either way G is read as Python ints, and elimination runs on them.
 
 A triple's z, y and x columns are mutually orthogonal: for distinct
@@ -62,7 +63,8 @@ its own (Sylvester's identity, as in Bareiss), whichever zero rows were
 skipped, so every division stays exact.
 
 At every n, the first floating rank query builds ``real = Q R`` with Q
-orthonormal and R of size (3n+1) x (3n+1) (``TangentMatrix.r_factor``).
+orthonormal and R of size (3n+1) x (3n+1) (``TangentMatrix.r_factor``),
+which the matrix then holds for every later floating reader.
 R is streamed from the state by tall-skinny QR
 (``lie_action.streamed_r``): Householder QR of each row block of the
 live codes' rows, then of the stacked block Rs, with zero rows added
@@ -183,9 +185,13 @@ projected onto it.  One qubit's z, y and x actions are orthonormal on a
 unit-norm state, so the triple needs no QR, and the projection's
 singular values are cosines in [0, 1]: their cutoff is the absolute
 ``s > tol``.  The right singular vectors at or below it are the complement's
-coefficients in the triple's columns of the real view; ``complement_basis``
-generates those three columns (``TangentMatrix.columns``) and multiplies
-them by the coefficients.
+coefficients in the triple's columns (``_complement_coeffs``).  Times the
+triple's columns of R they give the complement in R's coordinates: Q is
+orthonormal, so any set of such vectors has the singular values of the
+real-view vectors, which is all a joint rank of complements needs (the
+``twotripspan5`` suite).  ``complement_basis`` returns the real-view
+vectors themselves, so it generates the triple's three columns
+(``TangentMatrix.columns``) and multiplies them by the coefficients.
 
 ``tol`` must be finite and lie in [eps, 1) with eps the float64 machine
 epsilon (``check_tol``): below eps the cutoff sits under rounding noise,
@@ -204,7 +210,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lie_action import TangentMatrix, _row_blocks, _triple_columns, live_codes, streamed_r
+from .lie_action import TangentMatrix, _triple_columns
 from .states import EXACT, FLOAT
 from .tolerance import DEFAULT_TOL, EPS, GAP_WARNING_THRESHOLD, ROUNDING_FLOOR, check_tol
 
@@ -216,16 +222,14 @@ class ColumnSelector:
     ``width`` counts the columns selected, and ``mask`` holds them as bits:
     bit k for triple k, bit 0 for the last column, so a selection lies
     inside another exactly when its bits do.  Both are computed once, at
-    construction, and ``column_indices`` once per n.  A selection with a
-    triple outside 1..n never has its mask read: ``column_indices``
-    rejects it first.
+    construction.  A selection with a triple outside 1..n never has its
+    mask read: ``column_indices`` rejects it first.
     """
 
     triples: frozenset
     include_last: bool = False
     width: int = field(init=False, repr=False, compare=False)
     mask: int = field(init=False, repr=False, compare=False)
-    _columns: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, triples: Iterable[int] = (), include_last: bool = False):
         triples, include_last = frozenset(int(k) for k in triples), bool(include_last)
@@ -233,7 +237,6 @@ class ColumnSelector:
         object.__setattr__(self, "include_last", include_last)
         object.__setattr__(self, "width", 3 * len(triples) + include_last)
         object.__setattr__(self, "mask", sum(1 << k for k in triples if k > 0) | include_last)
-        object.__setattr__(self, "_columns", {})
 
     @classmethod
     def full(cls, n: int) -> "ColumnSelector":
@@ -244,17 +247,15 @@ class ColumnSelector:
         return not self.triples and not self.include_last
 
     def column_indices(self, n: int) -> tuple:
-        """Concrete column indices for an n-qubit tangent matrix, built once per n.
+        """Concrete column indices for an n-qubit tangent matrix.
 
-        Raises ``ValueError`` for the first triple outside 1..n.
+        Raises ``ValueError`` for the first triple outside 1..n.  A family
+        keeps them per n as its plan's column arrays (``_plan``).
         """
-        cols = self._columns.get(n)
-        if cols is None:
-            cols = [c for k in sorted(self.triples) for c in _triple_columns(k, n)]
-            if self.include_last:
-                cols.append(3 * n)
-            cols = self._columns[n] = tuple(cols)
-        return cols
+        cols = [c for k in sorted(self.triples) for c in _triple_columns(k, n)]
+        if self.include_last:
+            cols.append(3 * n)
+        return tuple(cols)
 
 
 class SelectorFamily(tuple):
@@ -312,8 +313,7 @@ def _plan(selectors: Sequence, n: int) -> tuple:
     Each selector is checked first, in order (``_check_selector``), so a
     bad one raises what ``real_rank`` raises for it.
     """
-    for sel in selectors:
-        _check_selector(sel, n)
+    columns = [_check_selector(sel, n) for sel in selectors]
     widths = [sel.width for sel in selectors]
     order = sorted(range(len(selectors)), key=widths.__getitem__, reverse=True)
     groups = []
@@ -321,7 +321,7 @@ def _plan(selectors: Sequence, n: int) -> tuple:
         at = list(at)
         sels = [selectors[i] for i in at]
         masks = np.array([sel.mask for sel in sels], dtype=np.int64)
-        cols = np.array([sel.column_indices(n) for sel in sels], dtype=np.intp)
+        cols = np.array([columns[i] for i in at], dtype=np.intp)
         groups.append(_Group(width, at, sels, masks, cols))
     return tuple(groups)
 
@@ -425,20 +425,18 @@ def _psd_rank(upper: list) -> int:
     return rank
 
 
-def _exact_rank(tm: TangentMatrix, selector: ColumnSelector) -> RankResult:
-    """Exact verdict on the selected columns, read from the integer Gram.
+def _exact_rank(gram: list, cols: list) -> RankResult:
+    """Exact verdict on the columns ``cols``, read from the rows of the integer Gram.
 
     The first triple's block of the Gram is s * I_3, s = ``G[last, last]``
     (module docstring), so a selection T + B has rank 3 plus that of
     ``s * G[B, B] - G[B, T] @ G[T, B]``, whose upper triangle alone is
     built and eliminated.  A selection of the last column alone is s.
     """
-    gram = _gram_rows(tm)
-    s = gram[tm.last_index][tm.last_index]
-    if not selector.triples:
+    s = gram[-1][-1]
+    if len(cols) == 1:  # the last column alone
         rank, upper = 0, [[s]]
     else:
-        cols = selector.column_indices(tm.n)
         first, rest = cols[:3], cols[3:]
         cross = [[gram[b][t] for t in first] for b in rest]
         rank, upper = 3, [
@@ -451,70 +449,6 @@ def _exact_rank(tm: TangentMatrix, selector: ColumnSelector) -> RankResult:
         ]
     rank += _psd_rank(upper)
     return RankResult(rank=rank, gap_ratio=math.inf, backend=EXACT, singular_values=None)
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def gram(tm: TangentMatrix) -> np.ndarray:
-    """``tm.gram``, the Gram ``real.T @ real`` of either backend, built on first use.
-
-    Summed block by block from ``tm.parts`` (``_streamed_gram``); the real
-    view is never built.  On the exact backend it holds Python ints, and
-    every exact verdict reads it; its rows are also kept as lists,
-    ``tm.gram_rows``, which ``_exact_rank`` and ``complement_dim`` read.
-    On the floating backend it holds float64 and serves only checks with
-    an absolute slack, such as the verify oracles' orthogonality tests:
-    squaring the spectrum lifts its noise floor above the rank cutoff, so
-    no floating verdict is ever read from it.
-    """
-    if tm.gram is None:
-        rows = _streamed_gram(tm).tolist()
-        matrix = np.array(rows, dtype=tm.parts.dtype)
-        matrix.flags.writeable = False
-        object.__setattr__(tm, "gram", matrix)
-        object.__setattr__(tm, "gram_rows", rows)
-    return tm.gram
-
-
-def _gram_rows(tm: TangentMatrix) -> list:
-    """``tm.gram_rows``, the exact Gram as nested lists of Python ints."""
-    gram(tm)
-    return tm.gram_rows
-
-
-def _int64_parts(parts: np.ndarray) -> Optional[np.ndarray]:
-    """Exact ``parts`` as int64, or None if the int64 Gram could overflow.
-
-    Every entry of the real view is some part up to sign, so each partial
-    sum of a Gram entry is at most ``rows * max|part|**2`` in magnitude,
-    rows = ``parts.size``.
-    """
-    try:
-        ints = parts.astype(np.int64)
-    except OverflowError:
-        return None
-    peak = max(int(ints.max()), -int(ints.min()))
-    if parts.size * peak * peak > _INT64_MAX:
-        return None
-    return ints
-
-
-def _streamed_gram(tm: TangentMatrix) -> np.ndarray:
-    """Sum of ``block.T @ block`` over row blocks of the live codes' rows, generated from ``tm.parts``.
-
-    The blocks are those of ``streamed_r`` (``lie_action._row_blocks``):
-    float parts as they are, exact ones in int64 where ``_int64_parts``
-    allows it and in Python ints otherwise; one is held at a time.  The
-    rows left out are zero in every column.
-    """
-    ints = _int64_parts(tm.parts) if tm.mode == EXACT else None
-    parts = tm.parts if ints is None else ints
-    total = 0
-    for block in _row_blocks(parts, live_codes(parts)):
-        # row j of the block is column j of the real view
-        total = total + block @ block.T
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +483,14 @@ def _full_selector(n: int) -> ColumnSelector:
     return ColumnSelector.full(n)
 
 
-def _check_selector(selector: ColumnSelector, n: int) -> None:
-    """The check of each query's selection, after ``check_tol``: not empty, triples in 1..n."""
+def _check_selector(selector: ColumnSelector, n: int) -> tuple:
+    """The check of each query's selection, after ``check_tol``: not empty, triples in 1..n.
+
+    Returns its column indices, which ``_plan`` reads.
+    """
     if selector.is_empty:
         raise ValueError("rank of an empty column selection is undefined")
-    selector.column_indices(n)  # raises for a triple outside 1..n, and builds what _plan reads
-
-
-def _r_factor(tm: TangentMatrix) -> np.ndarray:
-    """``tm.r_factor``, R streamed from the state (``lie_action.streamed_r``) on first use."""
-    if tm.r_factor is None:
-        object.__setattr__(tm, "r_factor", streamed_r(tm))
-    return tm.r_factor
+    return selector.column_indices(n)  # raises for a triple outside 1..n
 
 
 def _clears_margin(smallest, largest, tol: float):
@@ -725,8 +655,9 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     """``(ranks, verdicts, certifies)`` of a plan's ``group`` of one width: where every verdict is made.
 
     ``certifies`` tells whether a selection is certified as full column
-    rank.  An exact matrix eliminates each selection's block of the Gram
-    (``_exact_rank``) and keeps every verdict; full rank certifies.  A
+    rank.  An exact matrix eliminates each selection's block of the Gram,
+    its columns read from the group's column array (``_exact_rank``), and
+    keeps every verdict; full rank certifies.  A
     floating one takes one stacked SVD of their R slices, gathered by the
     group's column array as it is, and decides the whole stack at once
     (``_certified_ranks``).  A rank R certifies is read from its slice; its
@@ -736,11 +667,11 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     """
     width, sels, cols = group.width, group.sels, group.cols
     if tm.mode == EXACT:
-        made = [_exact_rank(tm, sel) for sel in sels]
+        made = [_exact_rank(tm.gram, row) for row in cols.tolist()]
         tm.ranks.update(((sel, tol), verdict) for sel, verdict in zip(sels, made))
         ranks = [verdict.rank for verdict in made]
         return ranks, made, [rank == width for rank in ranks]
-    slices = _r_factor(tm)[:, cols].transpose(1, 0, 2)
+    slices = tm.r_factor[:, cols].transpose(1, 0, 2)
     stacked = np.linalg.svd(slices, compute_uv=False)
     ranks, certified = _certified_ranks(stacked, tol)
     ranks = ranks.tolist()
@@ -780,7 +711,7 @@ def complement_dim(
         return 3
     if tm.mode == FLOAT:
         return len(_complement_coeffs(tm, inside, against, tol))
-    gram = _gram_rows(tm)
+    gram = tm.gram
     triple = tm.triple_indices(inside)
     cross = [[gram[r][t] for t in triple] for r in against.column_indices(tm.n)]
     # rank C = rank C^T C over the rationals, and C^T C is a 3 x 3 PSD Gram
@@ -792,7 +723,7 @@ def _complement_coeffs(
     tm: TangentMatrix, inside: int, against: ColumnSelector, tol: float
 ) -> np.ndarray:
     """d x 3 rows C: the triple's real-view columns times ``C.T`` span the complement; reads only R."""
-    r = _r_factor(tm)
+    r = tm.r_factor
     u, s, _ = np.linalg.svd(r[:, list(against.column_indices(tm.n))], full_matrices=False)
     projected = u[:, s > tol * s[0]].T @ r[:, list(tm.triple_indices(inside))]
     _, s, vt = np.linalg.svd(projected)

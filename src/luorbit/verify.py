@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .lie_action import tangent_matrix
 from .lu import LocalUnitary, apply_local
-from .rank import ColumnSelector, SelectorFamily, complement_basis, gram, span_dim, span_dims
+from .rank import ColumnSelector, SelectorFamily, _complement_coeffs, span_dim, span_dims
 from .states import (
     EXACT,
     FLOAT,
@@ -175,7 +175,8 @@ def _pair_isolation(tm, l: int, lp: int, tol) -> list:
     pair_cols = [*tm.triple_indices(l), *tm.triple_indices(lp)]
     other_cols = [c for c in range(tm.column_count) if c not in pair_cols]
     # an exact Gram holds integers, so a nonzero dot is at least 1 and clears the slack
-    worst = np.abs(gram(tm)[np.ix_(pair_cols, other_cols)]).max()
+    gram = tm.gram
+    worst = max(abs(gram[a][b]) for a in pair_cols for b in other_cols)
     if worst > INNER_PRODUCT_ATOL:
         failures.append(f"pair span leaks onto other columns (dot {worst / tm.scale**2:.3e})")
     return failures
@@ -197,10 +198,11 @@ def _suite_triplesprop(n, rng, tol):
         psi = random_state(n, rng)
     tm = tangent_matrix(psi)
     failures = []
+    gram = tm.gram
     for k in range(1, n + 1):
         idx = tm.triple_indices(k)
         for a, b in combinations(idx, 2):
-            dot = gram(tm)[a, b]
+            dot = gram[a][b]
             if abs(dot) > INNER_PRODUCT_ATOL:
                 failures.append(f"triple {k}: columns {a},{b} have dot {dot / tm.scale**2:.3e}")
     return failures, [psi]
@@ -299,15 +301,16 @@ def _suite_twotripspan5(n, rng, tol):
     others = ColumnSelector(
         (k for k in range(1, n + 1) if k not in (l, lp)), include_last=True
     )
+    # each complement in R's coordinates: Q is orthonormal, so the joint rank is the real view's
     bases = []
     for k in (l, lp):
-        basis = complement_basis(tm, k, others, tol=tol)
-        if basis.shape[1] < 2:
+        coeffs = _complement_coeffs(tm, k, others, tol)
+        if len(coeffs) < 2:
             failures.append(
                 f"complement of triple {k} against the other columns is "
-                f"{basis.shape[1]}-dimensional"
+                f"{len(coeffs)}-dimensional"
             )
-        bases.append(basis)
+        bases.append(tm.r_factor[:, list(tm.triple_indices(k))] @ coeffs.T)
     stacked = np.hstack(bases)
     joint = int(np.count_nonzero(np.linalg.svd(stacked, compute_uv=False) > ORACLE_TOL))
     if joint < 4:

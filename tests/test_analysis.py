@@ -541,8 +541,8 @@ def test_dimensions_add_across_tensor_products():
 
 
 def test_only_verify_and_fallbacks_generate_columns(monkeypatch):
-    # reports and factoring read R or the Gram alone; a verify suite reads at
-    # most a pair's six columns at a time
+    # reports and factoring read R or the Gram alone; of the verify suites only
+    # twocommonstrong generates columns, its pair's six once a trial
     asked = []
     columns = lie_action.TangentMatrix.columns
 
@@ -570,4 +570,5 @@ def test_only_verify_and_fallbacks_generate_columns(monkeypatch):
         for name, (_, min_n, max_n) in SUITES.items():
             if min_n <= n and (max_n is None or n <= max_n):
                 assert verify_proposition(name, n, trials=4, seed=180 + n).passed, name
-    assert asked and max(asked) <= 6
+                assert asked == ([6] * 4 if name == "twocommonstrong" else []), (name, n)
+                asked.clear()

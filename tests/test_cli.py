@@ -429,6 +429,24 @@ def test_verify_qubit_bound_is_usage_error():
     assert code == 2
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader has gone before anything is written, as with `| head -1`
+    # once head has read its line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "luorbit", "verify", "--suite", "all", "--qubits", "4",
+             "--trials", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=_ENV,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # in-process calls share one parser
 # ---------------------------------------------------------------------------

@@ -505,7 +505,7 @@ def _assert_streamed_r_matches_lapack_qr(tm, selectors, tols):
         got, want = real_ranks(tm, selectors, tol), real_ranks(twin, selectors, tol)
         for sel, g, w in zip(selectors, got, want):
             assert (g.rank, g.gap_ratio) == (w.rank, w.gap_ratio), (sel, tol)
-    s = np.linalg.svd(rank_mod._r_factor(tm), compute_uv=False)
+    s = np.linalg.svd(tm.r_factor, compute_uv=False)
     lapack = np.linalg.svd(twin.r_factor, compute_uv=False)
     assert np.abs(s - lapack).max() <= ROUNDING_FLOOR * lapack[0]
 
@@ -573,7 +573,7 @@ def test_streamed_r_reads_only_live_rows(monkeypatch, kind, n, block_rows):
     monkeypatch.setattr(
         lie_action, "_write_rows", lambda *args: written.append(args[1].copy()) or write(*args)
     )
-    r = rank_mod._r_factor(tm)
+    r = tm.r_factor
     assert r.shape == (tm.column_count, tm.column_count)
     assert np.array_equal(np.triu(r), r)
     assert np.array_equal(np.concatenate(written), live)
@@ -682,7 +682,7 @@ def test_subset_suites_run_no_full_height_svd(monkeypatch):
 
 def test_deferred_span_dim_takes_one_r_slice_svd(monkeypatch):
     tm = tangent_matrix(_near_pair_state(6, np.random.default_rng(5), 1e-10))
-    rank_mod._r_factor(tm)
+    tm.r_factor
     shapes = []
 
     def spy(a, *args, _svd=np.linalg.svd, **kwargs):
@@ -942,14 +942,14 @@ def test_exact_family_takes_one_elimination_widest_first(monkeypatch):
     tm = tangent_matrix(random_rational_state(4, 5))
     calls = []
 
-    def spy(tm, sel, _exact_rank=rank_mod._exact_rank):
-        calls.append(sel)
-        return _exact_rank(tm, sel)
+    def spy(gram, cols, _exact_rank=rank_mod._exact_rank):
+        calls.append(cols)
+        return _exact_rank(gram, cols)
 
     monkeypatch.setattr(rank_mod, "_exact_rank", spy)
     pairs = [ColumnSelector(p) for p in combinations(range(1, 5), 2)]
     assert span_dims(tm, [ColumnSelector.full(4)] + pairs) == [13] + [6] * 6
-    assert calls == [ColumnSelector.full(4)]
+    assert calls == [list(ColumnSelector.full(4).column_indices(4))]
 
 
 def _count_svd_matrices(monkeypatch) -> list:
@@ -967,7 +967,7 @@ def _count_svd_matrices(monkeypatch) -> list:
 def test_haar_state_family_decomposes_one_matrix(monkeypatch):
     # R certifies the full selection as full column rank; every other selection inherits
     tm = tangent_matrix(random_state(8, 290))
-    rank_mod._r_factor(tm)
+    tm.r_factor
     counts = _count_svd_matrices(monkeypatch)
     selectors = _every_selector(8)
     assert len(selectors) == 510
@@ -980,7 +980,7 @@ def test_span_dims_stack_each_width_into_one_svd(monkeypatch):
     # a scrambled singlet product has deficient selections of many widths: each
     # width takes at most one SVD call, and R certifies every rank at the default tol
     tm = tangent_matrix(_scrambled_singlet_product(8, np.random.default_rng(291)))
-    rank_mod._r_factor(tm)
+    tm.r_factor
     counts = _count_svd_matrices(monkeypatch)
     selectors = _every_selector(8)
     span_dims(tm, selectors)
@@ -1390,7 +1390,7 @@ def _assert_exact_verdicts_match_the_object_gram(psi: StateVector, selectors: li
     """
     n = psi.n
     tm = tangent_matrix(psi)
-    gram = rank_mod.gram(tm)
+    gram = np.array(tm.gram, dtype=object)
     real = tm.columns(range(tm.column_count))
     assert real.dtype == object
     reference = real.T @ real
@@ -1438,7 +1438,7 @@ def test_exact_verdicts_match_the_object_gram_past_one_block(kind):
 def test_exact_verdicts_match_the_object_gram_with_huge_parts():
     # 40-digit parts: the Gram is a sum of Python-int products
     tm = tangent_matrix(_forty_digit_state(4))
-    assert rank_mod._int64_parts(tm.parts) is None
+    assert lie_action._int64_parts(tm.parts) is None
     _assert_exact_verdicts_match_the_object_gram(tm.state, _every_selector(4))
 
 
@@ -1455,32 +1455,32 @@ def test_int64_gram_route_ends_exactly_at_the_bound(n):
     rng = np.random.default_rng(270 + n)
     for top, via_int64 in ((peak, True), (peak + 1, False), (2**63, False)):
         tm = tangent_matrix(_signed_state(n, rng, top))
-        assert (rank_mod._int64_parts(tm.parts) is not None) == via_int64, top
-        gram = rank_mod.gram(tm)
-        assert all(type(x) is int for x in gram.flat)
+        assert (lie_action._int64_parts(tm.parts) is not None) == via_int64, top
+        gram = tm.gram
+        assert all(type(x) is int for row in gram for x in row)
         real = tm.columns(range(tm.column_count))
-        assert np.array_equal(gram, real.T @ real)
-        assert gram[0, 0] == rows * top**2
-        assert rank_mod.gram(tm) is gram
+        assert np.array_equal(np.array(gram, dtype=object), real.T @ real)
+        assert gram[0][0] == rows * top**2
+        assert tm.gram is gram
 
 
 def test_gram_serves_both_backends():
-    # a float Gram is the real view's, summed over the live rows in float64: one
-    # block at n = 3, a state with zero amplitudes at n = 6, two blocks at n = 11
+    # a float Gram is R.T @ R, from the R the matrix holds: one block at
+    # n = 3, a state with zero amplitudes at n = 6, two blocks at n = 11
     for kind, n in (("haar", 3), ("one_zero", 6), ("ghz", 6), ("haar", 11)):
         tm = tangent_matrix(_route_state(kind, n, 280 + n, 0.0))
-        gram = rank_mod.gram(tm)
+        gram = tm.gram
         real = _reference_real(tm.state)
-        assert gram.dtype == np.float64 and not gram.flags.writeable
+        assert np.array(gram).dtype == np.float64
         assert np.allclose(gram, real.T @ real, rtol=0, atol=INNER_PRODUCT_ATOL), (kind, n)
-        assert rank_mod.gram(tm) is gram
+        assert tm.gram is gram
 
 
 def test_exact_queries_eliminate_only_gram_blocks(monkeypatch):
     # every exact rank is read from the (3n+1)^2 Gram, which each tangent
     # matrix builds once; no 2^(n+1)-row matrix is ever eliminated
     heights, built = [], []
-    eliminate, streamed_gram = rank_mod._psd_rank, rank_mod._streamed_gram
+    eliminate, streamed_gram = rank_mod._psd_rank, lie_action._streamed_gram
 
     def eliminate_spy(matrix):
         heights.append(len(matrix))
@@ -1491,7 +1491,7 @@ def test_exact_queries_eliminate_only_gram_blocks(monkeypatch):
         return streamed_gram(tm)
 
     monkeypatch.setattr(rank_mod, "_psd_rank", eliminate_spy)
-    monkeypatch.setattr(rank_mod, "_streamed_gram", gram_spy)
+    monkeypatch.setattr(lie_action, "_streamed_gram", gram_spy)
 
     def check(n, run):
         heights.clear()

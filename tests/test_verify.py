@@ -1,11 +1,15 @@
 """The randomized suite runner: registry, determinism, failure records."""
 
+import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import luorbit.lie_action as lie_action
 import luorbit.verify as verify_mod
 from luorbit import SUITES, StateVector, span_dims, verify_proposition
+from luorbit.states import EXACT, FLOAT
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -122,3 +126,41 @@ def test_ranktripluinv_reports_failures_in_subset_order(monkeypatch):
             for i, (subset, include_last) in enumerate(queries)
             if i % 3 == 0
         ]
+
+
+def test_each_tangent_matrix_streams_its_live_rows_once(monkeypatch):
+    # R serves every float reader, the float Gram and the twotripspan5
+    # complements included, and the Gram every exact one: each matrix these
+    # suites build writes its live rows in one stream, and no other rows
+    built, streams = [], []
+    row_blocks, tangent_matrix = lie_action._row_blocks, verify_mod.tangent_matrix
+
+    def blocks_spy(parts, codes, bits=None, last=True):
+        streams.append((parts, codes, bits, last))
+        return row_blocks(parts, codes, bits, last)
+
+    def matrix_spy(psi):
+        built.append(tangent_matrix(psi))
+        return built[-1]
+
+    # wherever a module of the package holds the stream, so a copy imported by name is seen too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("luorbit") and vars(module).get("_row_blocks") is row_blocks:
+            monkeypatch.setattr(module, "_row_blocks", blocks_spy)
+    monkeypatch.setattr(verify_mod, "tangent_matrix", matrix_spy)
+    for n in (6, 8):
+        for name in ("triplesprop", "twocommonstronggen", "twotripspan5"):
+            built.clear()
+            streams.clear()
+            assert verify_proposition(name, n=n, trials=6, seed=40 + n).passed, (name, n)
+            assert built and len(streams) == len(built), (name, n)
+            for tm in built:
+                live = lie_action.live_codes(tm.parts)
+                mine = [
+                    (bits, last)
+                    for parts, codes, bits, last in streams
+                    if np.array_equal(parts, tm.parts) and np.array_equal(codes, live)
+                ]
+                assert mine == [(None, True)], (name, n, tm.mode)
+            if name == "triplesprop":
+                assert {tm.mode for tm in built} == {FLOAT, EXACT}, n
