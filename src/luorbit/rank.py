@@ -657,9 +657,9 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     ``certifies`` tells whether a selection is certified as full column
     rank.  An exact matrix eliminates each selection's block of the Gram,
     its columns read from the group's column array (``_exact_rank``), and
-    keeps every verdict; full rank certifies.  A
-    floating one takes one stacked SVD of their R slices, gathered by the
-    group's column array as it is, and decides the whole stack at once
+    keeps every verdict; full rank certifies.  A floating one takes one
+    stacked SVD of their R slices, gathered by the group's column array
+    as it is, and decides the whole stack at once
     (``_certified_ranks``).  A rank R certifies is read from its slice; its
     verdict is made and kept in ``tm.ranks`` only when ``keep``, and is
     None otherwise.  Every other selection gets the verdict of its columns
