@@ -42,6 +42,12 @@ is live, in order, and the blocks are those of the whole real view.
 ``TangentMatrix.columns`` generates any columns over every code, in
 order, from blocks of every code's rows that hold only the asked qubits'
 triples and the last column if asked, and keeps none of them.
+
+A state whose live rows fill more than one block and that is a product
+of one- and two-qubit factors, as every state of minimal orbit
+dimension is, gets R without streaming (``_product_r``): its tangent
+vectors lie in a space of 1 + sum over factors F of 2**|F| complex
+dimensions, so R is read from a matrix of that many (re, im) row pairs.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ from typing import Optional
 
 import numpy as np
 
+from .lu import GENERATORS
 from .states import EXACT, StateVector, _amplitudes_of
+from .tolerance import INNER_PRODUCT_ATOL, PRODUCT_RESIDUAL
 
 
 def _times_i(parts: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
@@ -85,11 +93,12 @@ def _operands(parts: np.ndarray) -> tuple:
     """
     parts = parts.reshape(-1, 2)
     zero = parts.dtype.type(0)
-    swap_zero = np.array([-zero, zero], dtype=parts.dtype)
     i_parts = _times_i(parts, 1, np.empty_like(parts))
     signed = np.empty((2, 2) + parts.shape, dtype=parts.dtype)
+    zeros = np.empty_like(parts)
     for p, out in zip((parts, i_parts), signed):
-        zeros = p[:, ::-1] * swap_zero
+        np.multiply(p[:, 1], -zero, out=zeros[:, 0])
+        np.multiply(p[:, 0], zero, out=zeros[:, 1])
         # p * 1 + zeros is p + zeros, and p * -1 + zeros is zeros - p, bit for bit
         np.add(p, zeros, out=out[0])
         np.subtract(zeros, p, out=out[1])
@@ -252,14 +261,20 @@ class TangentMatrix:
 
     @functools.cached_property
     def r_factor(self) -> np.ndarray:
-        """An upper-triangular R with ``real = Q R``, Q orthonormal: ``streamed_r``, built once.
+        """An upper-triangular R with ``real = Q R``, Q orthonormal, built once; floating backend only.
 
-        It is streamed from ``parts`` in row blocks of the live codes' rows
-        (``live_codes``; the others are zero), so a floating verdict that R
-        certifies generates no column, and a sparse state's R costs what
-        its live rows cost.
+        A state whose live rows fill more than one ``_BLOCK_ROWS`` block
+        and that is, to within ``PRODUCT_RESIDUAL``, a product of one- and
+        two-qubit factors gets R from a small matrix with the real view's
+        Gram, 2 + sum of 2**(|F|+1) rows over its factors F
+        (``_product_r``).  Every other state gets ``streamed_r``: R streamed
+        from ``parts`` in row blocks of the live codes' rows (``live_codes``;
+        the others are zero).  Either way a floating verdict that R
+        certifies generates no column, and a sparse state's R costs what its
+        live rows cost.
         """
-        return streamed_r(self)
+        r = _product_r(self)
+        return streamed_r(self) if r is None else r
 
     @functools.cached_property
     def gram(self) -> list:
@@ -379,3 +394,130 @@ def _block_r(block: np.ndarray) -> np.ndarray:
         return np.linalg.qr(block, mode="r")
     quarters = np.linalg.qr(block.reshape(4, -1, width), mode="r")
     return np.linalg.qr(quarters.reshape(-1, width), mode="r")
+
+
+def _product_r(tm: TangentMatrix) -> Optional[np.ndarray]:
+    """R of the real view of a product of one- and two-qubit factors, from a small matrix; else None.
+
+    None unless the live codes' rows fill more than one ``_BLOCK_ROWS``
+    block, psi splits into such factors (``_split_product``), and psi
+    lies within ``PRODUCT_RESIDUAL`` of c times the product of its unit
+    factors, c their overlap with psi: the residual is measured as it
+    is, not from ``1 - |c|**2``, so nothing is squared.  Then R is the
+    QR of ``_product_matrix``, which has the Gram of the real view of
+    c times that product.  The tangent matrix is linear in psi and each
+    column is a unitary acting on psi, so the two real views differ by
+    at most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` in norm.
+    """
+    n = tm.n
+    if 2 * live_codes(tm.parts).size <= _BLOCK_ROWS:
+        return None
+    vec = tm.state.vector
+    factors = _split_product(vec.reshape((2,) * n))
+    if factors is None:
+        return None
+    product = _product_state(factors)
+    c = np.vdot(product, vec)
+    if np.linalg.norm(vec - c * product) > PRODUCT_RESIDUAL:
+        return None
+    return np.linalg.qr(_product_matrix(factors, c, n), mode="r")
+
+
+def _split_product(psi: np.ndarray) -> Optional[list]:
+    """Split an amplitude tensor into factors of one or two qubits, as ``[(qubits, f)]``, or None.
+
+    The qubits are walked in order.  The leading qubit q of what is left
+    is a factor alone when its 2 x 2 reduced Gram has rank one; else its
+    partner is the first later qubit p whose 4 x 4 reduced Gram of (q, p)
+    has rank one.  The factor f is read from that Gram
+    (``_rank_one_column``), and what is left is f's conjugate contracted
+    with it.  Returns None when some qubit finds neither.  The Grams only
+    propose the split: ``_product_r`` measures its residual.
+    """
+    qubits = list(range(1, psi.ndim + 1))
+    rest, factors = psi, []
+    while qubits:
+        block = rest.reshape(2, -1)
+        f = _rank_one_column(block @ block.conj().T)
+        partner = 0
+        while f is None:
+            partner += 1
+            if partner == len(qubits):
+                return None
+            block = np.moveaxis(rest, partner, 1).reshape(4, -1)
+            f = _rank_one_column(block @ block.conj().T)
+        members = (qubits[0], qubits[partner]) if partner else (qubits[0],)
+        qubits = [q for q in qubits if q not in members]
+        factors.append((members, f))
+        rest = (f.conj() @ block).reshape((2,) * len(qubits))
+    return factors
+
+
+def _rank_one_column(gram: np.ndarray) -> Optional[np.ndarray]:
+    """The unit factor of a Gram G of rank one, or None.
+
+    G has rank one when tr(G)**2 - |G|_F**2, twice the sum of its
+    eigenvalues' pairwise products, is at most ``INNER_PRODUCT_ATOL``
+    times tr(G)**2.  The factor is G's column of largest diagonal,
+    normalized.
+    """
+    diagonal = gram.diagonal().real
+    trace = diagonal.sum()
+    if not trace > 0 or trace**2 - np.vdot(gram, gram).real > INNER_PRODUCT_ATOL * trace**2:
+        return None
+    column = gram[:, np.argmax(diagonal)]
+    return column / np.linalg.norm(column)
+
+
+def _product_state(factors: list) -> np.ndarray:
+    """The tensor product of ``factors`` (as ``_split_product`` gives them), as amplitudes in qubit order."""
+    product, axes = np.ones(()), []
+    for qubits, f in factors:
+        product = np.multiply.outer(product, f.reshape((2,) * len(qubits)))
+        axes += qubits
+    return product.transpose(np.argsort(axes)).reshape(-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_generators(width: int) -> np.ndarray:
+    """The z, y, x generators of each qubit of a ``width``-qubit factor, in qubit order, read-only."""
+    ops = np.stack(GENERATORS)
+    if width == 2:
+        eye = np.eye(2)
+        ops = np.stack([np.kron(g, eye) for g in ops] + [np.kron(eye, g) for g in ops])
+    ops.flags.writeable = False
+    return ops
+
+
+def _product_matrix(factors: list, c: complex, n: int) -> np.ndarray:
+    """A real matrix with the Gram of the real view of c times the product of unit ``factors``.
+
+    Write P for the product, and P_F for the product of the factors but
+    f_F.  The vectors of c P's tangent matrix lie in the span of P and of
+    h P_F, h orthogonal to f_F, for every factor F; these spaces are
+    mutually orthogonal, so their coordinates are an isometry: one shared
+    complex coordinate for P, and for each F a block of 2**|F| holding h.
+    Generator G on a qubit of F maps c P to c <f_F, G f_F> P plus
+    c (G f_F - <f_F, G f_F> f_F) P_F, and the last column, -i c P, is
+    -i c in the shared coordinate.  Each complex coordinate gives a (re,
+    im) pair of rows, as in the real view, so the Gram (of Re<u|v>) is
+    the same.  The matrix has at least 4n + 2 rows, so its R is square.
+    """
+    width = 3 * n + 1
+    mat = np.zeros((1 + sum(f.size for _, f in factors), width), dtype=np.complex128)
+    mat[0, -1] = -1j * c
+    start = 1
+    for size in (1, 2):
+        group = [(qubits, f) for qubits, f in factors if len(qubits) == size]
+        if not group:
+            continue
+        fs = np.stack([f for _, f in group])
+        cols = (3 * np.array([qubits for qubits, _ in group]) - 3)[..., None] + np.arange(3)
+        cols = cols.reshape(len(group), -1)
+        moved = np.einsum("gij,fj->fgi", _factor_generators(size), fs)
+        mean = np.einsum("fgi,fi->fg", moved, fs.conj())
+        mat[0, cols] = c * mean
+        rows = start + np.arange(fs.size).reshape(len(group), 1, -1)
+        mat[rows, cols[..., None]] = c * (moved - mean[..., None] * fs[:, None])
+        start += fs.size
+    return np.stack([mat.real, mat.imag], axis=1).reshape(-1, width)

@@ -115,11 +115,14 @@ def apply_local(psi, lu: LocalUnitary):
 
 
 def _apply_factors(vec: np.ndarray, factors: tuple) -> np.ndarray:
-    n = len(factors)
+    """Apply factor k to qubit k, for every k.
+
+    Each step contracts the leading axis, qubit k's, and writes it last,
+    so the axes rotate: after n steps they are back in qubit order.
+    """
     out = vec
-    for k, u in enumerate(factors, start=1):
-        shaped = out.reshape(1 << (k - 1), 2, 1 << (n - k))
-        out = np.einsum("ij,ajb->aib", u, shaped).reshape(-1)
+    for u in factors:
+        out = np.einsum("ij,jb->bi", u, out.reshape(2, -1)).reshape(-1)
     return out
 
 

@@ -76,8 +76,21 @@ that grows with the height factored, at most 2**(n+1) (Demmel, Grigori,
 Hoemmen and Langou, SIAM J. Sci. Comput. 34 (2012)).  Any column
 subset of ``real`` thus has the singular values of the same columns of R
 to within c * eps * s[0] (Weyl); nothing is squared, so no precision is
-lost.  When no amplitude is zero every row is live, and R is the one
-that factoring every row gives, bit for bit.
+lost.  When no amplitude is zero every row is live, and the streamed R
+is the one that factoring every row gives, bit for bit.
+
+R has a second route, for the states of the paper's theorem and their
+like (``lie_action._product_r``).  When the live codes' rows fill more
+than one block and psi lies within ``PRODUCT_RESIDUAL`` of c times a
+product of unit one- and two-qubit factors, R is the QR of a matrix of
+2 + sum over factors F of 2**(|F|+1) rows with the Gram of that
+product's real view: 54 rows, not 16384, for six pairs and a lone qubit
+at n = 13.  The two real views differ by at most sqrt(3n + 1) *
+``PRODUCT_RESIDUAL`` in norm (each column is a unitary acting on psi),
+and every selection's s[0] is at least 1 (each column has psi's unit
+norm), so that route adds at most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` /
+eps to c, about 153 at n = 30, plus the rounding of the small QR.  The
+rule below reads both routes' R alike.
 
 One rule reads every floating verdict: reported ones
 (``real_rank``, ``real_ranks``, the tables of ``orbit_report``) and bare

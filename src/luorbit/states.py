@@ -157,10 +157,6 @@ class StateVector:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_complex(cls, values) -> "StateVector":
-        return cls(values, mode=FLOAT)
-
-    @classmethod
     def from_rational(cls, values) -> "StateVector":
         """Exact state from ints, Fractions, 'p/q' strings and (re, im) pairs of those."""
         return cls(values, mode=EXACT)

@@ -34,6 +34,22 @@ Rank verdicts (floating backend):
   is reported as inf (JSON null, as for full rank), unless it is itself
   under M and flags the verdict; so no flag and no warning depends on
   the floor.
+* ``PRODUCT_RESIDUAL`` is how far psi may lie from c times a product of
+  unit one- and two-qubit factors for R to be built from those factors
+  (``TangentMatrix.r_factor``).  The residual is measured as the norm of
+  psi - c * product, not as 1 - |c|**2, which would square it.  The
+  tangent matrix is linear in psi and each column is a unitary acting on
+  it, so the real views of psi and of the product differ by at most
+  sqrt(3n + 1) times the bound in norm, and every selection's largest
+  singular value is at least 1 on a unit state: that route adds at most
+  16 * sqrt(91), about 153, ``EPS`` to the rounding c * ``EPS`` that the
+  margins budget up to M, at n = 30.  Measured on scrambled singlet
+  products: residuals of at most 9.3 ``EPS`` (300 states each at n = 12
+  and 13, 10 to 40 at n = 8, 11, 14, 15 and 16), so the bound accepts
+  them all; a state 1e-13 from such a product is refused.  The split is
+  only proposed, by rank-one tests of 2 x 2 and 4 x 4 reduced Grams with
+  the slack ``INNER_PRODUCT_ATOL``: a Gram squares the residual, so it
+  cannot tell 1e-9 from ``EPS``, and it decides nothing.
 
 Slacks of the independent checks (verify oracles, state comparison,
 SU(2) validation, contraction).  They compare quantities of unit scale,
@@ -46,7 +62,8 @@ work that lies between the two sides being compared:
   columns), where the error is a small multiple of ``EPS``.
 * ``INNER_PRODUCT_ATOL``: inner products of unit vectors, and the
   proportionality of two unit states, where each sum over 2**n terms adds
-  rounding.
+  rounding; also the rank-one tests of reduced Grams that propose a
+  product split (``PRODUCT_RESIDUAL``).
 * ``ORACLE_TOL``: oracles that stack factorizations (an SVD of a Schmidt
   vector, purity from a reduced density matrix, the joint rank of two
   complement bases, the reassembly of contracted factors), each adding
@@ -88,6 +105,9 @@ GAP_WARNING_THRESHOLD = 1e3
 
 #: Dropped singular values under this times the largest are indistinguishable from zero.
 ROUNDING_FLOOR = GAP_WARNING_THRESHOLD * EPS
+
+#: Largest residual |psi - c * product| for which R is built from psi's one- and two-qubit factors.
+PRODUCT_RESIDUAL = 16 * EPS
 
 #: Absolute slack for equalities of unit-scale numbers after a few roundings.
 ROUNDOFF_ATOL = 1e-12

@@ -5,6 +5,7 @@ np.linalg.matrix_rank, so it shares no code with the implementation.
 """
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -490,6 +491,11 @@ def test_default_selection_is_built_once_per_n():
     assert key_a == ColumnSelector.full(4)
 
 
+def _pin_streamed_r(mp) -> None:
+    """Give every matrix ``streamed_r``'s R, products of one- and two-qubit factors too."""
+    mp.setattr(lie_action, "_product_r", lambda tm: None)
+
+
 def _assert_streamed_r_matches_lapack_qr(tm, selectors, tols):
     """Verdicts and R's singular values against a twin built by LAPACK's QR of a reference view.
 
@@ -524,6 +530,7 @@ def _assert_streamed_r_matches_lapack_qr(tm, selectors, tols):
 def test_streamed_r_matches_lapack_qr(n, kind, seed, eps, tol, block_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lie_action, "_BLOCK_ROWS", block_rows)
+        _pin_streamed_r(mp)
         tm = tangent_matrix(_route_state(kind, n, seed, eps))
         selectors = _every_selector(n) if n <= 7 else _report_selectors(n)
         _assert_streamed_r_matches_lapack_qr(tm, selectors, [tol])
@@ -547,7 +554,8 @@ def test_dense_r_bytes_are_frozen(kind, n):
 
 @pytest.mark.parametrize("n", [11, 12, 13])
 @pytest.mark.parametrize("kind", ["haar", "singlets", "near_pair", "basis", *_SPARSE])
-def test_streamed_r_matches_lapack_qr_past_one_block(n, kind):
+def test_streamed_r_matches_lapack_qr_past_one_block(monkeypatch, n, kind):
+    _pin_streamed_r(monkeypatch)
     tm = tangent_matrix(_route_state(kind, n, 300 + n, 1e-9))
     _assert_streamed_r_matches_lapack_qr(tm, _report_selectors(n), [DEFAULT_TOL, 1e-6, 1e-2])
 
@@ -560,6 +568,7 @@ def test_streamed_r_matches_lapack_qr_past_one_block(n, kind):
 def test_streamed_r_reads_only_live_rows(monkeypatch, kind, n, block_rows):
     # R has the Gram of the whole real view, from the live codes' rows alone
     monkeypatch.setattr(lie_action, "_BLOCK_ROWS", block_rows)
+    _pin_streamed_r(monkeypatch)
     psi = _route_state(kind, n, 320 + n, 0.0)
     tm = tangent_matrix(psi)
     real = _reference_real(psi)
@@ -578,6 +587,102 @@ def test_streamed_r_reads_only_live_rows(monkeypatch, kind, n, block_rows):
     assert np.array_equal(np.triu(r), r)
     assert np.array_equal(np.concatenate(written), live)
     assert np.allclose(r.T @ r, real.T @ real, rtol=0, atol=64 * _EPS)
+
+
+# ---------------------------------------------------------------------------
+# R of a product of one- and two-qubit factors, built from its factors
+# ---------------------------------------------------------------------------
+
+
+def _planted_singlets(n: int, rng) -> tuple:
+    """A scrambled singlet product and its planted pairs, each sorted."""
+    pairs, lone = _random_pairing(n, rng)
+    return _scramble(singlet_product(n, pairs, lone), rng), sorted(tuple(sorted(p)) for p in pairs)
+
+
+def _haar_pairs(n: int, rng) -> StateVector:
+    """Haar two-qubit states on a random pairing, a Haar qubit on the lone one, scrambled."""
+    pairs, lone = _random_pairing(n, rng)
+    placements = [(pair, random_state(2, rng)) for pair in pairs]
+    if lone is not None:
+        placements.append(((lone,), random_state(1, rng)))
+    return _scramble(embed_product(n, placements), rng)
+
+
+#: Products of one- and two-qubit factors with every amplitude nonzero.
+_PRODUCTS = {
+    "singlets": lambda n, rng: _planted_singlets(n, rng)[0],
+    "haar_pairs": _haar_pairs,
+    "lone": lambda n, rng: _scramble(_unentangled_product(n, rng, range(1, n + 1)), rng),
+}
+
+
+def _spy_streamed_r(monkeypatch) -> list:
+    """The matrices whose R is streamed from now on, in order."""
+    streamed, stream = [], lie_action.streamed_r
+    monkeypatch.setattr(lie_action, "streamed_r", lambda tm: streamed.append(tm) or stream(tm))
+    return streamed
+
+
+@pytest.mark.parametrize(
+    "kind, n, product",
+    [("singlets", n, True) for n in (11, 12, 13)]
+    + [("haar_pairs", 12, True), ("lone", 11, True), ("canonical", 15, True), ("canonical", 16, True)]
+    # one block of live rows or fewer: 2048 rows at n = 10 and 14, 1792 at 13
+    + [("singlets", 10, False), ("canonical", 13, False), ("canonical", 14, False)]
+    + [("haar", 11, False), ("haar", 12, False), ("near_pair", 12, False)],
+)
+def test_r_is_built_from_the_factors_of_products_past_one_block(monkeypatch, kind, n, product):
+    rng = np.random.default_rng(600 + n)
+    psi = _PRODUCTS[kind](n, rng) if kind in _PRODUCTS else _route_state(kind, n, 600 + n, 1e-9)
+    tm = tangent_matrix(psi)
+    streamed = _spy_streamed_r(monkeypatch)
+    r = tm.r_factor
+    assert streamed == ([] if product else [tm])
+    assert r.shape == (tm.column_count, tm.column_count)
+    assert np.array_equal(np.triu(r), r)
+    if product:
+        assert 2 * lie_action.live_codes(psi.parts).size > lie_action._BLOCK_ROWS
+        # the R of c times the product of unit factors: the real view's Gram
+        real = tm.columns(range(tm.column_count))
+        assert np.allclose(r.T @ r, real.T @ real, rtol=0, atol=64 * _EPS)
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+@pytest.mark.parametrize("kind", sorted(_PRODUCTS))
+def test_product_r_gives_the_streamed_verdicts(monkeypatch, kind, n):
+    psi = _PRODUCTS[kind](n, np.random.default_rng(700 + n))
+    tm, twin = tangent_matrix(psi), tangent_matrix(psi)
+    assert lie_action._product_r(tm) is not None
+    object.__setattr__(twin, "r_factor", lie_action.streamed_r(twin))
+    selectors = _report_selectors(n)
+    for tol in (DEFAULT_TOL, 1e-6, 1e-2):
+        got, want = real_ranks(tm, selectors, tol), real_ranks(twin, selectors, tol)
+        for sel, g, w in zip(selectors, got, want):
+            assert (g.rank, g.gap_ratio) == (w.rank, w.gap_ratio), (sel, tol)
+            if w.singular_values:
+                gap = np.subtract(g.singular_values, w.singular_values)
+                assert np.abs(gap).max() <= ROUNDING_FLOOR * w.singular_values[0], (sel, tol)
+    report = json.dumps(orbit_report(psi).to_json_dict())
+    _pin_streamed_r(monkeypatch)
+    assert report == json.dumps(orbit_report(psi).to_json_dict())
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-13])
+@pytest.mark.parametrize("n", [11, 12])
+def test_a_near_product_past_the_residual_bound_streams_its_r(monkeypatch, n, delta):
+    rng = np.random.default_rng(800 + n)
+    singlets, pairs = _planted_singlets(n, rng)
+    psi = StateVector(singlets.vector + delta * random_state(n, rng).vector)
+    tm = tangent_matrix(psi)
+    # the reduced Grams square delta away, so they still propose the planted split
+    split = lie_action._split_product(psi.vector.reshape((2,) * n))
+    assert sorted(qubits for qubits, _ in split if len(qubits) == 2) == pairs
+    # but psi lies about delta from every product, far past the bound
+    assert lie_action._product_r(tm) is None
+    streamed = _spy_streamed_r(monkeypatch)
+    tm.r_factor
+    assert streamed == [tm]
 
 
 # ---------------------------------------------------------------------------

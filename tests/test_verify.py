@@ -148,6 +148,8 @@ def test_each_tangent_matrix_streams_its_live_rows_once(monkeypatch):
         if name.startswith("luorbit") and vars(module).get("_row_blocks") is row_blocks:
             monkeypatch.setattr(module, "_row_blocks", blocks_spy)
     monkeypatch.setattr(verify_mod, "tangent_matrix", matrix_spy)
+    # R streamed, not built from the factors of a product state
+    monkeypatch.setattr(lie_action, "_product_r", lambda tm: None)
     for n in (6, 8):
         for name in ("triplesprop", "twocommonstronggen", "twotripspan5"):
             built.clear()
