@@ -236,17 +236,13 @@ def _generate_state(args) -> StateVector:
         mask[[0, -1] if kind == "ghz" else 1 << np.arange(n)] = True
         return _indicator(mask, mode)
     if kind == "basis":
-        if args.bits is not None:
-            if args.index is not None:
-                raise _UsageError("give --index or --bits, not both")
-            if len(args.bits) != n or set(args.bits) - {"0", "1"}:
-                raise _UsageError(f"--bits must be {n} characters of 0/1")
-            index = int(args.bits, 2)
-        else:
-            index = args.index if args.index is not None else 0
-        if not 0 <= index < (1 << n):
-            raise _UsageError(f"--index {index} out of range for {n} qubits")
-        return basis_state(n, index, mode=mode)
+        if args.bits is not None and args.index is not None:
+            raise _UsageError("give --index or --bits, not both")
+        index = args.bits if args.bits is not None else args.index or 0
+        try:
+            return basis_state(n, index, mode=mode)
+        except ValueError as exc:
+            raise _UsageError(f"bad basis state: {exc}") from exc
     if kind == "random":
         if mode == EXACT:
             return random_rational_state(n, args.seed)

@@ -243,9 +243,8 @@ class TangentMatrix:
     float64 in float mode and holds Python ints in exact mode, every entry
     ``scale`` times the true one.  No attribute holds it: ``columns``
     generates the columns a reader asks for, and only what needs their
-    rows asks (floating verdicts that R cannot certify, complement
-    vectors of ``rank.complement_basis``, column dumps and the
-    ``twocommonstrong`` column checks).
+    rows asks (floating verdicts that R cannot certify, column dumps and
+    the ``twocommonstrong`` column checks).
 
     Every other reader reads one (3n+1)-square factor of the real view,
     built on first read and then held: ``r_factor`` on the floating
@@ -312,10 +311,6 @@ class TangentMatrix:
     @property
     def column_count(self) -> int:
         return 3 * self.n + 1
-
-    @property
-    def last_index(self) -> int:
-        return 3 * self.n
 
     def columns(self, cols) -> np.ndarray:
         """The real view's columns ``cols``, in that order, over every code: 2**(n+1) x len(cols).

@@ -190,21 +190,19 @@ before tol and the selectors are checked, and a selection with a kept
 verdict is left out of its group, so the plan changes no verdict, no
 kept entry and no order of work.
 
-Float complements (``complement_dim``, ``complement_basis``) read R too:
-its columns have the inner products of the real view's.  An SVD of the
-``against`` columns of R gives an orthonormal basis of their span (same
-relative cutoff as a verdict), and the triple's columns of R are
-projected onto it.  One qubit's z, y and x actions are orthonormal on a
-unit-norm state, so the triple needs no QR, and the projection's
-singular values are cosines in [0, 1]: their cutoff is the absolute
-``s > tol``.  The right singular vectors at or below it are the complement's
-coefficients in the triple's columns (``_complement_coeffs``).  Times the
-triple's columns of R they give the complement in R's coordinates: Q is
-orthonormal, so any set of such vectors has the singular values of the
-real-view vectors, which is all a joint rank of complements needs (the
-``twotripspan5`` suite).  ``complement_basis`` returns the real-view
-vectors themselves, so it generates the triple's three columns
-(``TangentMatrix.columns``) and multiplies them by the coefficients.
+Float complements (``complement_dim``) read R too: its columns have the
+inner products of the real view's.  An SVD of the ``against`` columns of
+R gives an orthonormal basis of their span (same relative cutoff as a
+verdict), and each triple's columns of R are projected onto it.  One
+qubit's z, y and x actions are orthonormal on a unit-norm state, so the
+triple needs no QR, and the projection's singular values are cosines in
+[0, 1]: their cutoff is the absolute ``s > tol``.  The right singular
+vectors at or below it are the complement's coefficients in the triple's
+columns (``_complement_coeffs``, which factors the ``against`` columns
+once for all the triples it is asked).  Times the triple's columns of R
+they give the complement in R's coordinates: Q is orthonormal, so any set
+of such vectors has the singular values of the real-view vectors, which
+is all a joint rank of complements needs (the ``twotripspan5`` suite).
 
 ``tol`` must be finite and lie in [eps, 1) with eps the float64 machine
 epsilon (``check_tol``): below eps the cutoff sits under rounding noise,
@@ -723,7 +721,7 @@ def complement_dim(
     if against.is_empty:
         return 3
     if tm.mode == FLOAT:
-        return len(_complement_coeffs(tm, inside, against, tol))
+        return len(_complement_coeffs(tm, (inside,), against, tol)[0])
     gram = tm.gram
     triple = tm.triple_indices(inside)
     cross = [[gram[r][t] for t in triple] for r in against.column_indices(tm.n)]
@@ -732,36 +730,16 @@ def complement_dim(
     return 3 - _psd_rank(upper)
 
 
-def _complement_coeffs(
-    tm: TangentMatrix, inside: int, against: ColumnSelector, tol: float
-) -> np.ndarray:
-    """d x 3 rows C: the triple's real-view columns times ``C.T`` span the complement; reads only R."""
+def _complement_coeffs(tm: TangentMatrix, insides: tuple, against: ColumnSelector, tol: float) -> list:
+    """One d x 3 array C per triple of ``insides``: its real-view columns times ``C.T`` span its complement.
+
+    The ``against`` columns of R are factored once, for every triple; only R is read.
+    """
     r = tm.r_factor
     u, s, _ = np.linalg.svd(r[:, list(against.column_indices(tm.n))], full_matrices=False)
-    projected = u[:, s > tol * s[0]].T @ r[:, list(tm.triple_indices(inside))]
-    _, s, vt = np.linalg.svd(projected)
-    return vt[np.count_nonzero(s > tol) :]
-
-
-def complement_basis(
-    tm: TangentMatrix,
-    inside: int,
-    against: ColumnSelector,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Orthonormal basis (columns) of the complement measured by complement_dim.
-
-    It has ``complement_dim`` columns: combinations of the triple's
-    orthonormal columns of the real view, with coefficients read from R
-    (module docstring).
-
-    Floating backend only; used by the verification suites to check that
-    complements drawn from different triples are jointly independent.
-    """
-    check_tol(tol)
-    if tm.mode != FLOAT:
-        raise ValueError("complement_basis requires the floating backend")
-    if inside in against.triples:
-        raise ValueError(f"triple {inside} may not appear in the 'against' selection")
-    coeffs = np.eye(3) if against.is_empty else _complement_coeffs(tm, inside, against, tol)
-    return tm.columns(tm.triple_indices(inside)) @ coeffs.T
+    basis = u[:, s > tol * s[0]].T
+    coeffs = []
+    for inside in insides:
+        _, s, vt = np.linalg.svd(basis @ r[:, list(tm.triple_indices(inside))])
+        coeffs.append(vt[np.count_nonzero(s > tol) :])
+    return coeffs

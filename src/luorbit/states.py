@@ -192,10 +192,6 @@ class StateVector:
         return self._vec
 
     @property
-    def dim(self) -> int:
-        return 1 << self._n
-
-    @property
     def norm_squared(self):
         """1.0 in float mode; the representative's squared norm in exact mode."""
         if self._sqnorm is None:
@@ -424,7 +420,8 @@ def basis_state(n: int, index, mode: str = FLOAT) -> StateVector:
     """The computational basis state |index> on n qubits."""
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
-    return _indicator(np.arange(1 << n) == as_code(index, n), mode)
+    # the code is checked before the 2**n codes are built
+    return _indicator(as_code(index, n) == np.arange(1 << n), mode)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -545,13 +542,16 @@ def random_state(n: int, seed) -> StateVector:
     return StateVector(parts[0] + 1j * parts[1], mode=FLOAT)
 
 
-def random_rational_state(n: int, seed, span: int = 9) -> StateVector:
-    """Random exact-mode state with small-fraction amplitudes (unnormalized)."""
+def random_rational_state(n: int, seed) -> StateVector:
+    """Random exact-mode state with small-fraction amplitudes (unnormalized).
+
+    Each part is a numerator in [-9, 9] over a denominator in 1..4.
+    """
     if n < 1:
         raise ValueError("qubit count must be at least 1")
     rng = np.random.default_rng(seed)
     while True:
-        nums = rng.integers(-span, span + 1, size=(2, 1 << n))
+        nums = rng.integers(-9, 10, size=(2, 1 << n))
         dens = rng.integers(1, 5, size=(2, 1 << n))
         if np.any(nums):
             break
@@ -566,16 +566,15 @@ def random_rational_state(n: int, seed, span: int = 9) -> StateVector:
 
 
 def _pair_rows(psi: StateVector, l: int, lp: int) -> np.ndarray:
-    """Amplitudes as a 4 x 2**(n-2) x k array split across qubits (l, lp) and the rest.
+    """``parts`` as a 4 x 2**(n-2) x 2 array split across qubits (l, lp) and the rest.
 
     Row 2*b + b' holds the bits (b, b') of the lower and higher of the two
     qubits; columns run over the remaining qubits in their own order.  The
-    last axis holds one amplitude: one complex128 in float mode (k = 1),
-    so the copy moves whole amplitudes, or its (re, im) ints in exact mode.
+    last axis holds each amplitude's (re, im), contiguous, so a float
+    reader can view it as one complex128.
     """
     lo, hi = sorted((l, lp))
-    items = psi.parts if psi.mode == EXACT else psi.parts.view(np.complex128)
-    return np.moveaxis(items, (lo - 1, hi - 1), (0, 1)).reshape(4, -1, items.shape[-1])
+    return np.moveaxis(psi.parts, (lo - 1, hi - 1), (0, 1)).reshape(4, -1, 2)
 
 
 def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
@@ -594,9 +593,9 @@ def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
         if not 1 <= p <= n:
             raise ValueError(f"qubit {p} out of range 1..{n}")
     rows = _pair_rows(psi, l, lp)
-    out = rows[0] + rows[3]
+    out = rows[0] + rows[3]  # a complex add is two float adds
     if psi.mode == FLOAT:
-        out = out[:, 0] / math.sqrt(2.0)
+        out = out.view(np.complex128)[:, 0] / math.sqrt(2.0)
         if float(np.linalg.norm(out)) > ROUNDOFF_ATOL:
             return StateVector(out)
     elif any(out.flat):

@@ -149,7 +149,7 @@ def _mixed_pool(n: int, rng) -> StateVector:
 
 def _pair_factor_evidence(psi: StateVector, l: int, lp: int) -> tuple:
     """(product_across_cut, schmidt_balanced): the tangent-free factor oracle."""
-    mat = _pair_rows(psi, l, lp)[..., 0]
+    mat = _pair_rows(psi, l, lp).view(np.complex128)[..., 0]
     u, s, _ = np.linalg.svd(mat)
     is_product = len(s) < 2 or s[1] <= ORACLE_TOL * s[0]
     chi = u[:, 0].reshape(2, 2)
@@ -303,8 +303,7 @@ def _suite_twotripspan5(n, rng, tol):
     )
     # each complement in R's coordinates: Q is orthonormal, so the joint rank is the real view's
     bases = []
-    for k in (l, lp):
-        coeffs = _complement_coeffs(tm, k, others, tol)
+    for k, coeffs in zip((l, lp), _complement_coeffs(tm, (l, lp), others, tol)):
         if len(coeffs) < 2:
             failures.append(
                 f"complement of triple {k} against the other columns is "

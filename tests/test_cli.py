@@ -85,6 +85,12 @@ def test_generate_bad_bits():
     assert code == 2
     code, _, _ = run("generate", "basis", "--qubits", "2", "--index", "7")
     assert code == 2
+    code, _, err = run("generate", "basis", "--qubits", "3", "--bits", "012")
+    assert code == 2 and "bad basis state" in err
+    code, _, err = run("generate", "basis", "--qubits", "3", "--index", "-1")
+    assert code == 2 and "out of range" in err
+    code, _, err = run("generate", "basis", "--qubits", "3", "--index", "1", "--bits", "001")
+    assert code == 2 and "not both" in err
 
 
 # ---------------------------------------------------------------------------

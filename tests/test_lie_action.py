@@ -112,7 +112,7 @@ def test_column_layout():
     psi = random_state(3, 40)
     tm = tangent_matrix(psi)
     assert tm.column_count == 10
-    assert tm.last_index == 9
+    assert 3 * tm.n == tm.column_count - 1 == 9
     assert np.allclose(tm.column(0), dense_apply(GEN_Z, psi, 1), atol=1e-15)
     assert np.allclose(tm.column(1), dense_apply(GEN_Y, psi, 1), atol=1e-15)
     assert np.allclose(tm.column(2), dense_apply(GEN_X, psi, 1), atol=1e-15)
@@ -180,7 +180,7 @@ def test_zero_state_rejected_at_construction():
 def test_last_column_is_minus_i_psi(n, seed):
     psi = random_state(n, seed)
     tm = tangent_matrix(psi)
-    assert np.allclose(tm.column(tm.last_index), -1j * psi.vector, atol=0)
+    assert np.allclose(tm.column(3 * tm.n), -1j * psi.vector, atol=0)
 
 
 def _complex_product_columns(psi: StateVector) -> np.ndarray:

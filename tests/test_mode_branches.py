@@ -15,7 +15,7 @@ _MODE_BRANCH = re.compile(
 )
 
 #: The count today; lower it when a branch goes.
-_MAX_MODE_BRANCHES = 20
+_MAX_MODE_BRANCHES = 18
 
 
 def test_mode_branches_do_not_grow():

@@ -23,7 +23,6 @@ from luorbit import (
     StateVector,
     basis_state,
     canonical_pair_state,
-    complement_basis,
     complement_dim,
     embed_product,
     orbit_report,
@@ -42,6 +41,7 @@ from luorbit.rank import (
     DEFAULT_TOL,
     GAP_WARNING_THRESHOLD,
     RankResult,
+    _complement_coeffs,
     _float_rank,
     _gap_ratio,
     retained_rank,
@@ -301,8 +301,6 @@ def test_degenerate_tol_is_rejected(tol):
         real_rank(tm, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         complement_dim(tm, 1, ColumnSelector((2,)), tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        complement_basis(tm, 1, ColumnSelector((2,)), tol=tol)
     assert tm.ranks == {}
 
 
@@ -1268,12 +1266,18 @@ def test_complement_exact_matches_float():
             assert complement_dim(te, inside, against) == complement_dim(tf, inside, against)
 
 
+def _complement_basis(tm, inside, against):
+    """The complement's real-view vectors: the triple's columns times ``_complement_coeffs``."""
+    (coeffs,) = _complement_coeffs(tm, (inside,), against, DEFAULT_TOL)
+    return tm.columns(tm.triple_indices(inside)) @ coeffs.T
+
+
 def test_complement_basis_spans_the_complement():
     psi = singlet_product(3, [(1, 2)], lone=3)
     tm = tangent_matrix(psi)
     against = ColumnSelector((3,), include_last=True)
     dim = complement_dim(tm, 1, against)
-    basis = complement_basis(tm, 1, against)
+    basis = _complement_basis(tm, 1, against)
     assert basis.shape == (16, dim)
     # orthonormal columns...
     assert np.allclose(basis.T @ basis, np.eye(dim), atol=1e-10)
@@ -1284,13 +1288,17 @@ def test_complement_basis_spans_the_complement():
         view = np.empty(16)
         view[0::2], view[1::2] = col.real, col.imag
         assert np.max(np.abs(basis.T @ view)) < 1e-10
-    # on a scrambled partial pair the basis has exactly complement_dim columns
+    # on a scrambled partial pair the basis has exactly complement_dim columns,
+    # orthonormal and orthogonal to the ``against`` columns
     rng = np.random.default_rng(255)
     tm = tangent_matrix(_scramble(_partial_pair_state(4, rng, 1, 3), rng))
     against = ColumnSelector((2, 4), include_last=True)
+    others = tm.columns(against.column_indices(4))
     for inside in (1, 3):
-        basis = complement_basis(tm, inside, against)
+        basis = _complement_basis(tm, inside, against)
         assert basis.shape[1] == complement_dim(tm, inside, against) == 2
+        assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-10)
+        assert np.max(np.abs(basis.T @ others)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -1337,7 +1345,7 @@ def test_float_complements_match_the_full_height_route(n, kind, seed, eps):
             noise = _EPS * s_against[0] / s_against[-1]
             if 10 * noise > DEFAULT_TOL or np.any((s > DEFAULT_TOL / 10) & (s < DEFAULT_TOL * 10)):
                 continue
-            got = complement_basis(tm, inside, against)
+            got = _complement_basis(tm, inside, against)
             assert complement_dim(tm, inside, against) == got.shape[1] == want.shape[1]
             # The complement then turns by up to about the noise over the
             # smallest kept projection value (Wedin): 2e-9 on a pair 1e-9
@@ -1361,7 +1369,7 @@ def test_float_complements_factor_no_full_height_matrix(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy)
     for against in (ColumnSelector(range(2, n + 1), include_last=True), ColumnSelector((3, 5))):
         complement_dim(tm, 1, against)
-        complement_basis(tm, 1, against)
+    _complement_coeffs(tm, (1, 2), ColumnSelector((3, 5)), DEFAULT_TOL)
     assert rows
     assert max(rows) < 1 << (n + 1)
 
