@@ -29,11 +29,12 @@ products are ever built.
 Row (c, part) of column (k, a) reads psi at c or at c with bit k
 flipped, and the last column reads psi at c.  So the rows of a code c
 are zero in every column unless psi is nonzero at c or at one of its n
-single-bit flips: c is then *live* (``live_codes``).  R
-(``streamed_r``) and the exact Gram (``_streamed_gram``) are built from
-the live codes' rows alone, in ``_BLOCK_ROWS``-row blocks
-(``_row_blocks``), at most once per matrix, which keeps what it built
-(``TangentMatrix.r_factor`` and ``TangentMatrix.gram``).  Rows that are
+single-bit flips: c is then *live* (``live_codes``, found once per
+matrix: ``TangentMatrix.live``).  R (``streamed_r``) and the exact Gram
+(``_streamed_gram``) are built from the live codes' rows alone, in
+``_BLOCK_ROWS``-row blocks (``_row_blocks``), at most once per matrix,
+which keeps what it built (``TangentMatrix.r_factor`` and
+``TangentMatrix.gram``).  Rows that are
 zero in every column add nothing to ``real.T @ real``, so dropping them
 changes no Gram and no singular value of any column subset.  A product
 of m canonical pairs (n = 2m) has 2**m nonzero amplitudes and
@@ -43,11 +44,17 @@ is live, in order, and the blocks are those of the whole real view.
 order, from blocks of every code's rows that hold only the asked qubits'
 triples and the last column if asked, and keeps none of them.
 
-A state whose live rows fill more than one block and that is a product
-of one- and two-qubit factors, as every state of minimal orbit
+A state whose live rows fill more than half a block and that is a
+product of one- and two-qubit factors, as every state of minimal orbit
 dimension is, gets R without streaming (``_product_r``): its tangent
 vectors lie in a space of 1 + sum over factors F of 2**|F| complex
 dimensions, so R is read from a matrix of that many (re, im) row pairs.
+Past half a block that matrix's QR, with the split that finds its
+factors, costs less than streaming the live rows; at half a block or
+fewer streaming costs less.  The split proposes each pair's partner in
+one pass over the state and confirms that one candidate
+(``_split_product``), so a state that is no product is refused after one
+pair test.
 """
 
 from __future__ import annotations
@@ -207,7 +214,7 @@ def _streamed_gram(tm: TangentMatrix) -> np.ndarray:
     ints = _int64_parts(tm.parts)
     parts = tm.parts if ints is None else ints
     total = 0
-    for block in _row_blocks(parts, live_codes(parts)):
+    for block in _row_blocks(parts, tm.live):
         # row j of the block is column j of the real view
         total = total + block @ block.T
     return total
@@ -259,18 +266,25 @@ class TangentMatrix:
     ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
+    def live(self) -> np.ndarray:
+        """The live codes of ``parts`` (``live_codes``), found once: what every route to R or the Gram reads."""
+        return live_codes(self.parts)
+
+    @functools.cached_property
     def r_factor(self) -> np.ndarray:
         """An upper-triangular R with ``real = Q R``, Q orthonormal, built once; floating backend only.
 
-        A state whose live rows fill more than one ``_BLOCK_ROWS`` block
+        A state whose live rows fill more than half a ``_BLOCK_ROWS`` block
         and that is, to within ``PRODUCT_RESIDUAL``, a product of one- and
         two-qubit factors gets R from a small matrix with the real view's
         Gram, 2 + sum of 2**(|F|+1) rows over its factors F
-        (``_product_r``).  Every other state gets ``streamed_r``: R streamed
-        from ``parts`` in row blocks of the live codes' rows (``live_codes``;
-        the others are zero).  Either way a floating verdict that R
-        certifies generates no column, and a sparse state's R costs what its
-        live rows cost.
+        (``_product_r``); past half a block that costs less than streaming.
+        The split tests one proposed partner per paired qubit, so any other
+        state past half a block pays one pair test before it streams.
+        Every other state gets ``streamed_r``: R streamed from ``parts`` in
+        row blocks of the live codes' rows (``live``; the others are zero).
+        Either way a floating verdict that R certifies generates no column,
+        and a sparse state's R costs what its live rows cost.
         """
         r = _product_r(self)
         return streamed_r(self) if r is None else r
@@ -356,7 +370,7 @@ def streamed_r(tm: TangentMatrix) -> np.ndarray:
     """A square upper-triangular R with ``real = Q R``, built from row blocks of the real view.
 
     Tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
-    Comput. 34 (2012)) of the live codes' rows (``live_codes``): each
+    Comput. 34 (2012)) of the live codes' rows (``TangentMatrix.live``): each
     ``_BLOCK_ROWS``-row block is generated from ``tm.parts`` and
     Householder-factored while it is in cache, and the stacked block Rs
     are factored again, whenever they reach a block's height and at the
@@ -366,7 +380,7 @@ def streamed_r(tm: TangentMatrix) -> np.ndarray:
     """
     width = tm.column_count
     stack: list = []
-    for block in _row_blocks(tm.parts, live_codes(tm.parts)):
+    for block in _row_blocks(tm.parts, tm.live):
         stack.append(_block_r(block.T))
         if sum(len(r) for r in stack) >= _BLOCK_ROWS:
             stack = [np.linalg.qr(np.vstack(stack), mode="r")]
@@ -394,18 +408,19 @@ def _block_r(block: np.ndarray) -> np.ndarray:
 def _product_r(tm: TangentMatrix) -> Optional[np.ndarray]:
     """R of the real view of a product of one- and two-qubit factors, from a small matrix; else None.
 
-    None unless the live codes' rows fill more than one ``_BLOCK_ROWS``
-    block, psi splits into such factors (``_split_product``), and psi
-    lies within ``PRODUCT_RESIDUAL`` of c times the product of its unit
-    factors, c their overlap with psi: the residual is measured as it
-    is, not from ``1 - |c|**2``, so nothing is squared.  Then R is the
-    QR of ``_product_matrix``, which has the Gram of the real view of
-    c times that product.  The tangent matrix is linear in psi and each
-    column is a unitary acting on psi, so the two real views differ by
-    at most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` in norm.
+    None unless the live codes' rows fill more than half a ``_BLOCK_ROWS``
+    block (at half a block or fewer, streaming them costs less), psi
+    splits into such factors (``_split_product``), and psi lies within
+    ``PRODUCT_RESIDUAL`` of c times the product of its unit factors, c
+    their overlap with psi: the residual is measured as it is, not from
+    ``1 - |c|**2``, so nothing is squared.  Then R is the QR of
+    ``_product_matrix``, which has the Gram of the real view of c times
+    that product.  The tangent matrix is linear in psi and each column is
+    a unitary acting on psi, so the two real views differ by at most
+    sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` in norm.
     """
     n = tm.n
-    if 2 * live_codes(tm.parts).size <= _BLOCK_ROWS:
+    if 2 * tm.live.size <= _BLOCK_ROWS // 2:
         return None
     vec = tm.state.vector
     factors = _split_product(vec.reshape((2,) * n))
@@ -422,12 +437,15 @@ def _split_product(psi: np.ndarray) -> Optional[list]:
     """Split an amplitude tensor into factors of one or two qubits, as ``[(qubits, f)]``, or None.
 
     The qubits are walked in order.  The leading qubit q of what is left
-    is a factor alone when its 2 x 2 reduced Gram has rank one; else its
-    partner is the first later qubit p whose 4 x 4 reduced Gram of (q, p)
-    has rank one.  The factor f is read from that Gram
-    (``_rank_one_column``), and what is left is f's conjugate contracted
-    with it.  Returns None when some qubit finds neither.  The Grams only
-    propose the split: ``_product_r`` measures its residual.
+    is a factor alone when its 2 x 2 reduced Gram has rank one.  Else
+    ``_partner`` proposes one later qubit p, in one pass over what is
+    left, and (q, p) is a factor when its 4 x 4 reduced Gram has rank
+    one; in a product, p is the only later qubit whose pair Gram with q
+    does.  The factor f is read from that Gram (``_rank_one_column``), and
+    what is left is f's conjugate contracted with it.  Returns None when
+    some qubit is neither alone nor paired with its proposed partner,
+    after one pair test.  The Grams only propose the split:
+    ``_product_r`` measures its residual.
     """
     qubits = list(range(1, psi.ndim + 1))
     rest, factors = psi, []
@@ -435,17 +453,73 @@ def _split_product(psi: np.ndarray) -> Optional[list]:
         block = rest.reshape(2, -1)
         f = _rank_one_column(block @ block.conj().T)
         partner = 0
-        while f is None:
-            partner += 1
-            if partner == len(qubits):
-                return None
+        if f is None and len(qubits) > 1:
+            partner = _partner(rest) if len(qubits) > 2 else 1
             block = np.moveaxis(rest, partner, 1).reshape(4, -1)
             f = _rank_one_column(block @ block.conj().T)
+        if f is None:
+            return None
         members = (qubits[0], qubits[partner]) if partner else (qubits[0],)
         qubits = [q for q in qubits if q not in members]
         factors.append((members, f))
         rest = (f.conj() @ block).reshape((2,) * len(qubits))
     return factors
+
+
+def _partner(rest: np.ndarray) -> int:
+    """The later axis of ``rest`` whose qubit is the leading qubit's partner, if it has one.
+
+    Weight ``rest`` by a fixed product vector w over the later axes
+    (``_partner_weights``), and sum the weighted entries of each of the
+    leading qubit's two rows with axis j's bit at 0 and at 1: one 2 x 2
+    matrix M_j per axis.  If the leading qubit and the qubit of axis p
+    form a factor g, M_p is g times one number (the weighted sum of the
+    other factors), its columns times axis p's weights; on every other
+    axis both rows of M_j are multiples of one vector, so det M_j = 0.
+    The axis whose rows are most independent, |det M_j| / |M_j|**2
+    largest, is proposed.  The later axes are split into a leading and a
+    trailing half, and each is contracted with its part of w by one
+    matrix product, so the pass takes four small products, not a step
+    per axis.
+    """
+    c_high, c_low = _partner_weights(rest.ndim - 1)
+    t = rest.reshape(2, len(c_high), len(c_low))
+    # bit-one sums of each leading axis, after the total; then of each trailing axis
+    lead = (t @ c_low[:, 0]) @ c_high
+    trail = (c_high[:, 0] @ t) @ c_low[:, 1:]
+    ones = np.concatenate((lead[:, 1:], trail), axis=1)
+    zeros = lead[:, :1] - ones
+    det = np.abs(zeros[0] * ones[1] - ones[0] * zeros[1])
+    size = (np.abs(zeros) ** 2 + np.abs(ones) ** 2).sum(axis=0)
+    return 1 + int(np.argmax(det / np.maximum(size, np.finfo(np.float64).tiny)))
+
+
+#: The golden angle, pi (3 - sqrt 5): the phase step of ``_partner_weights``.
+_GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
+
+
+@functools.lru_cache(maxsize=None)
+def _partner_weights(m: int) -> tuple:
+    """``(c_high, c_low)``: ``_partner``'s weights on m axes, as two read-only matrices.
+
+    Axis k (1-based) is weighted by (1, e**(i k phi)), phi the golden
+    angle, whose ratio to pi is irrational: no two axes have the same
+    weight, so a singlet's weighted sum (1, z) x (1, z') . (0, 1, -1, 0)
+    = z' - z is never zero, and no two multiply to -1, so a canonical
+    pair's 1 + z z' is never zero either.  The first m // 2 axes form
+    the leading half.  Each half's matrix has one row per setting of its
+    bits, holding that setting's weight and then that weight times each
+    of its axes' bits.
+    """
+    high = m // 2
+    mats = []
+    for axes in (np.arange(1, high + 1), np.arange(high + 1, m + 1)):
+        bits = (np.arange(1 << len(axes))[:, None] >> np.arange(len(axes))[::-1]) & 1
+        weight = np.where(bits, np.exp(1j * _GOLDEN_ANGLE * axes), 1).prod(axis=1)
+        mat = weight[:, None] * np.hstack([np.ones((len(bits), 1)), bits])
+        mat.flags.writeable = False
+        mats.append(mat)
+    return tuple(mats)
 
 
 def _rank_one_column(gram: np.ndarray) -> Optional[np.ndarray]:

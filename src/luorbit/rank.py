@@ -81,16 +81,22 @@ is the one that factoring every row gives, bit for bit.
 
 R has a second route, for the states of the paper's theorem and their
 like (``lie_action._product_r``).  When the live codes' rows fill more
-than one block and psi lies within ``PRODUCT_RESIDUAL`` of c times a
-product of unit one- and two-qubit factors, R is the QR of a matrix of
-2 + sum over factors F of 2**(|F|+1) rows with the Gram of that
-product's real view: 54 rows, not 16384, for six pairs and a lone qubit
-at n = 13.  The two real views differ by at most sqrt(3n + 1) *
-``PRODUCT_RESIDUAL`` in norm (each column is a unitary acting on psi),
-and every selection's s[0] is at least 1 (each column has psi's unit
-norm), so that route adds at most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` /
-eps to c, about 153 at n = 30, plus the rounding of the small QR.  The
-rule below reads both routes' R alike.
+than half a block (1024 rows), and psi lies within ``PRODUCT_RESIDUAL``
+of c times a product of unit one- and two-qubit factors, R is the QR of
+a matrix of 2 + sum over factors F of 2**(|F|+1) rows with the Gram of
+that product's real view: 54 rows, not 16384, for six pairs and a lone
+qubit at n = 13.  Past half a block that costs less than streaming;
+at half a block or fewer, streaming costs less.  The factors are found
+qubit by qubit: a qubit is alone when its 2 x 2 reduced Gram has rank
+one, and else one partner is proposed in one pass over the state and
+confirmed by the rank-one test of the pair's 4 x 4 reduced Gram, so a
+state that is no product is refused after one pair test.  The two real
+views differ by at most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` in norm
+(each column is a unitary acting on psi), and every selection's s[0] is
+at least 1 (each column has psi's unit norm), so that route adds at
+most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` / eps to c, about 153 at
+n = 30, plus the rounding of the small QR.  The rule below reads both
+routes' R alike.
 
 One rule reads every floating verdict: reported ones
 (``real_rank``, ``real_ranks``, the tables of ``orbit_report``) and bare
@@ -136,10 +142,12 @@ so a gap ratio over it is reported as inf (JSON null), unless the ratio
 itself is under M and flags the verdict.  A certified deficient verdict
 has a ratio above M**2 (both margins) and a dropped value under the
 floor, so it reports inf, as the real view does wherever its own dropped
-value lies under the floor.  Singular values are not bit-identical to
-the direct route's: R's dropped values are rounding noise, and the noise
-changes with the block order and the BLAS thread count.  The floor keeps
-that noise out of every printed gap ratio.
+value lies under the floor.  A full-rank verdict drops nothing.  So
+every certified verdict is made with gap ratio inf and the rank that
+certified it, with no second count.  Singular values are not
+bit-identical to the direct route's: R's dropped values are rounding
+noise, and the noise changes with the block order and the BLAS thread
+count.  The floor keeps that noise out of every printed gap ratio.
 
 ``real_ranks`` and ``span_dims`` let a selection inside one certified as
 full column rank inherit its column count, with no decomposition or
@@ -390,10 +398,9 @@ def _gap_ratio(s, rank: int) -> float:
     return float(kept / dropped)
 
 
-def _float_rank(view: np.ndarray, tol: float, s: Optional[list] = None) -> RankResult:
-    """Verdict from the singular values ``s`` of ``view`` (a list), computed here unless given."""
-    if s is None:
-        s = np.linalg.svd(view, compute_uv=False).tolist()
+def _float_rank(view: np.ndarray, tol: float) -> RankResult:
+    """Verdict from the singular values of ``view``, by a direct SVD."""
+    s = np.linalg.svd(view, compute_uv=False).tolist()
     rank = retained_rank(s, tol)
     return RankResult(
         rank=rank,
@@ -671,10 +678,11 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     keeps every verdict; full rank certifies.  A floating one takes one
     stacked SVD of their R slices, gathered by the group's column array
     as it is, and decides the whole stack at once
-    (``_certified_ranks``).  A rank R certifies is read from its slice; its
-    verdict is made and kept in ``tm.ranks`` only when ``keep``, and is
-    None otherwise.  Every other selection gets the verdict of its columns
-    of the real view, kept.
+    (``_certified_ranks``).  A rank R certifies is read from its slice, as
+    that count made it; its verdict, with gap ratio inf (module docstring)
+    and the slice's singular values, is made and kept in ``tm.ranks`` only
+    when ``keep``, and is None otherwise.  Every other selection gets the
+    verdict of its columns of the real view (``_float_rank``), kept.
     """
     width, sels, cols = group.width, group.sels, group.cols
     if tm.mode == EXACT:
@@ -694,7 +702,7 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
             verdict = _float_rank(tm.columns(cols[j]), tol)
             ranks[j], certifies[j] = verdict.rank, _certifies(verdict, width, tol)
         elif keep:
-            verdict = _float_rank(slices[j], tol, stacked[j].tolist())
+            verdict = RankResult(ranks[j], math.inf, FLOAT, tuple(stacked[j].tolist()))
         else:
             continue
         made[j] = tm.ranks[(sels[j], tol)] = verdict

@@ -439,8 +439,9 @@ def test_report_captures_pairing_errors(monkeypatch):
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_report_computes_each_rank_once(monkeypatch, mode):
     # full rank, every pair span and every lone span, even though the
-    # report and the classification it embeds both ask for all of them
-    calls = _count_calls(monkeypatch, rank_mod, "_float_rank", "_exact_rank")
+    # report and the classification it embeds both ask for all of them:
+    # one verdict made for each, whichever way it was read
+    calls = _count_calls(monkeypatch, rank_mod, "RankResult")
     n = 5
     rep = orbit_report(singlet_product(n, [(1, 3), (2, 5)], 4, mode=mode))
     assert rep.pairing.sorted_pairs == ((1, 3), (2, 5))
@@ -450,17 +451,15 @@ def test_report_computes_each_rank_once(monkeypatch, mode):
 def _full_height_views(monkeypatch, psi) -> int:
     """How many views that _float_rank decomposes during orbit_report(psi) have every row.
 
-    A verdict read from R comes with its slice's singular values, so only
-    views passed without them are counted: at n = 1 an R slice has as many
-    rows as the real view.
+    A verdict read from R does not pass through _float_rank, so every view
+    it decomposes is the real view's columns.
     """
     heights = []
     original = rank_mod._float_rank
 
-    def spy(view, tol, s=None):
-        if s is None:
-            heights.append(view.shape[0])
-        return original(view, tol, s)
+    def spy(view, tol):
+        heights.append(view.shape[0])
+        return original(view, tol)
 
     monkeypatch.setattr(rank_mod, "_float_rank", spy)
     orbit_report(psi)

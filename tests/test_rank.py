@@ -598,13 +598,22 @@ def _planted_singlets(n: int, rng) -> tuple:
     return _scramble(singlet_product(n, pairs, lone), rng), sorted(tuple(sorted(p)) for p in pairs)
 
 
-def _haar_pairs(n: int, rng) -> StateVector:
-    """Haar two-qubit states on a random pairing, a Haar qubit on the lone one, scrambled."""
+def _pairs_of(n: int, rng, pair_state) -> StateVector:
+    """``pair_state(rng)`` on each pair of a random pairing, a Haar qubit on the lone one."""
     pairs, lone = _random_pairing(n, rng)
-    placements = [(pair, random_state(2, rng)) for pair in pairs]
+    placements = [(pair, pair_state(rng)) for pair in pairs]
     if lone is not None:
         placements.append(((lone,), random_state(1, rng)))
-    return _scramble(embed_product(n, placements), rng)
+    return embed_product(n, placements)
+
+
+def _haar_pair(rng) -> StateVector:
+    return random_state(2, rng)
+
+
+def _haar_pairs(n: int, rng) -> StateVector:
+    """Haar two-qubit states on a random pairing, a Haar qubit on the lone one, scrambled."""
+    return _scramble(_pairs_of(n, rng, _haar_pair), rng)
 
 
 #: Products of one- and two-qubit factors with every amplitude nonzero.
@@ -622,15 +631,8 @@ def _spy_streamed_r(monkeypatch) -> list:
     return streamed
 
 
-@pytest.mark.parametrize(
-    "kind, n, product",
-    [("singlets", n, True) for n in (11, 12, 13)]
-    + [("haar_pairs", 12, True), ("lone", 11, True), ("canonical", 15, True), ("canonical", 16, True)]
-    # one block of live rows or fewer: 2048 rows at n = 10 and 14, 1792 at 13
-    + [("singlets", 10, False), ("canonical", 13, False), ("canonical", 14, False)]
-    + [("haar", 11, False), ("haar", 12, False), ("near_pair", 12, False)],
-)
-def test_r_is_built_from_the_factors_of_products_past_one_block(monkeypatch, kind, n, product):
+def _assert_r_route(monkeypatch, kind: str, n: int, product: bool) -> None:
+    """R of a ``kind`` state is built from its factors when ``product``, else streamed."""
     rng = np.random.default_rng(600 + n)
     psi = _PRODUCTS[kind](n, rng) if kind in _PRODUCTS else _route_state(kind, n, 600 + n, 1e-9)
     tm = tangent_matrix(psi)
@@ -640,10 +642,131 @@ def test_r_is_built_from_the_factors_of_products_past_one_block(monkeypatch, kin
     assert r.shape == (tm.column_count, tm.column_count)
     assert np.array_equal(np.triu(r), r)
     if product:
-        assert 2 * lie_action.live_codes(psi.parts).size > lie_action._BLOCK_ROWS
+        assert 2 * lie_action.live_codes(psi.parts).size > lie_action._BLOCK_ROWS // 2
         # the R of c times the product of unit factors: the real view's Gram
         real = tm.columns(range(tm.column_count))
         assert np.allclose(r.T @ r, real.T @ real, rtol=0, atol=64 * _EPS)
+
+
+@pytest.mark.parametrize(
+    "kind, n, product",
+    [("singlets", n, True) for n in (11, 12, 13)]
+    + [("haar_pairs", 12, True), ("lone", 11, True), ("canonical", 15, True), ("canonical", 16, True)]
+    + [("haar", 11, False), ("haar", 12, False), ("near_pair", 12, False)],
+)
+def test_r_is_built_from_the_factors_of_products_past_one_block(monkeypatch, kind, n, product):
+    _assert_r_route(monkeypatch, kind, n, product)
+
+
+@pytest.mark.parametrize(
+    "kind, n, product",
+    # more than half a block of live rows: 2048 at n = 10 and 14, 1792 at 13
+    [("singlets", 10, True), ("canonical", 13, True), ("canonical", 14, True)]
+    # half a block or fewer: 1024 rows at n = 9, 896 at 12
+    + [("singlets", 9, False), ("canonical", 12, False)],
+)
+def test_r_is_built_from_the_factors_past_half_a_block(monkeypatch, kind, n, product):
+    _assert_r_route(monkeypatch, kind, n, product)
+
+
+def _scanned_split(psi: np.ndarray):
+    """The split with each qubit's partner found by scanning: the first later qubit whose pair Gram has rank one."""
+    qubits = list(range(1, psi.ndim + 1))
+    rest, factors = psi, []
+    while qubits:
+        block = rest.reshape(2, -1)
+        f = lie_action._rank_one_column(block @ block.conj().T)
+        partner = 0
+        while f is None:
+            partner += 1
+            if partner == len(qubits):
+                return None
+            block = np.moveaxis(rest, partner, 1).reshape(4, -1)
+            f = lie_action._rank_one_column(block @ block.conj().T)
+        members = (qubits[0], qubits[partner]) if partner else (qubits[0],)
+        qubits = [q for q in qubits if q not in members]
+        factors.append((members, f))
+        rest = (f.conj() @ block).reshape((2,) * len(qubits))
+    return factors
+
+
+def _weak_pair(rng) -> StateVector:
+    """|00> + d|11>, d in [1e-4, 1e-1], in random local bases: weakly entangled, but past the rank-one tolerance."""
+    d = 10 ** rng.uniform(-4, -1)
+    return _scramble(StateVector([1.0, 0.0, 0.0, d]), rng)
+
+
+#: Products of one- and two-qubit factors, unscrambled; ``_scramble`` gives the rest.
+_SPLIT_KINDS = {
+    "canonical": _canonical_product,
+    "singlets": lambda n, rng: singlet_product(n, *_random_pairing(n, rng)),
+    "haar_pairs": lambda n, rng: _pairs_of(n, rng, _haar_pair),
+    "weak_pairs": lambda n, rng: _pairs_of(n, rng, _weak_pair),
+    "lone": lambda n, rng: _unentangled_product(n, rng, range(1, n + 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPLIT_KINDS))
+def test_one_pass_partner_gives_the_scanned_split(kind):
+    # the proposed partner is the scan's, so the factors are the scan's, bit for bit
+    rng = np.random.default_rng(650)
+    for n in range(2, 14):
+        for scrambled in (False, True):
+            for _ in range(2 if n > 11 else 4):
+                psi = _SPLIT_KINDS[kind](n, rng)
+                if scrambled:
+                    psi = _scramble(psi, rng)
+                amps = psi.vector.reshape((2,) * n)
+                got, want = lie_action._split_product(amps), _scanned_split(amps)
+                assert want is not None, (n, scrambled)
+                assert [q for q, _ in got] == [q for q, _ in want], (n, scrambled)
+                for (_, f), (_, g) in zip(got, want):
+                    assert f.tobytes() == g.tobytes(), (n, scrambled)
+    # a state that is no product: both refuse it
+    for n in range(2, 14):
+        amps = random_state(n, rng).vector.reshape((2,) * n)
+        assert (lie_action._split_product(amps) is None) == (_scanned_split(amps) is None), n
+
+
+def test_a_haar_state_takes_one_pair_test_before_it_streams(monkeypatch):
+    # n = 10: 2048 live rows, past half a block, so the split is tried once
+    tm = tangent_matrix(random_state(10, 660))
+    shapes, test = [], lie_action._rank_one_column
+    monkeypatch.setattr(lie_action, "_rank_one_column", lambda g: shapes.append(g.shape) or test(g))
+    streamed = _spy_streamed_r(monkeypatch)
+    tm.r_factor
+    assert shapes == [(2, 2), (4, 4)]
+    assert streamed == [tm]
+
+
+def test_no_matrix_up_to_nine_qubits_tries_the_split(monkeypatch):
+    # at most 512 codes, so 1024 rows, up to n = 9: R is always streamed, as
+    # it is for the verify suites' matrices (n <= 8)
+    tried, split = [], lie_action._split_product
+    monkeypatch.setattr(lie_action, "_split_product", lambda psi: tried.append(psi.ndim) or split(psi))
+    rng = np.random.default_rng(670)
+    for n in range(1, 10):
+        for psi in (random_state(n, rng), _PRODUCTS["lone"](n, rng), _canonical_product(n, rng)):
+            tangent_matrix(psi).r_factor
+        if n >= 2:
+            tangent_matrix(_PRODUCTS["singlets"](n, rng)).r_factor
+    assert tried == []
+    assert verify_proposition("twotripspan5", n=8, trials=2, seed=671).passed
+    assert tried == []
+
+
+def test_live_codes_are_found_once_per_matrix(monkeypatch):
+    # the product route, the streamed route after a refused split, and the exact Gram
+    found, live_codes = [], lie_action.live_codes
+    monkeypatch.setattr(lie_action, "live_codes", lambda parts: found.append(parts) or live_codes(parts))
+    rng = np.random.default_rng(680)
+    states = [_PRODUCTS["singlets"](11, rng), random_state(11, rng), _canonical_product(12, rng)]
+    for psi in states + [random_rational_state(4, rng)]:
+        found.clear()
+        tm = tangent_matrix(psi)
+        real_ranks(tm, _report_selectors(psi.n))
+        tm.gram
+        assert len(found) == 1 and found[0] is psi.parts, psi
 
 
 @pytest.mark.parametrize("n", [11, 12, 13])
