@@ -23,8 +23,8 @@ from .states import (
     StateVector,
     ZeroResidualError,
     _check_pairing,
+    _contract_pairs,
     canonical_pair_state,
-    contract_pair,
     embed_product,
 )
 from .tolerance import DEFAULT_TOL, GAP_WARNING_THRESHOLD, ORACLE_TOL
@@ -257,8 +257,9 @@ class Factorization:
 def factor_state(psi: StateVector, tol: float = DEFAULT_TOL) -> Factorization:
     """Split a minimal state into canonical pair factors and a lone residual.
 
-    Classifies the state once, then contracts its pairs in sorted order
-    against the canonical pair state.  The input must actually be a
+    Classifies the state once, then contracts it against the canonical
+    pair state on every pair in one pass over its parts; with no pairs
+    the residual is the state itself.  The input must actually be a
     product of canonical pair states (up to a global phase, with anything
     allowed on the lone qubit); merely LU-equivalent states raise
     NonCanonicalFactorError.  Re-tensoring the returned factors reproduces
@@ -271,22 +272,16 @@ def factor_state(psi: StateVector, tol: float = DEFAULT_TOL) -> Factorization:
             f"{pairing.min_orbit_dimension}; only minimal states factor into pairs"
         )
     pairs = pairing.sorted_pairs
-    labels = list(range(1, psi.n + 1))
-    current = psi
-    for a, b in pairs:
-        l, lp = labels.index(a) + 1, labels.index(b) + 1
-        try:
-            current = contract_pair(current, l, lp)
-        except ZeroResidualError as exc:
-            raise NonCanonicalFactorError(str(exc)) from exc
-        labels.remove(a)
-        labels.remove(b)
+    try:
+        residual = _contract_pairs(psi, pairs) if pairs else psi
+    except ZeroResidualError as exc:
+        raise NonCanonicalFactorError(str(exc)) from exc
     result = Factorization(
         n=psi.n,
         pairs=pairs,
         pair_factors=(canonical_pair_state(mode=psi.mode),) * len(pairs),
         lone=pairing.lone,
-        residual=current if pairing.lone is not None else None,
+        residual=residual if pairing.lone is not None else None,
     )
     rebuilt = embed_product(psi.n, result.placements)
     # proportional_to ignores tol in exact mode

@@ -4,7 +4,8 @@ All commands speak JSON on files or stdin/stdout and are deterministic
 given their flags and seeds.  Exit codes: 0 success, 1 analysis errors
 (zero vectors, running out of memory, non-minimal inputs to compare,
 failed verification, a reader that closed stdout early), 2 usage errors
-(bad flags, malformed files, unknown suites).
+(bad flags, malformed files, unknown suites, an ``--out`` path that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -70,9 +71,12 @@ _MAX_QUBITS = 30
 def _emit(text: str, out) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit_json(data, out) -> None:

@@ -54,12 +54,15 @@ factors, costs less than streaming the live rows; at half a block or
 fewer streaming costs less.  The split proposes each pair's partner in
 one pass over the state and confirms that one candidate
 (``_split_product``), so a state that is no product is refused after one
-pair test.
+pair test.  It also gives psi's overlap c with the product of its unit
+factors and psi's distance from c times that product, without building
+the product.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -412,29 +415,25 @@ def _product_r(tm: TangentMatrix) -> Optional[np.ndarray]:
     block (at half a block or fewer, streaming them costs less), psi
     splits into such factors (``_split_product``), and psi lies within
     ``PRODUCT_RESIDUAL`` of c times the product of its unit factors, c
-    their overlap with psi: the residual is measured as it is, not from
-    ``1 - |c|**2``, so nothing is squared.  Then R is the QR of
-    ``_product_matrix``, which has the Gram of the real view of c times
-    that product.  The tangent matrix is linear in psi and each column is
-    a unitary acting on psi, so the two real views differ by at most
-    sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` in norm.
+    their overlap with psi.  The split gives c and that residual, measured
+    as differences, not from ``1 - |c|**2``, so nothing is squared.  Then
+    R is the QR of ``_product_matrix``, which has the Gram of the real
+    view of c times that product.  The tangent matrix is linear in psi and
+    each column is a unitary acting on psi, so the two real views differ
+    by at most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` in norm.
     """
     n = tm.n
     if 2 * tm.live.size <= _BLOCK_ROWS // 2:
         return None
-    vec = tm.state.vector
-    factors = _split_product(vec.reshape((2,) * n))
-    if factors is None:
+    split = _split_product(tm.state.vector.reshape((2,) * n))
+    if split is None or split[2] > PRODUCT_RESIDUAL:
         return None
-    product = _product_state(factors)
-    c = np.vdot(product, vec)
-    if np.linalg.norm(vec - c * product) > PRODUCT_RESIDUAL:
-        return None
+    factors, c, _ = split
     return np.linalg.qr(_product_matrix(factors, c, n), mode="r")
 
 
-def _split_product(psi: np.ndarray) -> Optional[list]:
-    """Split an amplitude tensor into factors of one or two qubits, as ``[(qubits, f)]``, or None.
+def _split_product(psi: np.ndarray) -> Optional[tuple]:
+    """Split an amplitude tensor into factors of one or two qubits: ``([(qubits, f)], c, residual)``, or None.
 
     The qubits are walked in order.  The leading qubit q of what is left
     is a factor alone when its 2 x 2 reduced Gram has rank one.  Else
@@ -444,11 +443,17 @@ def _split_product(psi: np.ndarray) -> Optional[list]:
     does.  The factor f is read from that Gram (``_rank_one_column``), and
     what is left is f's conjugate contracted with it.  Returns None when
     some qubit is neither alone nor paired with its proposed partner,
-    after one pair test.  The Grams only propose the split:
-    ``_product_r`` measures its residual.
+    after one pair test.  The Grams only propose the split.
+
+    What is left after the last factor is c = <P|psi>, P the product of
+    the unit factors.  Each step's block B splits into f (f^dagger B) and
+    a remainder orthogonal to f, and psi - c P is the sum of the
+    remainders, each tensored with the factors before it: mutually
+    orthogonal, so ``residual``, |psi - c P|, is the root of the sum of
+    their squared norms, each measured as the norm of a difference.
     """
     qubits = list(range(1, psi.ndim + 1))
-    rest, factors = psi, []
+    rest, factors, remainders = psi, [], []
     while qubits:
         block = rest.reshape(2, -1)
         f = _rank_one_column(block @ block.conj().T)
@@ -462,8 +467,14 @@ def _split_product(psi: np.ndarray) -> Optional[list]:
         members = (qubits[0], qubits[partner]) if partner else (qubits[0],)
         qubits = [q for q in qubits if q not in members]
         factors.append((members, f))
-        rest = (f.conj() @ block).reshape((2,) * len(qubits))
-    return factors
+        rest = f.conj() @ block
+        # f times rest as a matmul: a broadcast product also allocates iterator buffers
+        remainder = f[:, None] @ rest[None]
+        np.subtract(block, remainder, out=remainder)
+        # read as (re, im) float64s: one contiguous dot, not a complex norm's two strided ones
+        remainders.append(np.linalg.norm(remainder.view(np.float64)))
+        rest = rest.reshape((2,) * len(qubits))
+    return factors, rest[()], math.hypot(*remainders)
 
 
 def _partner(rest: np.ndarray) -> int:
@@ -536,15 +547,6 @@ def _rank_one_column(gram: np.ndarray) -> Optional[np.ndarray]:
         return None
     column = gram[:, np.argmax(diagonal)]
     return column / np.linalg.norm(column)
-
-
-def _product_state(factors: list) -> np.ndarray:
-    """The tensor product of ``factors`` (as ``_split_product`` gives them), as amplitudes in qubit order."""
-    product, axes = np.ones(()), []
-    for qubits, f in factors:
-        product = np.multiply.outer(product, f.reshape((2,) * len(qubits)))
-        axes += qubits
-    return product.transpose(np.argsort(axes)).reshape(-1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -90,8 +90,11 @@ at half a block or fewer, streaming costs less.  The factors are found
 qubit by qubit: a qubit is alone when its 2 x 2 reduced Gram has rank
 one, and else one partner is proposed in one pass over the state and
 confirmed by the rank-one test of the pair's 4 x 4 reduced Gram, so a
-state that is no product is refused after one pair test.  The two real
-views differ by at most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` in norm
+state that is no product is refused after one pair test.  The same pass
+gives c, where contracting psi with each factor in turn ends, and the
+residual |psi - c * product|, from the part of each step's block
+orthogonal to its factor; the product itself is never built.  The two
+real views differ by at most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` in norm
 (each column is a unitary acting on psi), and every selection's s[0] is
 at least 1 (each column has psi's unit norm), so that route adds at
 most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` / eps to c, about 153 at
@@ -223,6 +226,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import compress, groupby
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -251,7 +255,7 @@ class ColumnSelector:
     mask: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, triples: Iterable[int] = (), include_last: bool = False):
-        triples, include_last = frozenset(int(k) for k in triples), bool(include_last)
+        triples, include_last = frozenset(map(operator.index, triples)), bool(include_last)
         object.__setattr__(self, "triples", triples)
         object.__setattr__(self, "include_last", include_last)
         object.__setattr__(self, "width", 3 * len(triples) + include_last)
@@ -724,6 +728,7 @@ def complement_dim(
     integer Gram, ``G[against, inside]``, as the 3 x 3 Gram C^T C.
     """
     check_tol(tol)
+    triple = tm.triple_indices(inside)
     if inside in against.triples:
         raise ValueError(f"triple {inside} may not appear in the 'against' selection")
     if against.is_empty:
@@ -731,7 +736,6 @@ def complement_dim(
     if tm.mode == FLOAT:
         return len(_complement_coeffs(tm, (inside,), against, tol)[0])
     gram = tm.gram
-    triple = tm.triple_indices(inside)
     cross = [[gram[r][t] for t in triple] for r in against.column_indices(tm.n)]
     # rank C = rank C^T C over the rationals, and C^T C is a 3 x 3 PSD Gram
     upper = [[None] * a + [sum(r[a] * r[b] for r in cross) for b in range(a, 3)] for a in range(3)]

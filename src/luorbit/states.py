@@ -592,12 +592,29 @@ def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
     for p in (l, lp):
         if not 1 <= p <= n:
             raise ValueError(f"qubit {p} out of range 1..{n}")
-    rows = _pair_rows(psi, l, lp)
-    out = rows[0] + rows[3]  # a complex add is two float adds
+    return _contract_pairs(psi, [(l, lp)])
+
+
+def _contract_pairs(psi: StateVector, pairs) -> StateVector:
+    """Partial inner product with the canonical pair state on each of the disjoint ``pairs``, in one pass.
+
+    Every pair's two axes are moved to the front, as a view; each step
+    adds the pair's (0, 0) and (1, 1) slices of what is left, so no entry
+    of ``parts`` is read twice.  The other qubits keep their order.
+    Returns the residual, normalized in float mode, where it is divided by
+    sqrt(2) per pair before the zero test.  Raises ZeroResidualError when
+    the contraction annihilates psi.
+    """
+    axes = [q - 1 for pair in pairs for q in pair]
+    rows = np.moveaxis(psi.parts, axes, range(len(axes)))
+    for _ in pairs:
+        rows = rows[0, 0] + rows[1, 1]  # a complex add is two float adds
+    out = rows.reshape(-1, 2)
     if psi.mode == FLOAT:
-        out = out.view(np.complex128)[:, 0] / math.sqrt(2.0)
+        out = out.view(np.complex128)[:, 0] / math.sqrt(2.0 ** len(pairs))
         if float(np.linalg.norm(out)) > ROUNDOFF_ATOL:
             return StateVector(out)
     elif any(out.flat):
         return StateVector._from_parts(out, psi.scale, EXACT)
-    raise ZeroResidualError(f"contracting qubits ({l},{lp}) annihilated the state")
+    named = ", ".join(f"({a},{b})" for a, b in pairs)
+    raise ZeroResidualError(f"contracting qubits {named} annihilated the state")

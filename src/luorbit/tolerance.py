@@ -36,20 +36,25 @@ Rank verdicts (floating backend):
   the floor.
 * ``PRODUCT_RESIDUAL`` is how far psi may lie from c times a product of
   unit one- and two-qubit factors for R to be built from those factors
-  (``TangentMatrix.r_factor``).  The residual is measured as the norm of
-  psi - c * product, not as 1 - |c|**2, which would square it.  The
+  (``TangentMatrix.r_factor``).  The split that finds the factors
+  measures it: psi - c * product is the sum of each factor's remainder,
+  the part of its step's block orthogonal to it, and these are mutually
+  orthogonal, so the residual is the root of the sum of their squared
+  norms.  Each norm is that of a difference, not 1 - |c|**2 or a
+  difference of squared norms, which would square it.  The
   tangent matrix is linear in psi and each column is a unitary acting on
   it, so the real views of psi and of the product differ by at most
   sqrt(3n + 1) times the bound in norm, and every selection's largest
   singular value is at least 1 on a unit state: that route adds at most
   16 * sqrt(91), about 153, ``EPS`` to the rounding c * ``EPS`` that the
   margins budget up to M, at n = 30.  Measured on scrambled singlet
-  products: residuals of at most 9.3 ``EPS`` (300 states each at n = 12
-  and 13, 10 to 40 at n = 8, 11, 14, 15 and 16), so the bound accepts
-  them all; a state 1e-13 from such a product is refused.  The split is
-  only proposed, by rank-one tests of 2 x 2 and 4 x 4 reduced Grams with
-  the slack ``INNER_PRODUCT_ATOL``: a Gram squares the residual, so it
-  cannot tell 1e-9 from ``EPS``, and it decides nothing.
+  products: residuals of at most 4.1 ``EPS`` (300 states each at n = 12
+  and 13; at most 7.8 ``EPS`` on 10 to 40 each at n = 8, 11, 14, 15 and
+  16), so the bound accepts them all; a state 1e-13 from such a product
+  is refused.  The split is only proposed, by rank-one tests of 2 x 2 and
+  4 x 4 reduced Grams with the slack ``INNER_PRODUCT_ATOL``: a Gram
+  squares the residual, so it cannot tell 1e-9 from ``EPS``, and it
+  decides nothing.
 
 Slacks of the independent checks (verify oracles, state comparison,
 SU(2) validation, contraction).  They compare quantities of unit scale,

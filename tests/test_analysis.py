@@ -14,6 +14,7 @@ import pytest
 import luorbit.analysis as analysis_mod
 import luorbit.lie_action as lie_action
 import luorbit.rank as rank_mod
+import luorbit.states as states_mod
 from luorbit import (
     EXACT,
     FLOAT,
@@ -29,6 +30,7 @@ from luorbit import (
     basis_state,
     canonical_pair_state,
     classify_min_orbit,
+    contract_pair,
     detect_singlet_pairs,
     detect_unentangled,
     embed_product,
@@ -44,6 +46,7 @@ from luorbit import (
     tensor,
     verify_proposition,
 )
+from luorbit.tolerance import ROUNDOFF_ATOL
 
 
 def ghz(n=3):
@@ -348,6 +351,37 @@ def test_factor_state_builds_one_tangent_matrix(monkeypatch, mode):
     out = factor_state(singlet_product(7, [(1, 5), (2, 7), (3, 4)], 6, mode=mode))
     assert out.pairs == ((1, 5), (2, 7), (3, 4))
     assert calls == ["tangent_matrix"]
+
+
+def _contract_in_turn(psi: StateVector, pairs) -> StateVector:
+    """psi contracted against the canonical pair state one pair at a time, by ``contract_pair``."""
+    labels, current = list(range(1, psi.n + 1)), psi
+    for a, b in pairs:
+        current = contract_pair(current, labels.index(a) + 1, labels.index(b) + 1)
+        labels.remove(a)
+        labels.remove(b)
+    return current
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_factor_state_contracts_every_pair_in_one_pass(monkeypatch, mode):
+    n, rng = 13, np.random.default_rng(355)
+    order = [int(q) + 1 for q in rng.permutation(n)]
+    pairs = [tuple(sorted(order[i : i + 2])) for i in range(0, n - 1, 2)]
+    lone = random_rational_state(1, rng)
+    placements = [(pair, canonical_pair_state(mode)) for pair in pairs]
+    placements.append(((order[-1],), lone if mode == EXACT else lone.to_float()))
+    psi = embed_product(n, placements)
+    want = _contract_in_turn(psi, sorted(pairs))
+    calls = _count_calls(monkeypatch, analysis_mod, "_contract_pairs")
+    calls += _count_calls(monkeypatch, states_mod, "contract_pair")
+    out = factor_state(psi)
+    assert calls == ["_contract_pairs"]
+    assert out.pairs == tuple(sorted(pairs)) and out.lone == order[-1]
+    if mode == EXACT:
+        assert (out.residual.parts.tolist(), out.residual.scale) == (want.parts.tolist(), want.scale)
+    else:
+        assert np.abs(out.residual.vector - want.vector).max() <= ROUNDOFF_ATOL
 
 
 def test_factor_state_writes_only_live_rows(monkeypatch):

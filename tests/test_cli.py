@@ -281,6 +281,20 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, command, state, m
     assert len(errors) == 1 and message in errors[0], err
 
 
+@pytest.mark.parametrize("command", [
+    ("analyze", "STATE", "--out", "DIR"),
+    ("generate", "ghz", "--qubits", "3", "--out", "MISSING"),
+    ("verify", "--suite", "triplesprop", "--trials", "1", "--out", "DIR"),
+], ids=["analyze-to-a-directory", "generate-to-a-missing-directory", "verify-to-a-directory"])
+def test_an_out_path_that_cannot_be_written_exits_2_with_one_error_line(tmp_path, command):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_ONE_QUBIT), encoding="utf-8")
+    places = {"STATE": path, "DIR": tmp_path, "MISSING": tmp_path / "missing" / "x.json"}
+    code, _, err = run(*(str(places.get(arg, arg)) for arg in command))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+
+
 def test_out_of_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
     from luorbit import cli
 

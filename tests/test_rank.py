@@ -46,7 +46,7 @@ from luorbit.rank import (
     _gap_ratio,
     retained_rank,
 )
-from luorbit.tolerance import INNER_PRODUCT_ATOL, ROUNDING_FLOOR
+from luorbit.tolerance import INNER_PRODUCT_ATOL, PRODUCT_RESIDUAL, ROUNDING_FLOOR
 from luorbit.verify import (
     _mixed_pool,
     _pair_product,
@@ -163,6 +163,11 @@ def test_selector_validation():
         span_dim(tm, (3,))
     assert ColumnSelector((2, 1)).column_indices(2) == ColumnSelector((1, 2)).column_indices(2)
     assert ColumnSelector((1,), include_last=True).column_indices(2) == (0, 1, 2, 6)
+    # Python and numpy ints are accepted as they are; nothing is truncated
+    assert ColumnSelector((np.int64(2), 1, np.intp(3))).triples == {1, 2, 3}
+    for triple in (1.5, np.float64(2.0), "1"):
+        with pytest.raises(TypeError):
+            ColumnSelector((triple,))
 
 
 def test_selector_mask_and_width():
@@ -717,7 +722,7 @@ def test_one_pass_partner_gives_the_scanned_split(kind):
                 if scrambled:
                     psi = _scramble(psi, rng)
                 amps = psi.vector.reshape((2,) * n)
-                got, want = lie_action._split_product(amps), _scanned_split(amps)
+                (got, _, _), want = lie_action._split_product(amps), _scanned_split(amps)
                 assert want is not None, (n, scrambled)
                 assert [q for q, _ in got] == [q for q, _ in want], (n, scrambled)
                 for (_, f), (_, g) in zip(got, want):
@@ -726,6 +731,42 @@ def test_one_pass_partner_gives_the_scanned_split(kind):
     for n in range(2, 14):
         amps = random_state(n, rng).vector.reshape((2,) * n)
         assert (lie_action._split_product(amps) is None) == (_scanned_split(amps) is None), n
+
+
+def _product_overlap(psi: np.ndarray, factors: list) -> tuple:
+    """``(c, |psi - c P|)``, P the product of unit ``factors``, built whole: c by ``np.vdot``."""
+    product, axes = np.ones(()), []
+    for qubits, f in factors:
+        product = np.multiply.outer(product, f.reshape((2,) * len(qubits)))
+        axes += qubits
+    product = product.transpose(np.argsort(axes)).reshape(-1)
+    vec = psi.reshape(-1)
+    c = np.vdot(product, vec)
+    return c, np.linalg.norm(vec - c * product)
+
+
+@pytest.mark.parametrize("kind", sorted(_SPLIT_KINDS))
+def test_split_gives_the_overlap_and_residual_of_the_whole_product(kind):
+    # c and the residual of the factors' remainders, against the product built whole,
+    # on products and on states about delta from one, past the bound or inside it;
+    # each of the n qubits' factors adds about one rounding to either side
+    rng = np.random.default_rng(655)
+    for n in range(2, 14):
+        for scrambled in (False, True):
+            for _ in range(2 if n > 11 else 4):
+                psi = _SPLIT_KINDS[kind](n, rng)
+                if scrambled:
+                    psi = _scramble(psi, rng)
+                delta = rng.choice([1e-9, 1e-12, 1e-14, 1e-15])
+                near = StateVector(psi.vector + delta * random_state(n, rng).vector)
+                for state in (psi, near):
+                    amps = state.vector.reshape((2,) * n)
+                    factors, c, residual = lie_action._split_product(amps)
+                    want_c, want_residual = _product_overlap(amps, factors)
+                    assert abs(c - want_c) <= n * _EPS, (n, scrambled, delta)
+                    assert abs(residual - want_residual) <= n * _EPS, (n, scrambled, delta)
+                    accepted = residual <= PRODUCT_RESIDUAL
+                    assert accepted == (want_residual <= PRODUCT_RESIDUAL), (n, scrambled, delta)
 
 
 def test_a_haar_state_takes_one_pair_test_before_it_streams(monkeypatch):
@@ -797,9 +838,10 @@ def test_a_near_product_past_the_residual_bound_streams_its_r(monkeypatch, n, de
     psi = StateVector(singlets.vector + delta * random_state(n, rng).vector)
     tm = tangent_matrix(psi)
     # the reduced Grams square delta away, so they still propose the planted split
-    split = lie_action._split_product(psi.vector.reshape((2,) * n))
+    split, _, residual = lie_action._split_product(psi.vector.reshape((2,) * n))
     assert sorted(qubits for qubits, _ in split if len(qubits) == 2) == pairs
     # but psi lies about delta from every product, far past the bound
+    assert residual > PRODUCT_RESIDUAL
     assert lie_action._product_r(tm) is None
     streamed = _spy_streamed_r(monkeypatch)
     tm.r_factor
@@ -1370,6 +1412,16 @@ def test_complement_generic_triple_fully_covered():
     # triples plus the last column span everything, leaving nothing
     tm = tangent_matrix(random_state(3, 251))
     assert complement_dim(tm, 1, ColumnSelector((2, 3), include_last=True)) == 0
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_complement_of_a_triple_outside_the_state_is_refused(mode):
+    n = 3
+    tm = tangent_matrix(random_rational_state(n, 253) if mode == EXACT else random_state(n, 253))
+    for inside in (0, n + 1):
+        for against in (ColumnSelector(()), ColumnSelector((1,), include_last=True)):
+            with pytest.raises(ValueError, match="out of range"):
+                complement_dim(tm, inside, against)
 
 
 def test_complement_inside_cannot_be_in_against():
