@@ -55,6 +55,32 @@ def min_orbit_dimension(n: int) -> int:
     return (3 * n) // 2 if n % 2 == 0 else (3 * n + 1) // 2
 
 
+def _check_theorems(n: int, rank: int, tol: float, spans=()) -> None:
+    """Raise ``InconsistentStructureError`` where verdicts contradict what holds for every state.
+
+    Two theorems, read from verdicts already made.  The range theorem
+    (Lyons and Walck): the orbit dimension, ``rank`` - 1, lies between
+    ``min_orbit_dimension(n)`` and 3n, the most at n >= 3 (2 at n = 1, 5 at
+    n = 2).  Containment: each of ``spans``, the rank of a pair's or lone
+    qubit's selection, which lies inside the full one, is at most ``rank``.
+    Each selection's cutoff is relative to its own largest singular value,
+    so a tol too loose for the state can break either, and its verdicts are
+    then a tolerance failure, never an answer.
+    """
+    dim, low, high = rank - 1, min_orbit_dimension(n), {1: 2, 2: 5}.get(n, 3 * n)
+    if not low <= dim <= high:
+        raise InconsistentStructureError(
+            f"orbit dimension {dim} breaks the range theorem: every {n}-qubit state has "
+            f"orbit dimension {low}..{high}; tol {tol:g} is unsound for this state"
+        )
+    over = max(spans, default=0)
+    if over > rank:
+        raise InconsistentStructureError(
+            f"a pair or lone span of {over} exceeds the full rank {rank}, which contains it; "
+            f"tol {tol:g} is unsound for this state"
+        )
+
+
 def orbit_dimension(psi: Union[StateVector, TangentMatrix], tol: float = DEFAULT_TOL) -> int:
     """Dimension of the state's local-unitary orbit (tangent rank minus one)."""
     return real_rank(_as_tangent(psi), tol=tol).rank - 1
@@ -188,11 +214,14 @@ def classify_min_orbit(
 
     Returns NotMinimal for states above the floor.  For minimal states the
     detected pairs must tile the qubits (with one left over when n is odd,
-    cross-checked against the unentangled-qubit detector); any disagreement
+    cross-checked against the unentangled-qubit detector); any disagreement,
+    and an orbit dimension outside the range theorem's (``_check_theorems``),
     raises InconsistentStructureError rather than guessing.
     """
     tm = _as_tangent(psi)
     verdict = is_minimum_orbit(tm, tol=tol)
+    # the spans it reads below are 3s, which the range's floor keeps under the rank
+    _check_theorems(tm.n, verdict.rank.rank, tol)
     if not verdict:
         return NotMinimal(
             orbit_dimension=verdict.orbit_dimension,
@@ -337,7 +366,11 @@ def _json_safe(value):
 
 
 def orbit_report(psi: StateVector, tol: float = DEFAULT_TOL) -> OrbitReport:
-    """Compute ranks, span tables, minimality, and (when minimal) the pairing."""
+    """Compute ranks, span tables, minimality, and (when minimal) the pairing.
+
+    Raises ``InconsistentStructureError`` when the rank or the span tables
+    break the range theorem or containment (``_check_theorems``).
+    """
     tm = tangent_matrix(psi)
     n = tm.n
     full = real_rank(tm, tol=tol)
@@ -356,6 +389,8 @@ def orbit_report(psi: StateVector, tol: float = DEFAULT_TOL) -> OrbitReport:
         lone_span.append(result.rank)
         gap_ratios.append(result.gap_ratio)
 
+    # the table's diagonal holds 3s, under every rank the range theorem allows
+    _check_theorems(n, full.rank, tol, lone_span + [span for row in pair_span for span in row])
     worst_gap = min(gap_ratios)
     if worst_gap < GAP_WARNING_THRESHOLD:
         warnings.append(

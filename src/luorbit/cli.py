@@ -3,7 +3,8 @@
 All commands speak JSON on files or stdin/stdout and are deterministic
 given their flags and seeds.  Exit codes: 0 success, 1 analysis errors
 (zero vectors, running out of memory, non-minimal inputs to compare,
-failed verification, a reader that closed stdout early), 2 usage errors
+verdicts that break a theorem at the given tolerance, failed
+verification, a reader that closed stdout early), 2 usage errors
 (bad flags, malformed files, unknown suites, an ``--out`` path that
 cannot be written).
 """
@@ -419,7 +420,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ZeroStateError as exc:
+    except (ZeroStateError, InconsistentStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except MemoryError:

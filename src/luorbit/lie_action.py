@@ -56,7 +56,17 @@ one pass over the state and confirms that one candidate
 (``_split_product``), so a state that is no product is refused after one
 pair test.  It also gives psi's overlap c with the product of its unit
 factors and psi's distance from c times that product, without building
-the product.
+the product.  Each factor is read from its block of amplitudes, not from
+the reduced Gram that proposed it, so its rounding does not grow with n.
+
+Any other state past ``_SAMPLE_PAST_ROWS`` live rows takes a row sample
+before R: the rows of ``_SAMPLE_CODES`` fixed codes, spread over every bit
+by a golden-ratio hash (``_sample``), written by ``_write_rows`` from the
+parts of the codes they read alone, and their smallest singular value
+(``TangentMatrix.sample_sigma``).  The rank module reads full column rank
+of every selection from it when it clears a margin, and then no R is
+built.  So R's routes run in order: the product split, then the sample,
+then the stream.
 """
 
 from __future__ import annotations
@@ -140,7 +150,7 @@ def live_codes(parts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(live)
 
 
-def _write_rows(operands: tuple, codes: np.ndarray, out: np.ndarray, bits=None) -> np.ndarray:
+def _write_rows(operands: tuple, codes: np.ndarray, out: np.ndarray, bits=None, at=None) -> np.ndarray:
     """Write the rows of basis ``codes`` of tangent-matrix columns to ``out``; return ``out``.
 
     The columns are the triples of the qubits whose bits are ``bits``, one
@@ -152,21 +162,23 @@ def _write_rows(operands: tuple, codes: np.ndarray, out: np.ndarray, bits=None) 
     flipped times (-1)**i_k, and x is i*psi with bit k flipped: each is
     one gather of ``operands`` (``_operands``), for every qubit at once, the
     sign read from the half of ``i_signed`` or ``signed`` that holds it.
+    ``operands`` hold one row per basis code, unless ``at`` gives where they
+    hold ``codes`` and their flips by ``bits``, as two index arrays.
     """
     parts, i_parts, signed, i_signed = operands
     if bits is None:
         bits = _qubit_bits(len(parts).bit_length() - 1)
     m = len(bits)
+    here, flips = (codes, codes ^ bits) if at is None else at
     if m:
-        flips = codes ^ bits
         # where bit k is set, read the halves of ``signed`` and ``i_signed`` times -1
         minus = np.where(codes & bits, len(parts), 0)
         z, y, x = out[: 3 * m].reshape(m, 3, -1).transpose(1, 0, 2)
-        np.copyto(z, i_signed.take(codes + minus, axis=0).reshape(m, -1))
+        np.copyto(z, i_signed.take(here + minus, axis=0).reshape(m, -1))
         np.copyto(y, signed.take(flips + minus, axis=0).reshape(m, -1))
         np.copyto(x, i_parts.take(flips, axis=0).reshape(m, -1))
     if len(out) > 3 * m:
-        _times_i(parts.take(codes, axis=0), -1, out[3 * m].reshape(-1, 2))
+        _times_i(parts.take(here, axis=0), -1, out[3 * m].reshape(-1, 2))
     return out
 
 
@@ -236,6 +248,60 @@ def _triple_columns(k: int, n: int) -> tuple:
 #: 1 MiB, and a matrix with n <= 10 is one block.
 _BLOCK_ROWS = 2048
 
+#: Codes in the row sample that may certify a state's full column rank
+#: (``TangentMatrix.sample_sigma``): 256 rows, gathered and decomposed in
+#: 0.18-0.56 ms at n = 10-20 on one BLAS thread.  A Haar state's sample
+#: keeps its smallest singular value at 0.005-0.24 there, far above the
+#: certificate's threshold, under 8e-7 at the default tol.
+_SAMPLE_CODES = 128
+
+#: Live rows past which a state whose product split is refused takes the
+#: sample before it streams R.  Measured on one BLAS thread: at 2048 rows
+#: (n = 10, every code live) the sample takes 0.18 ms against the
+#: stream's 0.89, and a state it refuses pays 34% on top of its stream,
+#: 8% at n = 12.  At 1024 rows it would save 0.1 ms of a 0.27 ms stream
+#: and add 60% to a refused one; at 512 rows the two cost the same.
+_SAMPLE_PAST_ROWS = 1024
+
+#: 2**64 over the golden ratio, rounded to odd: the multiplier of the sample's hash.
+_GOLDEN_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+@functools.lru_cache(maxsize=None)
+def _sample(n: int) -> tuple:
+    """``(codes, held, at)``: the sampled codes of n qubits, what their rows read, and where, read-only.
+
+    The codes are ``(j * _GOLDEN_HASH mod 2**64) >> (64 - n)`` for
+    j < ``_SAMPLE_CODES``, ascending and without repeats: Fibonacci hashing
+    spreads them over every bit.  A block of consecutive codes would fix
+    the leading bits, making those qubits' z columns parallel to the last
+    column on the sample.  ``held`` holds the codes and their n single-bit
+    flips, ascending: the only codes whose parts the sample's rows read.
+    ``at`` is where ``held`` has the codes and their flips (``_write_rows``).
+    """
+    j = np.arange(_SAMPLE_CODES, dtype=np.uint64)
+    codes = np.unique((j * _GOLDEN_HASH) >> np.uint64(64 - n)).astype(np.intp)
+    flips = codes ^ _qubit_bits(n)
+    held = np.union1d(codes, flips)
+    at = (np.searchsorted(held, codes), np.searchsorted(held, flips))
+    for array in (codes, held, *at):
+        array.flags.writeable = False
+    return codes, held, at
+
+
+def _sample_sigma(parts: np.ndarray) -> float:
+    """The smallest singular value of the real view's rows at the sampled codes (``_sample``).
+
+    Only the parts of the codes those rows read are gathered, and
+    ``_operands`` of them alone are formed: the cost does not grow with
+    the state.
+    """
+    n = parts.ndim - 1
+    codes, held, at = _sample(n)
+    operands = _operands(parts.reshape(-1, 2)[held])
+    rows = _write_rows(operands, codes, np.empty((3 * n + 1, 2 * codes.size)), _qubit_bits(n), at)
+    return float(np.linalg.svd(rows.T, compute_uv=False)[-1])
+
 
 @dataclass(frozen=True)
 class TangentMatrix:
@@ -274,22 +340,45 @@ class TangentMatrix:
         return live_codes(self.parts)
 
     @functools.cached_property
+    def product_r(self) -> Optional[np.ndarray]:
+        """R built from psi's one- and two-qubit factors (``_product_r``), or None; tried once."""
+        return _product_r(self)
+
+    @functools.cached_property
+    def sample_sigma(self) -> float:
+        """The smallest singular value of a fixed sample of the real view's rows, found once; floating only.
+
+        Taken (``_sample_sigma``) only when the live rows number more than
+        ``_SAMPLE_PAST_ROWS`` and ``product_r`` is None: 0.0 otherwise.  A
+        subset of rows bounds every singular value of the real view from
+        below, so the rank module reads full column rank from it, with no R,
+        when it clears a margin (``rank`` module docstring).
+        """
+        if 2 * self.live.size <= _SAMPLE_PAST_ROWS or self.product_r is not None:
+            return 0.0
+        return _sample_sigma(self.parts)
+
+    @functools.cached_property
     def r_factor(self) -> np.ndarray:
         """An upper-triangular R with ``real = Q R``, Q orthonormal, built once; floating backend only.
 
-        A state whose live rows fill more than half a ``_BLOCK_ROWS`` block
-        and that is, to within ``PRODUCT_RESIDUAL``, a product of one- and
-        two-qubit factors gets R from a small matrix with the real view's
-        Gram, 2 + sum of 2**(|F|+1) rows over its factors F
-        (``_product_r``); past half a block that costs less than streaming.
-        The split tests one proposed partner per paired qubit, so any other
-        state past half a block pays one pair test before it streams.
-        Every other state gets ``streamed_r``: R streamed from ``parts`` in
-        row blocks of the live codes' rows (``live``; the others are zero).
-        Either way a floating verdict that R certifies generates no column,
-        and a sparse state's R costs what its live rows cost.
+        The routes, in order.  A state whose live rows fill more than half a
+        ``_BLOCK_ROWS`` block and that is, to within ``PRODUCT_RESIDUAL``, a
+        product of one- and two-qubit factors gets R from a small matrix
+        with the real view's Gram, 2 + sum of 2**(|F|+1) rows over its
+        factors F (``product_r``); past half a block that costs less than
+        streaming.  The split tests one proposed partner per paired qubit,
+        so any other state past half a block pays one pair test.  Past
+        ``_SAMPLE_PAST_ROWS`` live rows, such a state's verdicts next try
+        ``sample_sigma``, and one it certifies as full column rank reads no
+        R at all.  Every other R is ``streamed_r``: streamed from ``parts``
+        in row blocks of the live codes' rows (``live``; the others are
+        zero).  It serves the verdicts the sample cannot certify, and
+        complements and the float Gram.  Either way a floating verdict that
+        R certifies generates no column, and a sparse state's R costs what
+        its live rows cost.
         """
-        r = _product_r(self)
+        r = self.product_r
         return streamed_r(self) if r is None else r
 
     @functools.cached_property
@@ -440,10 +529,10 @@ def _split_product(psi: np.ndarray) -> Optional[tuple]:
     ``_partner`` proposes one later qubit p, in one pass over what is
     left, and (q, p) is a factor when its 4 x 4 reduced Gram has rank
     one; in a product, p is the only later qubit whose pair Gram with q
-    does.  The factor f is read from that Gram (``_rank_one_column``), and
-    what is left is f's conjugate contracted with it.  Returns None when
-    some qubit is neither alone nor paired with its proposed partner,
-    after one pair test.  The Grams only propose the split.
+    does.  Returns None when some qubit is neither alone nor paired with
+    its proposed partner, after one pair test.  The Grams only propose the
+    split; each factor f is read from its block (``_rank_one_factor``), and
+    what is left is f's conjugate contracted with the block.
 
     What is left after the last factor is c = <P|psi>, P the product of
     the unit factors.  Each step's block B splits into f (f^dagger B) and
@@ -456,12 +545,12 @@ def _split_product(psi: np.ndarray) -> Optional[tuple]:
     rest, factors, remainders = psi, [], []
     while qubits:
         block = rest.reshape(2, -1)
-        f = _rank_one_column(block @ block.conj().T)
+        f = _rank_one_factor(block)
         partner = 0
         if f is None and len(qubits) > 1:
             partner = _partner(rest) if len(qubits) > 2 else 1
             block = np.moveaxis(rest, partner, 1).reshape(4, -1)
-            f = _rank_one_column(block @ block.conj().T)
+            f = _rank_one_factor(block)
         if f is None:
             return None
         members = (qubits[0], qubits[partner]) if partner else (qubits[0],)
@@ -533,19 +622,24 @@ def _partner_weights(m: int) -> tuple:
     return tuple(mats)
 
 
-def _rank_one_column(gram: np.ndarray) -> Optional[np.ndarray]:
-    """The unit factor of a Gram G of rank one, or None.
+def _rank_one_factor(block: np.ndarray) -> Optional[np.ndarray]:
+    """The unit factor f of a block B = f r^T of rank one, or None.
 
-    G has rank one when tr(G)**2 - |G|_F**2, twice the sum of its
-    eigenvalues' pairwise products, is at most ``INNER_PRODUCT_ATOL``
-    times tr(G)**2.  The factor is G's column of largest diagonal,
-    normalized.
+    B has rank one when its Gram G = B B^dagger does: when tr(G)**2 -
+    |G|_F**2, twice the sum of G's eigenvalues' pairwise products, is at
+    most ``INNER_PRODUCT_ATOL`` times tr(G)**2.  Every column of such a B
+    is a multiple of f, so f is read from B, not from G, whose entries sum
+    2**(n-2) or more terms and so carry rounding that grows with n: f is
+    B's column of largest norm, normalized.  G's diagonal holds B's
+    squared row norms, and in the row k of the largest, |B[k, j]| =
+    |f_k| |r_j| is largest in that column.
     """
+    gram = block @ block.conj().T
     diagonal = gram.diagonal().real
     trace = diagonal.sum()
     if not trace > 0 or trace**2 - np.vdot(gram, gram).real > INNER_PRODUCT_ATOL * trace**2:
         return None
-    column = gram[:, np.argmax(diagonal)]
+    column = block[:, np.argmax(np.abs(block[np.argmax(diagonal)]))]
     return column / np.linalg.norm(column)
 
 

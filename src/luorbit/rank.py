@@ -62,9 +62,10 @@ After pivots P, each entry is a minor of the rows and columns P plus
 its own (Sylvester's identity, as in Bareiss), whichever zero rows were
 skipped, so every division stays exact.
 
-At every n, the first floating rank query builds ``real = Q R`` with Q
-orthonormal and R of size (3n+1) x (3n+1) (``TangentMatrix.r_factor``),
-which the matrix then holds for every later floating reader.
+At every n, the first floating rank query that a row sample (below)
+does not answer builds ``real = Q R`` with Q orthonormal and R of size
+(3n+1) x (3n+1) (``TangentMatrix.r_factor``), which the matrix then
+holds for every later floating reader.
 R is streamed from the state by tall-skinny QR
 (``lie_action.streamed_r``): Householder QR of each row block of the
 live codes' rows, then of the stacked block Rs, with zero rows added
@@ -100,6 +101,35 @@ at least 1 (each column has psi's unit norm), so that route adds at
 most sqrt(3n + 1) * ``PRODUCT_RESIDUAL`` / eps to c, about 153 at
 n = 30, plus the rounding of the small QR.  The rule below reads both
 routes' R alike.
+
+A generic state needs no R for its verdicts: every selection has full
+column rank.  So past ``lie_action._SAMPLE_PAST_ROWS`` live rows, a state
+whose product split is refused first takes a row sample
+(``TangentMatrix.sample_sigma``): sigma_S, the smallest singular value of
+the real view's rows A_S at 128 fixed codes, by one SVD of those 256
+rows.  For A the full selection's columns of the real view, A^T A =
+A_S^T A_S plus the Gram of the other rows, which is positive
+semidefinite, so sigma_min(A) >= sigma_S.  Each of the 3n + 1 columns of
+A is a unitary acting on psi, so sigma_max(A) <= |A|_F = sqrt(3n + 1)
+|psi|, and |psi| = 1 for a float state.  A narrower selection's
+sigma_min is no smaller and its sigma_max no larger (interlacing, below).
+Hence sigma_S > M * tol * sqrt(3n + 1) (``_sample_certifies``) proves
+every selection of full column rank, past the kept side's margin of the
+rule below: each keeps every value, drops none, and has gap ratio inf.
+The rounding budget is the rule's own.  The sample's rows are the real
+view's entries bit for bit, and its SVD is backward stable, so the
+computed sigma_S lies within c' * eps * sqrt(3n + 1) of the exact one,
+c' a modest factor for 256 rows (Weyl); |psi| is 1 to a few eps.  So
+sigma_min(A) > (M * tol - c' * eps) * sqrt(3n + 1) >= (M - c') * tol *
+sigma_max(A) for tol >= eps: the margin M leaves room for c' and for the
+rounding c * eps * s[0] of R or of a direct SVD together, as it does on
+R's route below.  Such a verdict is made without R (``_answer``), as
+``RankResult(w, inf, FLOAT)`` with no singular values, and certifies its
+selection for inheritance as an exact full-rank verdict does.  A state
+the sample does not certify (any state short of full rank, or a tol too
+loose: sigma_S <= sqrt(3n + 1) always, so at tol >= 1 / M none is
+certified) reads R as before, and R still serves complements and the
+float Gram.
 
 One rule reads every floating verdict: reported ones
 (``real_rank``, ``real_ranks``, the tables of ``orbit_report``) and bare
@@ -147,7 +177,9 @@ has a ratio above M**2 (both margins) and a dropped value under the
 floor, so it reports inf, as the real view does wherever its own dropped
 value lies under the floor.  A full-rank verdict drops nothing.  So
 every certified verdict is made with gap ratio inf and the rank that
-certified it, with no second count.  Singular values are not
+certified it, with no second count.  A third kind of verdict, certified
+by a row sample, has that rank and gap ratio too, and no singular values
+at all.  Singular values are not
 bit-identical to the direct route's: R's dropped values are rounding
 noise, and the noise changes with the block order and the BLAS thread
 count.  The floor keeps that noise out of every printed gap ratio.
@@ -358,8 +390,9 @@ class RankResult:
     ``TangentMatrix.r_factor`` carries the singular values of that R
     slice: its rank equals the direct one on the real view, its gap ratio
     equals it under the rounding floor's rule, and its singular values
-    agree with it to within the floor (module docstring).  A rank that
-    ``real_ranks`` inherits from a wider selection carries none.
+    agree with it to within the floor (module docstring).  A verdict of
+    full column rank certified by a row sample, with no R, carries none,
+    as does a rank that ``real_ranks`` inherits from a wider selection.
     ``gap_ratio`` is inf when nothing is dropped or the largest dropped
     value is indistinguishable from zero; JSON output writes inf as null.
     """
@@ -584,9 +617,11 @@ def real_ranks(
     matrix's backend, and is not kept.  Either backend answers the rest
     widest selection first and inherits from the selections it certifies
     on the way.  The rest of each width are answered together: an exact
-    matrix eliminates each; a floating one gives them one stacked SVD of
-    their R slices, and reads each verdict from its slice wherever R
-    certifies it, from the real view otherwise (module docstring).  Kept
+    matrix eliminates each; a floating one whose row sample certifies
+    full column rank gives each its width, and any other one gives them
+    one stacked SVD of their R slices, and reads each verdict from its
+    slice wherever R certifies it, from the real view otherwise (module
+    docstring).  Kept
     verdicts are read first; every other query is checked, in order,
     before any is answered, so a bad selector or tol raises what
     ``real_rank`` raises.  ``selectors`` may be any iterable, and a
@@ -615,8 +650,8 @@ def _family(tm: TangentMatrix, family: SelectorFamily, tol: float, keep: bool) -
     certified as full column rank, kept or answered on the way, inherit its
     column count: one test of the group's masks against every certified
     mask.  The rest go to ``_answer`` together, and those it certifies join
-    the certified masks.  An R-read verdict on a proper subset is made and
-    kept only when ``keep``.
+    the certified masks.  A verdict on a proper subset read from R or
+    certified by the row sample is made and kept only when ``keep``.
     """
     verdicts = [None] * len(family)
     if tm.ranks:
@@ -665,12 +700,23 @@ def _outside(masks: np.ndarray, holes: list) -> list:
 def _certifies(result: RankResult, width: int, tol: float) -> bool:
     """Whether a verdict on ``width`` columns certifies them as full column rank for inheritance.
 
-    An exact verdict does at full rank; a floating one past the kept side's margin too.
+    A verdict of full rank does when it carries no singular values (an
+    exact one, or a floating one that a row sample certified, which is made
+    only past the kept side's margin), and a floating one with singular
+    values when they clear that margin.
     """
     return result.rank == width and (
-        result.backend == EXACT
+        result.singular_values is None
         or _clears_margin(result.singular_values[-1], result.singular_values[0], tol)
     )
+
+
+def _sample_certifies(tm: TangentMatrix, tol: float) -> bool:
+    """Whether ``tm.sample_sigma`` certifies every selection as full column rank (module docstring).
+
+    sqrt(3n + 1) is the real view's Frobenius norm on a unit state, a bound on its largest singular value.
+    """
+    return _clears_margin(tm.sample_sigma, math.sqrt(tm.column_count), tol)
 
 
 def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
@@ -679,7 +725,11 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     ``certifies`` tells whether a selection is certified as full column
     rank.  An exact matrix eliminates each selection's block of the Gram,
     its columns read from the group's column array (``_exact_rank``), and
-    keeps every verdict; full rank certifies.  A floating one takes one
+    keeps every verdict; full rank certifies.  On a floating one whose row
+    sample certifies full column rank (``_sample_certifies``), every
+    selection has its width as its rank, made as a verdict with gap ratio
+    inf and no singular values only when ``keep``, and kept; no R is read.
+    Otherwise a floating matrix takes one
     stacked SVD of their R slices, gathered by the group's column array
     as it is, and decides the whole stack at once
     (``_certified_ranks``).  A rank R certifies is read from its slice, as
@@ -694,6 +744,12 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
         tm.ranks.update(((sel, tol), verdict) for sel, verdict in zip(sels, made))
         ranks = [verdict.rank for verdict in made]
         return ranks, made, [rank == width for rank in ranks]
+    if _sample_certifies(tm, tol):
+        made = [None] * len(sels)
+        if keep:
+            made = [RankResult(width, math.inf, FLOAT)] * len(sels)
+            tm.ranks.update(((sel, tol), verdict) for sel, verdict in zip(sels, made))
+        return [width] * len(sels), made, [True] * len(sels)
     slices = tm.r_factor[:, cols].transpose(1, 0, 2)
     stacked = np.linalg.svd(slices, compute_uv=False)
     ranks, certified = _certified_ranks(stacked, tol)

@@ -47,14 +47,26 @@ Rank verdicts (floating backend):
   sqrt(3n + 1) times the bound in norm, and every selection's largest
   singular value is at least 1 on a unit state: that route adds at most
   16 * sqrt(91), about 153, ``EPS`` to the rounding c * ``EPS`` that the
-  margins budget up to M, at n = 30.  Measured on scrambled singlet
-  products: residuals of at most 4.1 ``EPS`` (300 states each at n = 12
-  and 13; at most 7.8 ``EPS`` on 10 to 40 each at n = 8, 11, 14, 15 and
-  16), so the bound accepts them all; a state 1e-13 from such a product
-  is refused.  The split is only proposed, by rank-one tests of 2 x 2 and
+  margins budget up to M, at n = 30.  Measured with each factor read from
+  its block, on scrambled singlet products and on products of Haar
+  two-qubit states built by ``np.kron``: residuals of at most 4.9
+  ``EPS`` (100 states of each at n = 8, 11, 12 and 13, 20 at n = 14 to 17
+  and 19, 3 at n = 18 and 20 to 23), so the bound accepts them all;
+  a state 1e-13 from such a product is refused.  A factor read from a
+  reduced Gram's column carried that Gram's rounding, summed over
+  2**(n-2) or more terms: scrambled singlet products then reached 12, 28,
+  42 and 98 ``EPS`` at n = 18, 20, 21 and 22, past the bound, and
+  streamed.  The split is only proposed, by rank-one tests of 2 x 2 and
   4 x 4 reduced Grams with the slack ``INNER_PRODUCT_ATOL``: a Gram
   squares the residual, so it cannot tell 1e-9 from ``EPS``, and it
   decides nothing.
+
+``GAP_WARNING_THRESHOLD`` is also the margin of the row sample that
+certifies a state's full column rank without R (``rank`` module
+docstring): its smallest singular value must exceed M * tol * sqrt(3n + 1),
+the kept side's margin over a bound on the largest.  Measured on Haar
+states, it lies at 0.24, 0.11, 0.05, 0.021 and 0.005 at n = 10, 12, 14, 16
+and 20, against 7.8e-7 at the default tol and n = 20.
 
 Slacks of the independent checks (verify oracles, state comparison,
 SU(2) validation, contraction).  They compare quantities of unit scale,
@@ -91,6 +103,15 @@ Two limits of the policy, both measured:
    the kept ``against`` columns, so the verdict holds only while about
    ``10 * EPS * cond(against)`` stays below ``tol``.  It reports no gap
    ratio, so a caller cannot see how close it came.
+3. Each selection's cutoff is relative to its own largest singular value,
+   so a tol too loose for the state can give verdicts that no state has:
+   at tol 0.5, GHZ on 5 qubits gets rank 1, orbit dimension 0 under the
+   minimum 8, and pair spans of 5 above that rank.  ``check_tol`` takes no
+   bound that depends on n or on the state, so it accepts such a tol;
+   ``orbit_report`` and ``classify_min_orbit`` instead check their
+   verdicts against the range theorem and containment
+   (``analysis._check_theorems``) and raise ``InconsistentStructureError``
+   where they break one, which the command line reports with exit 1.
 """
 
 from __future__ import annotations

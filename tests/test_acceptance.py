@@ -30,6 +30,7 @@ from luorbit import (
     basis_state,
     canonical_pair_state,
     classify_min_orbit,
+    orbit_report,
     pairing_equal,
     random_rational_state,
     random_state,
@@ -119,6 +120,20 @@ def test_named_families_have_their_orbit_dimensions(family, n, mode, scrambled):
     if scrambled:
         psi = apply_local(psi, LocalUnitary.random(n, 400 + n))
     assert real_rank(tangent_matrix(psi)).rank - 1 == dimension(n)
+
+
+def test_no_theorem_guard_fires_at_the_default_tol():
+    # orbit_report and classify_min_orbit check every verdict against the
+    # range theorem and containment; on the canonical table and the named
+    # families, in both modes and scrambled, none fires
+    states = [psi for mode in ("float", EXACT) for _, psi, _ in canonical_states(mode)]
+    for family, n, mode, scrambled in _NAMED_FAMILY_CASES:
+        psi = _NAMED_FAMILIES[family][0](n, mode)
+        states.append(apply_local(psi, LocalUnitary.random(n, 400 + n)) if scrambled else psi)
+    for psi in states:
+        report = orbit_report(psi)
+        assert "pairing_error" not in report.diagnostics
+        classify_min_orbit(psi)
 
 
 def random_pairing(n, rng):

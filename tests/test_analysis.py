@@ -98,6 +98,21 @@ def test_orbit_dimension_is_lu_invariant():
     assert orbit_dimension(psi) == orbit_dimension(scrambled)
 
 
+def test_theorem_guard_bounds_the_dimension_and_each_span():
+    check = analysis_mod._check_theorems
+    # the range theorem: min_orbit_dimension(n)..3n, and 2 at n = 1, 3..5 at n = 2
+    for n, low, high in [(1, 2, 2), (2, 3, 5), (3, 5, 9), (6, 9, 18)]:
+        for dim in (low, high):
+            check(n, dim + 1, 0.1)
+        for dim in (low - 1, high + 1):
+            with pytest.raises(InconsistentStructureError, match="range theorem"):
+                check(n, dim + 1, 0.1)
+    # containment: no pair or lone span above the full rank
+    check(4, 8, 0.1, [6, 4, 8])
+    with pytest.raises(InconsistentStructureError, match="exceeds the full rank 8"):
+        check(4, 8, 0.1, [6, 9, 4])
+
+
 def test_is_minimum_orbit():
     verdict = is_minimum_orbit(canonical_pair_state())
     assert verdict
@@ -521,8 +536,9 @@ def test_report_reads_every_verdict_from_r(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_haar_report_runs_one_svd(monkeypatch, n):
-    # the full selection is certified as full column rank; every pair and
-    # lone verdict inherits from it
+    # the full selection is certified as full column rank, from R at n = 8
+    # and from the row sample's one SVD at n = 12, past the sample's row
+    # gate; every pair and lone verdict inherits from it
     shapes = []
     svd = np.linalg.svd
 
@@ -532,8 +548,10 @@ def test_haar_report_runs_one_svd(monkeypatch, n):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     report = orbit_report(random_state(n, 150 + n))
-    assert report.rank == 3 * n + 1
-    assert shapes == [(1, 3 * n + 1, 3 * n + 1)]
+    width = 3 * n + 1
+    sampled = 2 ** (n + 1) > lie_action._SAMPLE_PAST_ROWS
+    assert report.rank == width
+    assert shapes == [(2 * lie_action._sample(n)[0].size, width) if sampled else (1, width, width)]
     assert {span for row in report.pair_span for span in row} == {3, 6}
     assert report.lone_span == (4,) * n
 

@@ -224,6 +224,20 @@ def test_analyze_rejects_degenerate_tol(tol):
     assert "--tol" in err and "Traceback" not in err
 
 
+def test_verdicts_that_break_the_range_theorem_exit_1():
+    # at tol 0.5 GHZ_5's full selection keeps one value: orbit dimension 0,
+    # under the minimum 8, and pair spans of 5 above that rank of 1
+    _, psi, _ = run("generate", "ghz", "--qubits", "5")
+    code, out, err = run("analyze", "-", "--tol", "0.5", stdin=psi)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: orbit dimension 0 breaks the range theorem")
+    assert err.count("\n") == 1
+    code, out, err = run("classify", "-", "--tol", "0.5", stdin=psi)
+    assert (code, out) == (1, "")
+    assert err.startswith("classification failed: orbit dimension 0 breaks the range theorem")
+    assert err.count("\n") == 1
+
+
 def test_every_tol_flag_rejects_degenerate_values(tmp_path):
     path = tmp_path / "s.json"
     run("generate", "singlet-product", "--qubits", "2", "--pairs", "1:2", "--out", str(path))

@@ -4,6 +4,7 @@ The oracle interleaves real/imaginary parts itself and calls
 np.linalg.matrix_rank, so it shares no code with the implementation.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -19,8 +20,10 @@ from luorbit import (
     ColumnSelector,
     EXACT,
     FLOAT,
+    LocalUnitary,
     SelectorFamily,
     StateVector,
+    apply_local,
     basis_state,
     canonical_pair_state,
     complement_dim,
@@ -495,8 +498,12 @@ def test_default_selection_is_built_once_per_n():
 
 
 def _pin_streamed_r(mp) -> None:
-    """Give every matrix ``streamed_r``'s R, products of one- and two-qubit factors too."""
+    """Give every matrix ``streamed_r``'s R, products of one- and two-qubit factors too, and read every verdict from it.
+
+    No row sample is taken, so no verdict is certified without R.
+    """
     mp.setattr(lie_action, "_product_r", lambda tm: None)
+    mp.setattr(lie_action, "_sample_sigma", lambda parts: 0.0)
 
 
 def _assert_streamed_r_matches_lapack_qr(tm, selectors, tols):
@@ -675,19 +682,22 @@ def test_r_is_built_from_the_factors_past_half_a_block(monkeypatch, kind, n, pro
 
 
 def _scanned_split(psi: np.ndarray):
-    """The split with each qubit's partner found by scanning: the first later qubit whose pair Gram has rank one."""
+    """The split with each qubit's partner found by scanning: the first later qubit whose pair Gram has rank one.
+
+    Each factor is read as the split reads it (``_rank_one_factor``).
+    """
     qubits = list(range(1, psi.ndim + 1))
     rest, factors = psi, []
     while qubits:
         block = rest.reshape(2, -1)
-        f = lie_action._rank_one_column(block @ block.conj().T)
+        f = lie_action._rank_one_factor(block)
         partner = 0
         while f is None:
             partner += 1
             if partner == len(qubits):
                 return None
             block = np.moveaxis(rest, partner, 1).reshape(4, -1)
-            f = lie_action._rank_one_column(block @ block.conj().T)
+            f = lie_action._rank_one_factor(block)
         members = (qubits[0], qubits[partner]) if partner else (qubits[0],)
         qubits = [q for q in qubits if q not in members]
         factors.append((members, f))
@@ -772,11 +782,11 @@ def test_split_gives_the_overlap_and_residual_of_the_whole_product(kind):
 def test_a_haar_state_takes_one_pair_test_before_it_streams(monkeypatch):
     # n = 10: 2048 live rows, past half a block, so the split is tried once
     tm = tangent_matrix(random_state(10, 660))
-    shapes, test = [], lie_action._rank_one_column
-    monkeypatch.setattr(lie_action, "_rank_one_column", lambda g: shapes.append(g.shape) or test(g))
+    heights, test = [], lie_action._rank_one_factor
+    monkeypatch.setattr(lie_action, "_rank_one_factor", lambda b: heights.append(len(b)) or test(b))
     streamed = _spy_streamed_r(monkeypatch)
     tm.r_factor
-    assert shapes == [(2, 2), (4, 4)]
+    assert heights == [2, 4]
     assert streamed == [tm]
 
 
@@ -846,6 +856,126 @@ def test_a_near_product_past_the_residual_bound_streams_its_r(monkeypatch, n, de
     streamed = _spy_streamed_r(monkeypatch)
     tm.r_factor
     assert streamed == [tm]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_products_at_twenty_qubits_take_the_product_route(monkeypatch, seed):
+    # each factor is read from its block, whose rounding does not grow with n:
+    # a factor read from a Gram column put some of these past PRODUCT_RESIDUAL
+    n = 20
+    rng = np.random.default_rng(seed)
+    pairs, lone = _random_pairing(n, rng)
+    singlets = apply_local(singlet_product(n, pairs, lone), LocalUnitary.random(n, seed))
+    haar_pairs = StateVector(functools.reduce(np.kron, [random_state(2, rng).vector for _ in range(n // 2)]))
+    streamed = _spy_streamed_r(monkeypatch)
+    for psi in (singlets, haar_pairs):
+        _, _, residual = lie_action._split_product(psi.vector.reshape((2,) * n))
+        assert residual <= PRODUCT_RESIDUAL
+        assert tangent_matrix(psi).product_r is not None
+    report = orbit_report(singlets)
+    assert report.pairing.sorted_pairs == tuple(sorted(tuple(sorted(p)) for p in pairs))
+    assert streamed == []
+
+
+# ---------------------------------------------------------------------------
+# full column rank certified by a sample of the real view's rows, with no R
+# ---------------------------------------------------------------------------
+
+
+def _pair_rest(n: int, rng) -> StateVector:
+    """A canonical pair on two random qubits and a Haar rest, scrambled: dense, and short of full rank."""
+    return _scramble(_pair_product(n, rng, *_random_pair_positions(n, rng)), rng)
+
+
+#: Dense states past the sample's row gate: full rank for haar and rational,
+#: short of it on one pair's columns for the rest.
+_SAMPLE_KINDS = {
+    "haar": lambda n, rng: random_state(n, rng),
+    "rational": lambda n, rng: random_rational_state(n, rng).to_float(),
+    "near_pair_9": lambda n, rng: _near_pair_state(n, rng, 1e-9),
+    "near_pair_11": lambda n, rng: _near_pair_state(n, rng, 1e-11),
+    "pair_rest": _pair_rest,
+}
+
+
+@pytest.mark.parametrize("n", [11, 13, 16])
+@pytest.mark.parametrize("kind", sorted(_SAMPLE_KINDS))
+def test_sample_gives_the_streamed_verdicts_and_reports(monkeypatch, kind, n):
+    psi = _SAMPLE_KINDS[kind](n, np.random.default_rng(900 + n))
+    # at tol 1 / M a triple's equal singular values sit at the kept side's margin,
+    # so R certifies no pair verdict, and each reads its 2**(n+1) rows: n = 16 skips it
+    tols = [DEFAULT_TOL, 1e-6, 1 / GAP_WARNING_THRESHOLD][: 2 if n > 13 else 3]
+    tm = tangent_matrix(psi)
+    # at tol 1 / M the threshold, sqrt(3n + 1), lies above every sample's sigma_min
+    certified = [rank_mod._sample_certifies(tm, tol) for tol in tols]
+    assert certified == [kind in ("haar", "rational") and tol < 1e-3 for tol in tols]
+    selectors = _report_selectors(n)
+    got = {tol: real_ranks(tm, selectors, tol) for tol in tols}
+    reports = {tol: json.dumps(orbit_report(psi, tol).to_json_dict()) for tol in tols}
+    _pin_streamed_r(monkeypatch)
+    twin = tangent_matrix(psi)
+    for tol, sampled in zip(tols, certified):
+        for sel, g, w in zip(selectors, got[tol], real_ranks(twin, selectors, tol)):
+            assert (g.rank, g.gap_ratio) == (w.rank, w.gap_ratio), (sel, tol)
+            assert g.singular_values is None or not sampled, (sel, tol)
+        assert reports[tol] == json.dumps(orbit_report(psi, tol).to_json_dict()), tol
+
+
+def test_a_haar_report_at_fourteen_qubits_streams_no_r(monkeypatch):
+    n = 14
+    streamed = _spy_streamed_r(monkeypatch)
+    report = orbit_report(random_state(n, 910))
+    assert streamed == []
+    assert report.rank == 3 * n + 1
+    assert {span for row in report.pair_span for span in row} == {3, 6}
+    assert report.lone_span == (4,) * n
+
+
+@pytest.mark.parametrize(
+    "kind, n, tol",
+    [("haar", 12, 0.5), ("rational", 13, 0.5), ("pair_rest", 12, DEFAULT_TOL), ("pair_rest", 13, 1e-6)]
+    + [("w", 12, DEFAULT_TOL), ("ghz", 13, DEFAULT_TOL), ("one_zero", 11, 0.5)],
+)
+def test_a_state_the_sample_refuses_streams_its_r(monkeypatch, kind, n, tol):
+    rng = np.random.default_rng(920 + n)
+    psi = _SAMPLE_KINDS[kind](n, rng) if kind in _SAMPLE_KINDS else _SPARSE[kind](n, rng)
+    tm = tangent_matrix(psi)
+    selectors = _report_selectors(n)
+    with pytest.MonkeyPatch.context() as mp:
+        streamed = _spy_streamed_r(mp)
+        got = real_ranks(tm, selectors, tol)
+        assert streamed == [tm]
+    assert not rank_mod._sample_certifies(tm, tol)
+    _pin_streamed_r(monkeypatch)
+    twin = tangent_matrix(psi)
+    # both read the same streamed R, so the verdicts are equal, singular values too
+    assert got == real_ranks(twin, selectors, tol)
+
+
+@pytest.mark.parametrize("n", [10, 13, 17, 30])
+def test_the_sampled_codes_spread_over_every_bit(n):
+    codes, held, (here, flips) = lie_action._sample(n)
+    assert codes.size == lie_action._SAMPLE_CODES and np.all(np.diff(codes) > 0)
+    for bit in lie_action._qubit_bits(n)[:, 0]:
+        assert 0 < np.count_nonzero(codes & bit) < codes.size, bit
+    assert np.array_equal(held[here], codes)
+    assert np.array_equal(held[flips], codes ^ lie_action._qubit_bits(n))
+
+
+def test_the_sample_is_the_real_views_rows_at_its_codes(monkeypatch):
+    # the sample's one SVD reads those rows, bit for bit, gathered from the
+    # parts of the codes they read alone
+    n = 11
+    psi = random_state(n, 930)
+    tm = tangent_matrix(psi)
+    seen, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(np.array(a)) or svd(a, *args, **kw))
+    sigma = tm.sample_sigma
+    codes = lie_action._sample(n)[0]
+    rows = np.stack([2 * codes, 2 * codes + 1], axis=1).reshape(-1)
+    (matrix,) = seen
+    assert matrix.tobytes() == tm.columns(range(tm.column_count))[rows].tobytes()
+    assert sigma == svd(matrix, compute_uv=False)[-1]
 
 
 # ---------------------------------------------------------------------------
