@@ -25,7 +25,6 @@ from .states import (
     _check_pairing,
     _contract_pairs,
     canonical_pair_state,
-    embed_product,
 )
 from .tolerance import DEFAULT_TOL, GAP_WARNING_THRESHOLD, ORACLE_TOL
 
@@ -302,24 +301,22 @@ def factor_state(psi: StateVector, tol: float = DEFAULT_TOL) -> Factorization:
         )
     pairs = pairing.sorted_pairs
     try:
-        residual = _contract_pairs(psi, pairs) if pairs else psi
+        # the reassembly test ignores tol in exact mode, as proportional_to does
+        residual = _contract_pairs(psi, pairs, max(tol, ORACLE_TOL)) if pairs else psi
     except ZeroResidualError as exc:
         raise NonCanonicalFactorError(str(exc)) from exc
-    result = Factorization(
+    if residual is None:
+        raise NonCanonicalFactorError(
+            "contracted factors do not reassemble to the input state; "
+            "it is LU-equivalent to a canonical pair product but not equal to one"
+        )
+    return Factorization(
         n=psi.n,
         pairs=pairs,
         pair_factors=(canonical_pair_state(mode=psi.mode),) * len(pairs),
         lone=pairing.lone,
         residual=residual if pairing.lone is not None else None,
     )
-    rebuilt = embed_product(psi.n, result.placements)
-    # proportional_to ignores tol in exact mode
-    if not rebuilt.proportional_to(psi, tol=max(tol, ORACLE_TOL)):
-        raise NonCanonicalFactorError(
-            "contracted factors do not reassemble to the input state; "
-            "it is LU-equivalent to a canonical pair product but not equal to one"
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -324,11 +324,11 @@ class TangentMatrix:
 
     Every other reader reads one (3n+1)-square factor of the real view,
     built on first read and then held: ``r_factor`` on the floating
-    backend (a float ``gram`` is read from it), ``gram`` on the exact
-    one.  ``ranks`` memoizes rank verdicts by ``(ColumnSelector, tol)``;
-    see ``rank.real_rank``.  A bare rank that ``rank.span_dims`` reads
-    from R alone is not kept, nor is a verdict inherited from a selection
-    certified as full column rank.
+    backend (its Gram ``r_gram``, held too, gives a float ``gram``),
+    ``gram`` on the exact one.  ``ranks`` memoizes rank verdicts by
+    ``(ColumnSelector, tol)``; see ``rank.real_rank``.  A bare rank that
+    ``rank.span_dims`` reads from R alone is not kept, nor is a verdict
+    inherited from a selection certified as full column rank.
     """
 
     state: StateVector
@@ -382,21 +382,31 @@ class TangentMatrix:
         return streamed_r(self) if r is None else r
 
     @functools.cached_property
+    def r_gram(self) -> np.ndarray:
+        """``R.T @ R`` from ``r_factor``, as a (3n+1)-square array, built once; floating backend only.
+
+        The float Gram, computed once for every reader: ``gram``'s rows,
+        and the rank module's one-sided certificate of full column rank
+        for narrow selections, which allows for its rounding (``rank``
+        module docstring).  Squaring the spectrum lifts its noise floor
+        above the rank cutoff, so no other floating verdict is read from it.
+        """
+        r = self.r_factor
+        return r.T @ r
+
+    @functools.cached_property
     def gram(self) -> list:
         """The Gram ``real.T @ real`` as (3n+1) row lists, built once.
 
         Entry (i, j) is ``scale**2`` times Re<column i|column j>.  Exact:
         Python ints summed over the live rows' blocks (``_streamed_gram``);
-        every exact verdict reads them.  Floating: ``R.T @ R`` from
-        ``r_factor``, with no rows generated.  A float Gram serves only
-        checks with an absolute slack, such as the verify oracles'
-        orthogonality tests: squaring the spectrum lifts its noise floor
-        above the rank cutoff, so no floating verdict is read from it.
+        every exact verdict reads them.  Floating: ``r_gram``'s rows, with
+        no rows of the real view generated; they serve only checks with an
+        absolute slack, such as the verify oracles' orthogonality tests.
         """
         if self.mode == EXACT:
             return _streamed_gram(self).tolist()
-        r = self.r_factor
-        return (r.T @ r).tolist()
+        return self.r_gram.tolist()
 
     @property
     def n(self) -> int:

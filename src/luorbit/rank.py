@@ -131,6 +131,40 @@ loose: sigma_S <= sqrt(3n + 1) always, so at tol >= 1 / M none is
 certified) reads R as before, and R still serves complements and the
 float Gram.
 
+A state short of full rank still has mostly narrow selections of full
+column rank: every pair but the planted ones of a minimal state, every
+lone qubit but its unentangled one.  R's Gram shows it with no SVD.  For
+a proper subset S of at most two triples, with or without the last
+column (``_GRAM_WIDTH``), asked in a group of at least ``_GRAM_GROUP``
+such selections of one width, ``_gram_certifies`` bounds the eigenvalues of
+G_S = R_S^T R_S, the squared singular values of R's slice, by
+Gershgorin's discs of the computed Gram G' (``TangentMatrix.r_gram``,
+read once per matrix): lower = min over i in S of G'_ii - sum over the
+other j in S of |G'_ij|, and upper = max of G'_ii + the same sum, each
+then widened by the slack 4 (m + w) eps w max diag(G'), m = 3n + 1 and w
+the width.  Each entry of G' is a dot product of two of R's columns of m
+entries, within gamma_m |r_i| |r_j| <= gamma_m max diag(G) of the exact
+one, gamma_m = m eps / (1 - m eps).  So the w x w error of the block has
+norm at most w gamma_m max diag(G), its Frobenius bound, and it moves no
+eigenvalue further (Weyl).  The discs' own sums and differences add
+about (w + 1) eps w max diag(G'), and diag(G') is diag(G) to within
+gamma_m; the factor 4 covers both, with room for the test's own
+rounding.  Hence lower <= lambda_min(G_S) and upper >= lambda_max(G_S),
+and lower > (M * tol)**2 * upper proves sigma_min(R_S) > M * tol *
+sigma_max(R_S): the kept side's margin of the rule below, on R's slice
+itself, not on its computed singular values.  The selection then has
+the verdict R's rule would certify, rank w and gap ratio inf, with no
+singular values; it is made, kept and inherited from as one the sample
+certifies.  The Gram certifies nothing else: a selection it refuses (a
+deficient pair, a near-pair, anything near the margin) takes R's route
+below, so no deficient verdict and no gap ratio is ever read from a
+squared spectrum.  At tol >= 1 / M it certifies nothing: lower <=
+min diag(G') - slack < max diag(G') + slack <= upper, while the test
+needs lower > (M * tol)**2 * upper >= upper.  Wider selections are not
+tested: on a state short of full rank they are seldom diagonally
+dominant, and the test would cost more than it saves; nor are smaller
+groups, whose few SVDs cost less than the test.
+
 One rule reads every floating verdict: reported ones
 (``real_rank``, ``real_ranks``, the tables of ``orbit_report``) and bare
 ranks (``span_dims``) alike, for the full selection and for proper
@@ -177,9 +211,9 @@ has a ratio above M**2 (both margins) and a dropped value under the
 floor, so it reports inf, as the real view does wherever its own dropped
 value lies under the floor.  A full-rank verdict drops nothing.  So
 every certified verdict is made with gap ratio inf and the rank that
-certified it, with no second count.  A third kind of verdict, certified
-by a row sample, has that rank and gap ratio too, and no singular values
-at all.  Singular values are not
+certified it, with no second count.  A third kind of verdict, of full
+column rank certified by a row sample or by R's Gram, has that rank and
+gap ratio too, and no singular values at all.  Singular values are not
 bit-identical to the direct route's: R's dropped values are rounding
 noise, and the noise changes with the block order and the BLAS thread
 count.  The floor keeps that noise out of every printed gap ratio.
@@ -211,9 +245,10 @@ a certified one exactly when it meets no bit of that one's complement:
 one array test decides which selections of a group inherit, against
 every certified mask at once.  The rest of the group go to ``_answer``
 together: an exact matrix eliminates each and keeps every verdict; a
-floating one gives them one stacked SVD of their R slices (LAPACK
-decomposes each matrix of a stack as it would alone) and decides the
-rule on the stack's singular values as arrays.  Only the selections R
+floating one first takes the full column rank that the row sample or
+R's Gram certifies, and gives the rest one stacked SVD of their R slices
+(LAPACK decomposes each matrix of a stack as it would alone) and decides
+the rule on the stack's singular values as arrays.  Only the selections R
 cannot certify, and the verdicts that are kept, are then visited one at
 a time.  ``real_ranks`` keeps every verdict it reads from R;
 ``span_dims`` returns a rank it reads from R for a proper subset bare,
@@ -224,10 +259,12 @@ on the state, so it is planned once (``_plan``): each selector checked
 against n, in order; the width groups, widest first, each holding its
 selections' positions in the family, their masks as int64 and their
 columns as one ``(k, width)`` index array, which gathers the group's R
-slices as it is.  A ``SelectorFamily`` keeps its plan for each n, so the
-families the package asks again and again (the pair and lone tables, the
-subset suites) are planned on first use and every later walk, on any
-matrix, only reads the plan.  Any other iterable is planned for its one
+slices as it is; and, for a group the Gram may certify, its membership
+matrix, which sums every Gershgorin disc's radius in one product.  A
+``SelectorFamily`` keeps its plan for each n, so the families the package
+asks again and again (the pair and lone tables, the subset suites) are
+planned on first use and every later walk, on any matrix, only reads the
+plan.  Any other iterable is planned for its one
 walk, as ``real_rank``'s one selection is.  Kept verdicts are still read
 before tol and the selectors are checked, and a selection with a kept
 verdict is left out of its group, so the plan changes no verdict, no
@@ -343,6 +380,10 @@ class _Group(NamedTuple):
 
     ``masks`` holds each selection's ``ColumnSelector.mask`` as int64, and
     ``cols`` its ``column_indices`` as the rows of a ``(k, width)`` array.
+    ``members`` is None, or, for a group the float Gram may certify
+    (``_GRAM_GROUP`` or more proper subsets of at most two triples,
+    ``_GRAM_WIDTH``), the ``(3n+1, k)`` membership matrix: 1.0 where a
+    column lies in a selection, 0.0 elsewhere.
     """
 
     width: int
@@ -350,23 +391,43 @@ class _Group(NamedTuple):
     sels: list
     masks: np.ndarray
     cols: np.ndarray
+    members: Optional[np.ndarray]
 
     def only(self, flags: list) -> Optional["_Group"]:
         """The group of the selections whose ``flags`` are true, in order: this one if all are, None if none."""
         rows = list(compress(range(len(flags)), flags))
         if len(rows) == len(flags) or not rows:
             return self if rows else None
-        at, sels = self.at, self.sels
+        at, sels, members = self.at, self.sels, self.members
         return _Group(
-            self.width, [at[j] for j in rows], [sels[j] for j in rows], self.masks[rows], self.cols[rows]
+            self.width,
+            [at[j] for j in rows],
+            [sels[j] for j in rows],
+            self.masks[rows],
+            self.cols[rows],
+            None if members is None else members[:, rows],
         )
+
+
+#: Widest selection whose full column rank the float Gram may certify: two
+#: triples and the last column.  Only narrow selections of a state short of
+#: full rank come so far, and most of them have a near-diagonal Gram.
+_GRAM_WIDTH = 7
+
+#: Fewest selections in a group that the float Gram is asked about.  Its test
+#: took 13.8 us on one BLAS thread at n = 8, against 9.8 us for one R slice's
+#: SVD and about 4.7 us more per slice stacked, so a smaller group costs
+#: more to test than to decompose.
+_GRAM_GROUP = 3
 
 
 def _plan(selectors: Sequence, n: int) -> tuple:
     """The width groups of ``selectors`` at n, widest first, each in the family's order.
 
     Each selector is checked first, in order (``_check_selector``), so a
-    bad one raises what ``real_rank`` raises for it.
+    bad one raises what ``real_rank`` raises for it.  A group of at least
+    ``_GRAM_GROUP`` proper subsets of at most ``_GRAM_WIDTH`` columns gets
+    its membership matrix.
     """
     columns = [_check_selector(sel, n) for sel in selectors]
     widths = [sel.width for sel in selectors]
@@ -377,7 +438,11 @@ def _plan(selectors: Sequence, n: int) -> tuple:
         sels = [selectors[i] for i in at]
         masks = np.array([sel.mask for sel in sels], dtype=np.int64)
         cols = np.array([columns[i] for i in at], dtype=np.intp)
-        groups.append(_Group(width, at, sels, masks, cols))
+        members = None
+        if width <= min(_GRAM_WIDTH, 3 * n) and len(at) >= _GRAM_GROUP:
+            members = np.zeros((3 * n + 1, len(at)))
+            members[cols, np.arange(len(at))[:, None]] = 1.0
+        groups.append(_Group(width, at, sels, masks, cols, members))
     return tuple(groups)
 
 
@@ -391,8 +456,9 @@ class RankResult:
     slice: its rank equals the direct one on the real view, its gap ratio
     equals it under the rounding floor's rule, and its singular values
     agree with it to within the floor (module docstring).  A verdict of
-    full column rank certified by a row sample, with no R, carries none,
-    as does a rank that ``real_ranks`` inherits from a wider selection.
+    full column rank certified without an SVD, by a row sample (no R) or
+    by Gershgorin's bounds on R's Gram, carries none, as does a rank that
+    ``real_ranks`` inherits from a wider selection.
     ``gap_ratio`` is inf when nothing is dropped or the largest dropped
     value is indistinguishable from zero; JSON output writes inf as null.
     """
@@ -617,16 +683,15 @@ def real_ranks(
     matrix's backend, and is not kept.  Either backend answers the rest
     widest selection first and inherits from the selections it certifies
     on the way.  The rest of each width are answered together: an exact
-    matrix eliminates each; a floating one whose row sample certifies
-    full column rank gives each its width, and any other one gives them
-    one stacked SVD of their R slices, and reads each verdict from its
-    slice wherever R certifies it, from the real view otherwise (module
-    docstring).  Kept
-    verdicts are read first; every other query is checked, in order,
-    before any is answered, so a bad selector or tol raises what
-    ``real_rank`` raises.  ``selectors`` may be any iterable, and a
-    ``SelectorFamily`` is checked and planned only on its first walk at n
-    (``span_dims``).
+    matrix eliminates each; a floating one gives its width to each
+    selection whose full column rank its row sample or R's Gram
+    certifies, gives the others one stacked SVD of their R slices, and
+    reads each of their verdicts from its slice wherever R certifies it,
+    from the real view otherwise (module docstring).  Kept verdicts are
+    read first; every other query is checked, in order, before any is
+    answered, so a bad selector or tol raises what ``real_rank`` raises.
+    ``selectors`` may be any iterable, and a ``SelectorFamily`` is checked
+    and planned only on its first walk at n (``span_dims``).
     """
     ranks, verdicts = _family(tm, _as_family(selectors), tol, keep=True)
     return [
@@ -651,7 +716,8 @@ def _family(tm: TangentMatrix, family: SelectorFamily, tol: float, keep: bool) -
     column count: one test of the group's masks against every certified
     mask.  The rest go to ``_answer`` together, and those it certifies join
     the certified masks.  A verdict on a proper subset read from R or
-    certified by the row sample is made and kept only when ``keep``.
+    certified by the row sample or R's Gram is made and kept only when
+    ``keep``.
     """
     verdicts = [None] * len(family)
     if tm.ranks:
@@ -701,9 +767,9 @@ def _certifies(result: RankResult, width: int, tol: float) -> bool:
     """Whether a verdict on ``width`` columns certifies them as full column rank for inheritance.
 
     A verdict of full rank does when it carries no singular values (an
-    exact one, or a floating one that a row sample certified, which is made
-    only past the kept side's margin), and a floating one with singular
-    values when they clear that margin.
+    exact one, or a floating one that a row sample or R's Gram certified,
+    which is made only past the kept side's margin), and a floating one
+    with singular values when they clear that margin.
     """
     return result.rank == width and (
         result.singular_values is None
@@ -719,24 +785,47 @@ def _sample_certifies(tm: TangentMatrix, tol: float) -> bool:
     return _clears_margin(tm.sample_sigma, math.sqrt(tm.column_count), tol)
 
 
+def _gram_certifies(tm: TangentMatrix, group: _Group, tol: float) -> list:
+    """Whether ``tm.r_gram`` proves each selection of ``group`` of full column rank past the kept side's margin.
+
+    Gershgorin's discs of each selection's principal block of the Gram,
+    widened by the Gram's rounding slack, bound the block's eigenvalues,
+    the squared singular values of the selection's R slice (module
+    docstring).  One product of the Gram's absolute off-diagonal entries
+    with the group's membership matrix gives every disc's radius.
+    """
+    gram, cols, width = tm.r_gram, group.cols, group.width
+    diagonal = gram.diagonal()
+    off = np.abs(gram)
+    np.fill_diagonal(off, 0.0)
+    radii = (off @ group.members)[cols, np.arange(len(cols))[:, None]]
+    centres = diagonal[cols]
+    slack = 4 * (tm.column_count + width) * EPS * width * diagonal.max()
+    lower = (centres - radii).min(axis=1) - slack
+    upper = (centres + radii).max(axis=1) + slack
+    return (lower > (GAP_WARNING_THRESHOLD * tol) ** 2 * upper).tolist()
+
+
 def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     """``(ranks, verdicts, certifies)`` of a plan's ``group`` of one width: where every verdict is made.
 
     ``certifies`` tells whether a selection is certified as full column
     rank.  An exact matrix eliminates each selection's block of the Gram,
     its columns read from the group's column array (``_exact_rank``), and
-    keeps every verdict; full rank certifies.  On a floating one whose row
-    sample certifies full column rank (``_sample_certifies``), every
-    selection has its width as its rank, made as a verdict with gap ratio
-    inf and no singular values only when ``keep``, and kept; no R is read.
-    Otherwise a floating matrix takes one
-    stacked SVD of their R slices, gathered by the group's column array
-    as it is, and decides the whole stack at once
-    (``_certified_ranks``).  A rank R certifies is read from its slice, as
-    that count made it; its verdict, with gap ratio inf (module docstring)
-    and the slice's singular values, is made and kept in ``tm.ranks`` only
-    when ``keep``, and is None otherwise.  Every other selection gets the
-    verdict of its columns of the real view (``_float_rank``), kept.
+    keeps every verdict; full rank certifies.  A floating matrix first
+    certifies full column rank without any SVD where it can: every
+    selection when its row sample does (``_sample_certifies``), and else
+    each selection of a group with a membership matrix whose Gram block
+    proves it (``_gram_certifies``).  Such a selection has its width as its
+    rank, made as a verdict with gap ratio inf and no singular values only
+    when ``keep``, and kept.  The rest take one stacked SVD of their R
+    slices, gathered by the group's column array, and the stack is decided
+    at once (``_certified_ranks``).  A rank R certifies is read from its
+    slice, as that count made it; its verdict, with gap ratio inf (module
+    docstring) and the slice's singular values, is made and kept in
+    ``tm.ranks`` only when ``keep``, and is None otherwise.  Every other
+    selection gets the verdict of its columns of the real view
+    (``_float_rank``), kept.
     """
     width, sels, cols = group.width, group.sels, group.cols
     if tm.mode == EXACT:
@@ -745,26 +834,31 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
         ranks = [verdict.rank for verdict in made]
         return ranks, made, [rank == width for rank in ranks]
     if _sample_certifies(tm, tol):
-        made = [None] * len(sels)
-        if keep:
-            made = [RankResult(width, math.inf, FLOAT)] * len(sels)
-            tm.ranks.update(((sel, tol), verdict) for sel, verdict in zip(sels, made))
-        return [width] * len(sels), made, [True] * len(sels)
-    slices = tm.r_factor[:, cols].transpose(1, 0, 2)
-    stacked = np.linalg.svd(slices, compute_uv=False)
-    ranks, certified = _certified_ranks(stacked, tol)
-    ranks = ranks.tolist()
-    # R certifies full column rank only past the kept side's margin, where rank == width
-    certifies = [rank == width for rank in ranks]
-    made = [None] * len(sels)
-    for j, ok in enumerate(certified.tolist()):
+        fits = [True] * len(sels)
+    elif group.members is None:
+        fits = [False] * len(sels)
+    else:
+        fits = _gram_certifies(tm, group, tol)
+    ranks, made, certifies = [width] * len(sels), [None] * len(sels), list(fits)
+    if keep:
+        for j in compress(range(len(sels)), fits):
+            made[j] = tm.ranks[(sels[j], tol)] = RankResult(width, math.inf, FLOAT)
+    ask = [j for j, fit in enumerate(fits) if not fit]
+    if not ask:
+        return ranks, made, certifies
+    asked = cols if len(ask) == len(sels) else cols[ask]
+    stacked = np.linalg.svd(tm.r_factor[:, asked].transpose(1, 0, 2), compute_uv=False)
+    counts, certified = _certified_ranks(stacked, tol)
+    for i, (j, rank, ok) in enumerate(zip(ask, counts.tolist(), certified.tolist())):
         if not ok:
             verdict = _float_rank(tm.columns(cols[j]), tol)
             ranks[j], certifies[j] = verdict.rank, _certifies(verdict, width, tol)
-        elif keep:
-            verdict = RankResult(ranks[j], math.inf, FLOAT, tuple(stacked[j].tolist()))
         else:
-            continue
+            # R certifies full column rank only past the kept side's margin, where rank == width
+            ranks[j], certifies[j] = rank, rank == width
+            if not keep:
+                continue
+            verdict = RankResult(rank, math.inf, FLOAT, tuple(stacked[i].tolist()))
         made[j] = tm.ranks[(sels[j], tol)] = verdict
     return ranks, made, certifies
 

@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import re
+import string
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -595,26 +596,81 @@ def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
     return _contract_pairs(psi, [(l, lp)])
 
 
-def _contract_pairs(psi: StateVector, pairs) -> StateVector:
+def _contract_pairs(psi: StateVector, pairs, atol: Optional[float] = None) -> Optional[StateVector]:
     """Partial inner product with the canonical pair state on each of the disjoint ``pairs``, in one pass.
 
-    Every pair's two axes are moved to the front, as a view; each step
-    adds the pair's (0, 0) and (1, 1) slices of what is left, so no entry
-    of ``parts`` is read twice.  The other qubits keep their order.
+    Every pair's two axes are moved to the front, as a transposed view;
+    each step adds the pair's (0, 0) and (1, 1) slices of what is left, so
+    no entry of ``parts`` is read twice.  The other qubits keep their order.
     Returns the residual, normalized in float mode, where it is divided by
     sqrt(2) per pair before the zero test.  Raises ZeroResidualError when
     the contraction annihilates psi.
+
+    With ``atol``, the residual is returned only when psi reassembles from
+    it, and None otherwise: when psi is proportional, entry by entry, to
+    the canonical pairs tensored with the residual, as
+    ``StateVector.proportional_to`` tests it, at ``atol`` in float mode
+    (``_reassembles``) and exactly in exact mode.  That product is never
+    built: it is zero off the entries where each pair's two bits are
+    equal (``_equal_bits``), and on them it is the residual, the same
+    for every setting of the pairs' bits.
     """
     axes = [q - 1 for pair in pairs for q in pair]
-    rows = np.moveaxis(psi.parts, axes, range(len(axes)))
+    order = axes + [q for q in range(psi.n) if q not in axes]
+    moved = rows = psi.parts.transpose(order + [psi.n])
     for _ in pairs:
         rows = rows[0, 0] + rows[1, 1]  # a complex add is two float adds
     out = rows.reshape(-1, 2)
     if psi.mode == FLOAT:
         out = out.view(np.complex128)[:, 0] / math.sqrt(2.0 ** len(pairs))
         if float(np.linalg.norm(out)) > ROUNDOFF_ATOL:
-            return StateVector(out)
+            residual = StateVector(out)
+            return residual if atol is None or _reassembles(psi, order, residual, atol) else None
     elif any(out.flat):
+        if atol is not None:
+            # a multiple of the product: zero off the equal bits, and one array on each of their settings
+            equal = _equal_bits(moved, len(pairs))
+            if np.count_nonzero(moved) != np.count_nonzero(equal) or (equal != equal[(0,) * len(pairs)]).any():
+                return None
         return StateVector._from_parts(out, psi.scale, EXACT)
     named = ", ".join(f"({a},{b})" for a, b in pairs)
     raise ZeroResidualError(f"contracting qubits {named} annihilated the state")
+
+
+def _equal_bits(moved: np.ndarray, count: int) -> np.ndarray:
+    """The entries of ``moved`` where each of its ``count`` leading pairs of axes holds two equal bits, as a view.
+
+    One axis per pair, then ``moved``'s other axes; the view is writable
+    when ``moved`` is.
+    """
+    pairs = string.ascii_letters[:count]
+    return np.einsum("".join(a + a for a in pairs) + "...->" + pairs + "...", moved)
+
+
+def _reassembles(psi: StateVector, order: list, residual: StateVector, atol: float) -> bool:
+    """Whether float psi is ``atol``-close to a multiple of the canonical pairs tensored with ``residual``.
+
+    The test of ``StateVector.proportional_to``, entry by entry, on the
+    product P: the ratio is P over psi at psi's largest entry, the first
+    if several, and |P - ratio * psi| must be at most ``atol`` everywhere.
+    P is zero off the entries of equal pair bits, where the test reads
+    |ratio| times the largest of psi's sizes there; on them P is the
+    residual times 2**(-p/2), p pairs, read over psi's moved-axis view:
+    ``order`` lists psi's axes with each pair's two first, as
+    ``_contract_pairs`` moves them.
+    """
+    n, lead = psi.n, psi.n - residual.n
+    count, shape = lead // 2, (2,) * n
+    sizes = np.abs(psi.vector)
+    pivot = int(np.argmax(sizes))
+    # the pivot's bits in the moved order: axis q is bit n - 1 - q of a code
+    at = tuple((pivot >> (n - 1 - q)) & 1 for q in order)
+    product = residual.vector.reshape(shape[lead:]) * math.sqrt(0.5) ** count
+    top = product[at[lead:]] if at[:lead:2] == at[1:lead:2] else 0.0
+    ratio = top / psi.vector[pivot]
+    # psi's sizes off the equal bits: those on them are set to zero
+    _equal_bits(sizes.reshape(shape).transpose(order), count)[...] = 0.0
+    if not abs(ratio) * sizes.max() <= atol:
+        return False
+    equal = _equal_bits(psi.vector.reshape(shape).transpose(order), count)
+    return bool(np.abs(product - ratio * equal).max() <= atol)

@@ -68,6 +68,17 @@ the kept side's margin over a bound on the largest.  Measured on Haar
 states, it lies at 0.24, 0.11, 0.05, 0.021 and 0.005 at n = 10, 12, 14, 16
 and 20, against 7.8e-7 at the default tol and n = 20.
 
+The same margin, squared, is the one test a float Gram may pass, and it
+certifies only full column rank (``rank`` module docstring): Gershgorin's
+bounds on a selection of at most two triples in R's Gram, lower and
+upper, must satisfy lower > (M * tol)**2 * upper.  Squaring is sound
+here because the bounds carry an explicit rounding slack, 4 (m + w)
+``EPS`` w times the Gram's largest diagonal entry (m = 3n + 1 columns, w
+the width): the error of m-term dot products, moved onto eigenvalues by
+Weyl, with room for the discs' own sums.  A selection the test refuses
+takes R's SVD route, so no deficient verdict and no gap ratio is read
+from a squared spectrum, and at tol >= 1 / M the test passes nothing.
+
 Slacks of the independent checks (verify oracles, state comparison,
 SU(2) validation, contraction).  They compare quantities of unit scale,
 so each is absolute (the Schmidt product test scales it by the largest

@@ -7,6 +7,7 @@ rank oracle in test_rank.py.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from luorbit import (
     tensor,
     verify_proposition,
 )
-from luorbit.tolerance import ROUNDOFF_ATOL
+from luorbit.tolerance import ORACLE_TOL, ROUNDOFF_ATOL
 
 
 def ghz(n=3):
@@ -311,6 +312,42 @@ def test_factor_state_reassembles():
     assert rebuilt.proportional_to(psi)
 
 
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("equal_bits", [True, False])
+def test_factor_state_reassembly_reads_each_amplitude(monkeypatch, n, equal_bits):
+    # psi is compared entry by entry, at ORACLE_TOL, with a multiple of the
+    # canonical pairs tensored with the residual: twice that on one amplitude
+    # is caught, half of it is not, on or off the pairs' equal bits
+    pairs = [(1, 5), (2, 6), (3, 7), (4, 8)]
+    lone = 9 if n == 9 else None
+    pairing = SingletPairing(n, frozenset(pairs), lone)
+    # the deviations keep the ranks of a product; the test is of the reassembly
+    monkeypatch.setattr(analysis_mod, "classify_min_orbit", lambda tm, tol: pairing)
+    code = 0 if equal_bits else 1 << (n - 1)
+    for delta, caught in ((2 * ORACLE_TOL, True), (ORACLE_TOL / 2, False)):
+        amplitudes = singlet_product(n, pairs, lone).vector.copy()
+        amplitudes[code] += delta
+        psi = StateVector(amplitudes)
+        if caught:
+            with pytest.raises(NonCanonicalFactorError, match="do not reassemble"):
+                factor_state(psi)
+        else:
+            assert factor_state(psi).pairs == tuple(pairs)
+
+
+def test_factor_state_exact_reassembly_is_exact(monkeypatch):
+    # one amplitude 10**-30 off is no product of canonical pairs, in exact mode
+    base = singlet_product(5, [(1, 4), (2, 3)], 5, mode=EXACT)
+    assert factor_state(base).pairs == ((1, 4), (2, 3))
+    pairing = SingletPairing(5, frozenset([(1, 4), (2, 3)]), 5)
+    monkeypatch.setattr(analysis_mod, "classify_min_orbit", lambda tm, tol: pairing)
+    for code in (0, 1 << 4):
+        amplitudes = [Fraction(re) for re, _ in base.vector]
+        amplitudes[code] += Fraction(1, 10**30)
+        with pytest.raises(NonCanonicalFactorError, match="do not reassemble"):
+            factor_state(StateVector(amplitudes, mode=EXACT))
+
+
 def test_factor_state_tolerates_global_phase():
     base = singlet_product(4, [(1, 2), (3, 4)])
     psi = StateVector(np.exp(0.9j) * base.vector)
@@ -553,6 +590,28 @@ def test_haar_report_runs_one_svd(monkeypatch, n):
     assert report.rank == width
     assert shapes == [(2 * lie_action._sample(n)[0].size, width) if sampled else (1, width, width)]
     assert {span for row in report.pair_span for span in row} == {3, 6}
+    assert report.lone_span == (4,) * n
+
+
+def test_scrambled_singlet_report_stacks_only_its_planted_pairs(monkeypatch):
+    # the float Gram certifies every other pair and every lone qubit as full
+    # column rank: after the full selection's SVD, one stack holds the six
+    # planted pairs alone, and no lone slice is decomposed
+    n = 12
+    pairs = [(1, 7), (2, 9), (3, 12), (4, 8), (5, 11), (6, 10)]
+    psi = apply_local(singlet_product(n, pairs), LocalUnitary.random(n, 160))
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    report = orbit_report(psi)
+    width = 3 * n + 1
+    assert shapes == [(1, width, width), (len(pairs), width, 6)]
+    assert report.pairing.sorted_pairs == tuple(pairs)
     assert report.lone_span == (4,) * n
 
 

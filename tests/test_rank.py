@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import math
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -1473,6 +1474,60 @@ def test_family_walk_matches_single_queries(mode, n):
 # ---------------------------------------------------------------------------
 # float verdicts against exact ranks, every selector
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _narrow_plan(n: int) -> tuple:
+    """The plan groups of every selection of one or two triples, with and without the last column."""
+    family = SelectorFamily(
+        ColumnSelector(triples, include_last)
+        for size in (1, 2)
+        for triples in combinations(range(1, n + 1), size)
+        for include_last in (False, True)
+    )
+    return tuple(group for group in family.plan(n) if group.members is not None)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=4, max_value=13), st.integers(0, 2**32 - 1))
+def test_gram_certifies_only_full_rank_past_the_margin(n, seed):
+    # a selection the float Gram certifies has full column rank on the real view,
+    # by a direct SVD, with sigma_min > M * tol * sigma_max, at every walk tol;
+    # at the tol where a selection's own values meet that margin, it is refused
+    margin = GAP_WARNING_THRESHOLD
+    for psi in _walk_states(n, np.random.default_rng(seed), FLOAT):
+        tm = tangent_matrix(psi)
+        real = tm.columns(range(tm.column_count))
+        for group in _narrow_plan(n):
+            values = np.linalg.svd(real[:, group.cols].transpose(1, 0, 2), compute_uv=False)
+            for tol in _WALK_TOLS:
+                for j, certified in enumerate(rank_mod._gram_certifies(tm, group, tol)):
+                    s = values[j]
+                    if certified:
+                        assert retained_rank(s, tol) == group.width, (group.sels[j], tol)
+                        assert s[-1] > margin * tol * s[0], (group.sels[j], tol)
+            for j, s in enumerate(values):
+                tight = s[-1] / s[0] / margin
+                if _EPS <= tight < 1 and not s[-1] > margin * tight * s[0]:
+                    assert not rank_mod._gram_certifies(tm, group, tight)[j], group.sels[j]
+
+
+def test_gram_certificate_reaches_the_margin_of_a_sharp_gram():
+    # on a Gram whose Gershgorin bounds are its extreme eigenvalues, a selection
+    # is certified just under the margin its own singular values allow and
+    # refused just over it: the test squares M * tol, and its slack is small
+    n = 4
+    gram = np.eye(3 * n + 1)
+    gram[0, 1] = gram[1, 0] = 0.6  # qubit 1's triple: eigenvalues 0.4, 1, 1.6
+    gram[-1, -1] = 0.25  # the last column
+    matrix = types.SimpleNamespace(r_gram=gram, column_count=3 * n + 1)
+    for group in _narrow_plan(n):
+        for j, cols in enumerate(group.cols):
+            eigenvalues = np.linalg.eigvalsh(gram[np.ix_(cols, cols)])
+            ratio = math.sqrt(eigenvalues[0] / eigenvalues[-1])
+            for factor, certified in ((0.98, True), (1.02, False)):
+                tol = factor * ratio / GAP_WARNING_THRESHOLD
+                assert rank_mod._gram_certifies(matrix, group, tol)[j] == certified, (group.sels[j], factor)
 
 
 def _near_product_pair(n: int, rng, delta: Fraction) -> StateVector:
