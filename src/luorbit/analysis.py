@@ -165,7 +165,10 @@ class SingletPairing:
     """A perfect pairing of qubits into maximally entangled two-qubit factors.
 
     For odd n exactly one qubit is left unpaired (``lone``); for even n
-    ``lone`` is None.  Validated by ``singlet_product``'s rule; pairs are stored sorted.
+    ``lone`` is None.  Validated by ``singlet_product``'s rule
+    (``states._check_pairing``): two qubits a pair, every qubit an integer,
+    and pairs plus lone qubit a partition of 1..n; otherwise ValueError.
+    Pairs are stored sorted.
     """
 
     n: int
@@ -211,11 +214,12 @@ def classify_min_orbit(
 ) -> Union[SingletPairing, NotMinimal]:
     """Classify a state by its singlet pairing, if it has minimal orbit dimension.
 
-    Returns NotMinimal for states above the floor.  For minimal states the
-    detected pairs must tile the qubits (with one left over when n is odd,
-    cross-checked against the unentangled-qubit detector); any disagreement,
-    and an orbit dimension outside the range theorem's (``_check_theorems``),
-    raises InconsistentStructureError rather than guessing.
+    Returns NotMinimal for states above the floor.  For a minimal state the
+    detected pairs and the unentangled qubits (at most one: the lone qubit)
+    must form a ``SingletPairing``, whose constructor checks that they tile
+    1..n; a refusal there, and an orbit dimension outside the range
+    theorem's (``_check_theorems``), raises InconsistentStructureError,
+    naming what was detected, rather than guessing.
     """
     tm = _as_tangent(psi)
     verdict = is_minimum_orbit(tm, tol=tol)
@@ -227,36 +231,17 @@ def classify_min_orbit(
             min_orbit_dimension=verdict.min_orbit_dimension,
             gap_ratio=verdict.rank.gap_ratio,
         )
-    n = tm.n
     pairs = detect_singlet_pairs(tm, tol=tol)
-    covered: set = set()
-    for a, b in pairs:
-        if a in covered or b in covered:
-            raise InconsistentStructureError(
-                f"state looks minimal but its detected pairs overlap: {pairs}"
-            )
-        covered.update((a, b))
-    remaining = set(range(1, n + 1)) - covered
-    if n % 2 == 0:
-        if remaining:
-            raise InconsistentStructureError(
-                f"state looks minimal but qubits {sorted(remaining)} are unpaired"
-            )
-        lone = None
-    else:
-        if len(remaining) != 1:
-            raise InconsistentStructureError(
-                f"state looks minimal but pair coverage leaves {sorted(remaining)}"
-            )
-        lone = remaining.pop()
-    unentangled = set(detect_unentangled(tm, tol=tol))
-    expected = {lone} if lone is not None else set()
-    if unentangled != expected:
+    unentangled = detect_unentangled(tm, tol=tol)
+    try:
+        if len(unentangled) > 1:
+            raise ValueError("a pairing leaves at most one qubit unentangled")
+        return SingletPairing(n=tm.n, pairs=pairs, lone=unentangled[0] if unentangled else None)
+    except ValueError as exc:
         raise InconsistentStructureError(
-            "pair coverage and the unentangled-qubit detector disagree: "
-            f"coverage implies {sorted(expected)}, detector found {sorted(unentangled)}"
-        )
-    return SingletPairing(n=n, pairs=frozenset(pairs), lone=lone)
+            f"state looks minimal but its detected pairs {sorted(pairs)} and unentangled "
+            f"qubits {sorted(unentangled)} form no pairing: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

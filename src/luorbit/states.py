@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 import string
 import sys
@@ -436,24 +437,17 @@ def embed_product(n: int, placements) -> StateVector:
     """Assemble a product state from factors placed on given qubit positions.
 
     ``placements`` is an iterable of ``(positions, factor)`` pairs where
-    ``positions`` lists 1-based qubit numbers (in the factor's own order)
-    and the positions across all placements partition {1..n}.
+    ``positions`` lists 1-based integer qubit numbers (in the factor's own
+    order), one per qubit of the factor, and the positions across all
+    placements partition {1..n} (``_check_partition``).
     """
     if n < 1:
         raise ValueError("qubit count must be at least 1")
     placements = [(tuple(pos), st) for pos, st in placements]
-    seen: set = set()
     for pos, st in placements:
         if len(pos) != st.n:
             raise ValueError(f"factor on {len(pos)} positions has {st.n} qubits")
-        for p in pos:
-            if not 1 <= p <= n:
-                raise ValueError(f"qubit position {p} out of range 1..{n}")
-            if p in seen:
-                raise ValueError(f"qubit position {p} assigned twice")
-            seen.add(p)
-    if seen != set(range(1, n + 1)):
-        raise ValueError("placements must cover qubits 1..n exactly")
+    positions = _check_partition(n, [pos for pos, _ in placements])
     modes = {st.mode for _, st in placements}
     if len(modes) > 1:
         raise ValueError("all factors must share a numeric mode")
@@ -463,7 +457,7 @@ def embed_product(n: int, placements) -> StateVector:
     one = np.array([1, 0], dtype=_DTYPES[mode])
     out = _outer(one, *(st.parts for _, st in placements))
     scale = math.prod(st.scale for _, st in placements)
-    order = np.argsort([p for pos, _ in placements for p in pos])
+    order = np.argsort([p for pos in positions for p in pos])
     return StateVector._from_parts(np.transpose(out, [*order, n]), scale, mode)
 
 
@@ -480,36 +474,49 @@ def _canonical_pair(mode: str) -> StateVector:
     return _indicator(np.array([True, False, False, True]), mode)
 
 
+def _qubit(q, n: int) -> int:
+    """``q`` as an int qubit number; ValueError, naming it, unless it is an integer (``operator.index``) in 1..n."""
+    try:
+        p = operator.index(q)
+    except TypeError:
+        raise ValueError(f"qubit {q!r} is not an integer") from None
+    if not 1 <= p <= n:
+        raise ValueError(f"qubit {p} out of range 1..{n}")
+    return p
+
+
+def _check_partition(n: int, groups) -> list:
+    """``groups`` as lists of int qubits; ValueError unless their 1-based qubits partition 1..n.
+
+    Every qubit must pass ``_qubit``, none may repeat, and together they
+    must cover 1..n.  The one structural rule behind a pairing
+    (``_check_pairing``) and a product's placements (``embed_product``).
+    """
+    checked = [[_qubit(q, n) for q in group] for group in groups]
+    flat = [p for group in checked for p in group]
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"qubits repeat: {sorted({p for p in flat if flat.count(p) > 1})}")
+    if len(flat) != n:
+        raise ValueError(f"qubits not covered: {sorted(set(range(1, n + 1)) - set(flat))}")
+    return checked
+
+
 def _check_pairing(n: int, pairs, lone) -> list:
-    norm_pairs = []
-    seen: set = set()
+    """The pairs of a pairing of n qubits, each sorted; ValueError unless they and ``lone`` tile 1..n.
+
+    Each pair must hold two qubits, a lone qubit must be given exactly
+    when n is odd, and the pairs with the lone qubit must partition 1..n
+    (``_check_partition``).  ``singlet_product`` and
+    ``analysis.SingletPairing`` share this rule, and its messages.
+    """
+    pairs = [tuple(pair) for pair in pairs]
     for pair in pairs:
-        a, b = pair
-        if a == b:
-            raise ValueError(f"pair ({a},{b}) repeats a qubit")
-        lo, hi = (a, b) if a < b else (b, a)
-        for p in (lo, hi):
-            if not 1 <= p <= n:
-                raise ValueError(f"qubit {p} out of range 1..{n}")
-            if p in seen:
-                raise ValueError(f"overlapping pairs: qubit {p} appears twice")
-            seen.add(p)
-        norm_pairs.append((lo, hi))
-    if n % 2 == 0:
-        if lone is not None:
-            raise ValueError("even qubit counts admit no lone qubit")
-        if seen != set(range(1, n + 1)):
-            raise ValueError("pairs must cover qubits 1..n")
-    else:
-        if lone is None:
-            raise ValueError("odd qubit counts require a lone qubit")
-        if not 1 <= lone <= n:
-            raise ValueError(f"lone qubit {lone} out of range 1..{n}")
-        if lone in seen:
-            raise ValueError(f"lone qubit {lone} collides with a pair")
-        if seen | {lone} != set(range(1, n + 1)):
-            raise ValueError("pairs plus lone qubit must cover qubits 1..n")
-    return norm_pairs
+        if len(pair) != 2:
+            raise ValueError(f"pair {pair} does not hold two qubits")
+    if (lone is None) == (n % 2 == 1):
+        raise ValueError("odd qubit counts require a lone qubit" if n % 2 else "even qubit counts admit no lone qubit")
+    checked = _check_partition(n, pairs + ([] if lone is None else [(lone,)]))
+    return [tuple(sorted(pair)) for pair in checked[: len(pairs)]]
 
 
 def singlet_product(n: int, pairs, lone: Optional[int] = None, mode: str = FLOAT) -> StateVector:
@@ -517,8 +524,8 @@ def singlet_product(n: int, pairs, lone: Optional[int] = None, mode: str = FLOAT
 
     Args:
         n: total qubit count.
-        pairs: iterable of 2-tuples of 1-based qubit numbers; must be
-            disjoint and, together with ``lone``, cover 1..n.
+        pairs: iterable of 2-tuples of 1-based integer qubit numbers;
+            must be disjoint and, together with ``lone``, cover 1..n.
         lone: leftover qubit for odd n (gets |0>); must be None for even n.
         mode: "float" (normalized) or "exact" (unnormalized representative).
     """
@@ -583,16 +590,15 @@ def contract_pair(psi: StateVector, l: int, lp: int) -> StateVector:
 
     Returns the (n-2)-qubit residual, normalized in float mode.  Raises
     ZeroResidualError when the contraction annihilates psi (the pair is
-    LU-equivalent to, but not equal to, the canonical pair state).
+    LU-equivalent to, but not equal to, the canonical pair state), and
+    ValueError unless l and lp are two distinct integer qubits of 1..n.
     """
     n = psi.n
     if n < 2:
         raise ValueError("contraction needs at least two qubits")
+    l, lp = _qubit(l, n), _qubit(lp, n)
     if l == lp:
         raise ValueError("contraction needs two distinct qubits")
-    for p in (l, lp):
-        if not 1 <= p <= n:
-            raise ValueError(f"qubit {p} out of range 1..{n}")
     return _contract_pairs(psi, [(l, lp)])
 
 

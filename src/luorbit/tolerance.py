@@ -97,7 +97,7 @@ work that lies between the two sides being compared:
   complement bases, the reassembly of contracted factors), each adding
   error on the order of ``EPS`` times a condition number.
 
-Two limits of the policy, both measured:
+Four limits of the policy, each measured:
 
 1. A floating verdict is the exact rank of the matrix after every
    direction at or below ``tol * sigma_max`` is dropped.  The gap ratio
@@ -123,6 +123,16 @@ Two limits of the policy, both measured:
    verdicts against the range theorem and containment
    (``analysis._check_theorems``) and raise ``InconsistentStructureError``
    where they break one, which the command line reports with exit 1.
+4. At tol >= 1 / M (M = ``GAP_WARNING_THRESHOLD``, so from 1e-3 on) no
+   certificate can hold, since each needs M * tol < 1: the row sample's
+   threshold M * tol * sqrt(3n + 1) exceeds any singular value it bounds,
+   R's kept-side margin asks sigma_min > M * tol * sigma_max of a slice,
+   and the Gram test asks lower > (M * tol)**2 * upper.  So every float
+   verdict there falls back to the SVD of its own selection's
+   2**(n+1)-row columns, and the time follows 2**n: on one BLAS thread,
+   ``orbit_report(random_state(16, 2), tol=1e-3)`` took 1.5 to 2.5 s
+   against 1.7 to 2.4 ms at the default tol, each of its 136 pair and
+   lone selections one full-height SVD.
 """
 
 from __future__ import annotations

@@ -187,6 +187,9 @@ def test_pairing_normalizes_and_validates():
         (2, [(2, 1)], None, True),
         (4, [(3, 1), (2, 4)], None, True),
         (5, [(2, 5), (4, 1)], 3, True),
+        (3, [(1, 2)], 3.0, False),  # non-integral lone qubit
+        (4, [(1.0, 2), (3, 4)], None, False),  # non-integral pair member
+        (3, [(1, 2, 3)], None, False),  # a three-qubit "pair"
     ],
 )
 def test_pairing_and_singlet_product_share_one_rule(n, pairs, lone, valid):
@@ -283,11 +286,21 @@ def test_inconsistent_coverage_raises(monkeypatch):
         analysis_mod.classify_min_orbit(psi)
 
 
-def test_inconsistent_detector_mismatch_raises(monkeypatch):
-    psi = singlet_product(4, [(1, 2), (3, 4)])
-    monkeypatch.setattr(analysis_mod, "detect_unentangled", lambda tm, tol: (4,))
-    with pytest.raises(InconsistentStructureError):
+def _refuses_detected_unentangled(monkeypatch, n, pairs, lone, unentangled):
+    psi = singlet_product(n, pairs, lone)
+    monkeypatch.setattr(analysis_mod, "detect_unentangled", lambda tm, tol: unentangled)
+    with pytest.raises(InconsistentStructureError) as error:
         analysis_mod.classify_min_orbit(psi)
+    assert f"detected pairs {pairs} and unentangled qubits {list(unentangled)}" in str(error.value)
+
+
+def test_inconsistent_detector_mismatch_raises(monkeypatch):
+    _refuses_detected_unentangled(monkeypatch, 4, [(1, 2), (3, 4)], None, (4,))
+
+
+@pytest.mark.parametrize("unentangled", [(1, 5), ()])  # two qubits, or none, where one is lone
+def test_inconsistent_detector_mismatch_raises_at_odd_n(monkeypatch, unentangled):
+    _refuses_detected_unentangled(monkeypatch, 5, [(1, 2), (3, 4)], 5, unentangled)
 
 
 # ---------------------------------------------------------------------------

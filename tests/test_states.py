@@ -222,6 +222,12 @@ def test_embed_product_must_partition():
         embed_product(4, [((1, 2), pair), ((2, 3), pair)])
     with pytest.raises(ValueError, match="at least 1"):
         embed_product(0, [])
+    with pytest.raises(ValueError, match="out of range"):
+        embed_product(2, [((1, 3), pair)])
+    with pytest.raises(ValueError, match="has 2 qubits"):
+        embed_product(3, [((1, 2, 3), pair)])
+    with pytest.raises(ValueError, match="not an integer"):
+        embed_product(2, [((1.0, 2), pair)])
 
 
 def test_singlet_product_matches_embed():
@@ -277,6 +283,16 @@ def test_contract_pair_zero_residual():
     psi = StateVector([0.0, 1.0, 1.0, 0.0])
     with pytest.raises(ZeroResidualError):
         contract_pair(psi, 1, 2)
+
+
+def test_contract_pair_validates_its_qubits():
+    psi = random_state(3, 13)
+    with pytest.raises(ValueError, match="not an integer"):
+        contract_pair(psi, 1.0, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        contract_pair(psi, 1, 4)
+    with pytest.raises(ValueError, match="distinct"):
+        contract_pair(psi, 2, 2)
 
 
 def test_contract_pair_to_scalar():
