@@ -168,7 +168,7 @@ class SingletPairing:
     ``lone`` is None.  Validated by ``singlet_product``'s rule
     (``states._check_pairing``): two qubits a pair, every qubit an integer,
     and pairs plus lone qubit a partition of 1..n; otherwise ValueError.
-    Pairs are stored sorted.
+    Pairs are stored sorted, and every qubit as the int that rule returns.
     """
 
     n: int
@@ -176,8 +176,9 @@ class SingletPairing:
     lone: Optional[int] = None
 
     def __post_init__(self):
-        pairs = _check_pairing(self.n, self.pairs, self.lone)
+        pairs, lone = _check_pairing(self.n, self.pairs, self.lone)
         object.__setattr__(self, "pairs", frozenset(pairs))
+        object.__setattr__(self, "lone", lone)
 
     @property
     def sorted_pairs(self) -> tuple:

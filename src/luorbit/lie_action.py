@@ -34,7 +34,7 @@ matrix: ``TangentMatrix.live``).  R (``streamed_r``) and the exact Gram
 (``_streamed_gram``) are built from the live codes' rows alone, in
 ``_BLOCK_ROWS``-row blocks (``_row_blocks``), at most once per matrix,
 which keeps what it built (``TangentMatrix.r_factor`` and
-``TangentMatrix.gram``).  Rows that are
+``TangentMatrix.exact_gram``).  Rows that are
 zero in every column add nothing to ``real.T @ real``, so dropping them
 changes no Gram and no singular value of any column subset.  A product
 of m canonical pairs (n = 2m) has 2**m nonzero amplitudes and
@@ -325,7 +325,8 @@ class TangentMatrix:
     Every other reader reads one (3n+1)-square factor of the real view,
     built on first read and then held: ``r_factor`` on the floating
     backend (its Gram ``r_gram``, held too, gives a float ``gram``),
-    ``gram`` on the exact one.  ``ranks`` memoizes rank verdicts by
+    ``exact_gram`` on the exact one (which gives an exact ``gram``).
+    ``ranks`` memoizes rank verdicts by
     ``(ColumnSelector, tol)``; see ``rank.real_rank``.  A bare rank that
     ``rank.span_dims`` reads from R alone is not kept, nor is a verdict
     inherited from a selection certified as full column rank.
@@ -395,17 +396,28 @@ class TangentMatrix:
         return r.T @ r
 
     @functools.cached_property
+    def exact_gram(self) -> np.ndarray:
+        """The exact Gram ``real.T @ real`` as a (3n+1)-square array, built once; exact backend only.
+
+        Entry (i, j) is ``scale**2`` times Re<column i|column j>, summed over
+        the live rows' blocks (``_streamed_gram``): int64 where no partial
+        sum can overflow, Python ints otherwise.  Every exact verdict and
+        complement reads it.
+        """
+        return _streamed_gram(self)
+
+    @functools.cached_property
     def gram(self) -> list:
         """The Gram ``real.T @ real`` as (3n+1) row lists, built once.
 
         Entry (i, j) is ``scale**2`` times Re<column i|column j>.  Exact:
-        Python ints summed over the live rows' blocks (``_streamed_gram``);
-        every exact verdict reads them.  Floating: ``r_gram``'s rows, with
-        no rows of the real view generated; they serve only checks with an
-        absolute slack, such as the verify oracles' orthogonality tests.
+        ``exact_gram``'s rows, as Python ints.  Floating: ``r_gram``'s rows,
+        with no rows of the real view generated.  They serve the verify
+        oracles that read single entries, such as the orthogonality tests,
+        which on the floating backend allow an absolute slack.
         """
         if self.mode == EXACT:
-            return _streamed_gram(self).tolist()
+            return self.exact_gram.tolist()
         return self.r_gram.tolist()
 
     @property

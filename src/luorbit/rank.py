@@ -7,12 +7,13 @@ Two interchangeable backends:
   so verdicts are deterministic), and the ratio of the smallest retained
   to the largest discarded value is reported so callers can recognize
   ill-conditioned verdicts;
-* exact — fraction-free (Bareiss) integer elimination on the integer
-  Gram of the real view, whose entries are the state's integer parts
-  over its common denominator; tolerance-free.
+* exact — integer ranks on the integer Gram of the real view, whose
+  entries are the state's integer parts over its common denominator:
+  each width group's blocks in one array pass, then principal minors or
+  fraction-free (Bareiss) elimination; tolerance-free.
 
 The exact backend builds ``G = real.T @ real`` once per matrix
-(``TangentMatrix.gram``, (3n+1) row lists of Python ints), and answers
+(``TangentMatrix.exact_gram``, a (3n+1)-square array), and answers
 every query from it.  Over the rationals rank(A^T A) = rank(A) for any
 real A: A^T A x = 0 gives |A x|^2 = x^T A^T A x = 0, so both have the
 kernel of A.  Applied to A = ``real[:, S]``, whose Gram is the principal
@@ -33,8 +34,9 @@ Every entry of the real view is a part up to sign, so the blocks and the
 sum are int64 when every part fits in int64 and
 ``rows * max|part|**2 <= 2**63 - 1``, rows the real view's height: every
 partial sum of an entry is at most that in magnitude, so none can
-overflow.  Otherwise they hold Python ints.
-Either way G is read as Python ints, and elimination runs on them.
+overflow.  Otherwise they hold Python ints.  The verify oracles that
+read single entries read ``TangentMatrix.gram``, G's rows as lists of
+Python ints, made from the array once.
 
 A triple's z, y and x columns are mutually orthogonal: for distinct
 Paulis P and Q on one qubit, PQ is +-i times a third Pauli, so
@@ -43,16 +45,31 @@ the state, the sum of the squared parts, and so has the last column.  So
 ``G[T, T] = s * I_3`` exactly for every triple T, and s > 0.  Eliminating
 T's three pivots in closed form, a selection T + B has rank
 3 + rank(s * G[B, B] - G[B, T] @ G[T, B]): the Schur complement of
-``G[T, T]``, scaled by s.  Every exact verdict on a selection with a
-triple takes T as its first triple and eliminates that (w-3)-square
-integer matrix, w the selection's width: 3 x 3 for a pair, 1 x 1 for a
-lone triple with the last column (s**2 - |G[last, T]|**2, the
-Bloch-length test), and 3n - 2 square for the full selection.
+``G[T, T]``, scaled by s.  Every exact verdict takes T as its
+selection's first triple and ranks that (w-3)-square integer block, w
+the selection's width: 3 x 3 for a pair, 1 x 1 for a lone triple with
+the last column (s**2 - |G[last, T]|**2, the Bloch-length test), and
+3n - 2 square for the full selection.  The last column alone has no
+triple, and its block is s * G[last, last] = s**2.
 
-Every matrix the exact backend eliminates is thus a symmetric positive
-semidefinite Gram: s times a Schur complement of G, the 1 x 1 s itself,
-or C^T C.  ``_psd_rank`` eliminates it on its diagonal and upper
-triangle alone, and only that triangle is built.  In a PSD matrix
+``_answer`` ranks a width group's blocks in one pass (``_exact_ranks``):
+one gather of every selection's G[B, B] and G[B, T], and one batched
+product.  Each column's squared norm is s, so |G_ij| <= s by
+Cauchy-Schwarz, and every entry of a block, and every partial sum of
+one, is at most s**2 + 3 s**2 = 4 s**2 in magnitude.  While s <= 2**30
+(``_INT64_SQUARED_NORM``) that is at most 2**62, and the blocks are
+built in int64.  Past it (parts with many digits) the same gather and
+product run on Python ints.  The tier is chosen by that bound on s,
+whatever G's own dtype.  A 1 x 1 block is then ranked by a nonzero
+test; a 3 x 3 one by its principal minors, in Python ints
+(``_psd_rank3``: a symmetric matrix of rank k has a nonsingular k x k
+principal submatrix and none larger); a wider one by elimination, its
+entries read back as Python ints.
+
+Every matrix the exact backend ranks is thus a symmetric positive
+semidefinite Gram: s times a Schur complement of G, s**2, or C^T C.
+``_psd_rank`` eliminates it on its diagonal and upper triangle alone,
+and reads nothing else.  In a PSD matrix
 |a_ij|**2 <= a_ii a_jj, so a zero diagonal entry has a zero row and
 column, and every pivot can be taken on the diagonal.  Eliminating a
 positive pivot leaves a positive multiple of a Schur complement, which
@@ -244,11 +261,12 @@ its columns as bits (``ColumnSelector.mask``), so a selection lies inside
 a certified one exactly when it meets no bit of that one's complement:
 one array test decides which selections of a group inherit, against
 every certified mask at once.  The rest of the group go to ``_answer``
-together: an exact matrix eliminates each and keeps every verdict; a
-floating one first takes the full column rank that the row sample or
-R's Gram certifies, and gives the rest one stacked SVD of their R slices
-(LAPACK decomposes each matrix of a stack as it would alone) and decides
-the rule on the stack's singular values as arrays.  Only the selections R
+together: an exact matrix ranks their blocks in one pass and keeps
+every verdict; a floating one first takes the full column rank that the
+row sample or R's Gram certifies, and gives the rest one stacked SVD of
+their R slices (LAPACK decomposes each matrix of a stack as it would
+alone) and decides the rule on the stack's singular values as arrays.
+Only the selections R
 cannot certify, and the verdicts that are kept, are then visited one at
 a time.  ``real_ranks`` keeps every verdict it reads from R;
 ``span_dims`` returns a rank it reads from R for a proper subset bare,
@@ -546,30 +564,53 @@ def _psd_rank(upper: list) -> int:
     return rank
 
 
-def _exact_rank(gram: list, cols: list) -> RankResult:
-    """Exact verdict on the columns ``cols``, read from the rows of the integer Gram.
+#: The largest squared norm s at which ``_exact_ranks`` builds its blocks in
+#: int64.  Every Gram entry is at most s in magnitude (Cauchy-Schwarz, each
+#: column's squared norm being s), so every entry of s * G[B, B] - G[B, T] @
+#: G[T, B], and every partial sum of it, is at most 4 s**2 <= 2**62.
+_INT64_SQUARED_NORM = 2**30
 
-    The first triple's block of the Gram is s * I_3, s = ``G[last, last]``
-    (module docstring), so a selection T + B has rank 3 plus that of
-    ``s * G[B, B] - G[B, T] @ G[T, B]``, whose upper triangle alone is
-    built and eliminated.  A selection of the last column alone is s.
+
+def _exact_ranks(gram: np.ndarray, cols: np.ndarray) -> list:
+    """Exact rank of each selection of one width, its columns a row of ``cols``, from the integer Gram ``gram``.
+
+    With T a selection's first triple and B the rest of its columns (every
+    column, for the last column alone), each rank is T's width plus that
+    of ``s * G[B, B] - G[B, T] @ G[T, B]``, s = ``G[last, last]`` (module
+    docstring).  Every selection's block is built at once, by one batched
+    product: in int64 while s is at most ``_INT64_SQUARED_NORM``, in Python
+    ints past it.  A 1 x 1 block is ranked by a nonzero test, a 3 x 3 one
+    by its principal minors (``_psd_rank3``), and a wider one by
+    elimination (``_psd_rank``).
     """
-    s = gram[-1][-1]
-    if len(cols) == 1:  # the last column alone
-        rank, upper = 0, [[s]]
-    else:
-        first, rest = cols[:3], cols[3:]
-        cross = [[gram[b][t] for t in first] for b in rest]
-        rank, upper = 3, [
-            [None] * a
-            + [
-                s * row[j] - (a0 * b0 + a1 * b1 + a2 * b2)
-                for j, (b0, b1, b2) in zip(rest[a:], cross[a:])
-            ]
-            for a, (row, (a0, a1, a2)) in enumerate(zip(map(gram.__getitem__, rest), cross))
-        ]
-    rank += _psd_rank(upper)
-    return RankResult(rank=rank, gap_ratio=math.inf, backend=EXACT, singular_values=None)
+    s, width = int(gram[-1, -1]), cols.shape[1]
+    pivots = 3 if width >= 3 else 0
+    size = width - pivots
+    if not size:
+        return [pivots] * len(cols)
+    g = np.asarray(gram, dtype=np.int64 if s <= _INT64_SQUARED_NORM else object)
+    first, rest = cols[:, None, :pivots], cols[:, pivots:, None]
+    cross = g[rest, first]  # G[B, T], one (size, pivots) block per selection
+    blocks = s * g[rest, rest.transpose(0, 2, 1)] - cross @ cross.transpose(0, 2, 1)
+    if size == 1:
+        return (pivots + (blocks[:, 0, 0] != 0)).tolist()
+    rank = _psd_rank3 if size == 3 else _psd_rank
+    return [pivots + rank(block) for block in blocks.tolist()]
+
+
+def _psd_rank3(block: list) -> int:
+    """Rank of a 3 x 3 symmetric positive semidefinite matrix of Python ints, by its principal minors.
+
+    A symmetric matrix of rank k has a nonsingular k x k principal
+    submatrix and no larger one, so its rank is the order of its largest
+    nonzero principal minor.  Only the upper triangle is read.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = block
+    if a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d):
+        return 3
+    if a * d - b * b or a * f - c * c or d * f - e * e:
+        return 2
+    return 1 if a or d or f else 0
 
 
 # ---------------------------------------------------------------------------
@@ -587,21 +628,29 @@ def real_rank(
     ``selector=None`` selects the whole matrix.  The backend follows the
     matrix's numeric mode.  Each verdict is computed once per matrix and
     kept in ``tm.ranks``, so repeated queries within a report reuse it.
+    The query is answered as a group of one: the full selection reads the
+    plan ``_full_family`` keeps once per n, any other is planned per call.
     """
     if selector is None:
         selector = _full_selector(tm.n)
     check_tol(tol)
     result = tm.ranks.get((selector, tol))
     if result is None:  # a kept verdict passed every check when it was made
-        (group,) = _plan([selector], tm.n)
+        full = _full_family(tm.n)
+        (group,) = full.plan(tm.n) if selector == full[0] else _plan([selector], tm.n)
         result = _answer(tm, group, tol, keep=True)[1][0]
     return result
 
 
 @functools.lru_cache(maxsize=None)
+def _full_family(n: int) -> SelectorFamily:
+    """The one-member family of ``ColumnSelector.full(n)``, built once per n with the plan it keeps."""
+    return SelectorFamily([ColumnSelector.full(n)])
+
+
 def _full_selector(n: int) -> ColumnSelector:
-    """``ColumnSelector.full(n)``, ``real_rank``'s default selection, built once per n."""
-    return ColumnSelector.full(n)
+    """``ColumnSelector.full(n)``, ``real_rank``'s default selection: the one member of ``_full_family(n)``."""
+    return _full_family(n)[0]
 
 
 def _check_selector(selector: ColumnSelector, n: int) -> tuple:
@@ -683,7 +732,7 @@ def real_ranks(
     matrix's backend, and is not kept.  Either backend answers the rest
     widest selection first and inherits from the selections it certifies
     on the way.  The rest of each width are answered together: an exact
-    matrix eliminates each; a floating one gives its width to each
+    matrix ranks them in one pass; a floating one gives its width to each
     selection whose full column rank its row sample or R's Gram
     certifies, gives the others one stacked SVD of their R slices, and
     reads each of their verdicts from its slice wherever R certifies it,
@@ -810,9 +859,9 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     """``(ranks, verdicts, certifies)`` of a plan's ``group`` of one width: where every verdict is made.
 
     ``certifies`` tells whether a selection is certified as full column
-    rank.  An exact matrix eliminates each selection's block of the Gram,
-    its columns read from the group's column array (``_exact_rank``), and
-    keeps every verdict; full rank certifies.  A floating matrix first
+    rank.  An exact matrix ranks every selection's block of its Gram in
+    one pass, by the group's column array (``_exact_ranks``), and keeps
+    every verdict; full rank certifies.  A floating matrix first
     certifies full column rank without any SVD where it can: every
     selection when its row sample does (``_sample_certifies``), and else
     each selection of a group with a membership matrix whose Gram block
@@ -829,9 +878,9 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     """
     width, sels, cols = group.width, group.sels, group.cols
     if tm.mode == EXACT:
-        made = [_exact_rank(tm.gram, row) for row in cols.tolist()]
+        ranks = _exact_ranks(tm.exact_gram, cols)
+        made = [RankResult(rank, math.inf, EXACT) for rank in ranks]
         tm.ranks.update(((sel, tol), verdict) for sel, verdict in zip(sels, made))
-        ranks = [verdict.rank for verdict in made]
         return ranks, made, [rank == width for rank in ranks]
     if _sample_certifies(tm, tol):
         fits = [True] * len(sels)
@@ -885,8 +934,7 @@ def complement_dim(
         return 3
     if tm.mode == FLOAT:
         return len(_complement_coeffs(tm, (inside,), against, tol)[0])
-    gram = tm.gram
-    cross = [[gram[r][t] for t in triple] for r in against.column_indices(tm.n)]
+    cross = tm.exact_gram[np.ix_(against.column_indices(tm.n), triple)].tolist()
     # rank C = rank C^T C over the rationals, and C^T C is a 3 x 3 PSD Gram
     upper = [[None] * a + [sum(r[a] * r[b] for r in cross) for b in range(a, 3)] for a in range(3)]
     return 3 - _psd_rank(upper)

@@ -501,13 +501,14 @@ def _check_partition(n: int, groups) -> list:
     return checked
 
 
-def _check_pairing(n: int, pairs, lone) -> list:
-    """The pairs of a pairing of n qubits, each sorted; ValueError unless they and ``lone`` tile 1..n.
+def _check_pairing(n: int, pairs, lone) -> tuple:
+    """``(pairs, lone)`` of a pairing of n qubits as ints, each pair sorted; ValueError unless they tile 1..n.
 
     Each pair must hold two qubits, a lone qubit must be given exactly
     when n is odd, and the pairs with the lone qubit must partition 1..n
     (``_check_partition``).  ``singlet_product`` and
-    ``analysis.SingletPairing`` share this rule, and its messages.
+    ``analysis.SingletPairing`` share this rule, and its messages, and use
+    the int qubits it returns (``lone`` stays None for even n).
     """
     pairs = [tuple(pair) for pair in pairs]
     for pair in pairs:
@@ -516,7 +517,8 @@ def _check_pairing(n: int, pairs, lone) -> list:
     if (lone is None) == (n % 2 == 1):
         raise ValueError("odd qubit counts require a lone qubit" if n % 2 else "even qubit counts admit no lone qubit")
     checked = _check_partition(n, pairs + ([] if lone is None else [(lone,)]))
-    return [tuple(sorted(pair)) for pair in checked[: len(pairs)]]
+    lone = None if lone is None else checked[-1][0]
+    return [tuple(sorted(pair)) for pair in checked[: len(pairs)]], lone
 
 
 def singlet_product(n: int, pairs, lone: Optional[int] = None, mode: str = FLOAT) -> StateVector:
@@ -531,7 +533,7 @@ def singlet_product(n: int, pairs, lone: Optional[int] = None, mode: str = FLOAT
     """
     if n < 1:
         raise ValueError("qubit count must be at least 1")
-    norm_pairs = _check_pairing(n, pairs, lone)
+    norm_pairs, lone = _check_pairing(n, pairs, lone)
     bits = np.indices((2,) * n, sparse=True)
     mask = np.ones((2,) * n, dtype=bool)
     if lone is not None:

@@ -222,6 +222,18 @@ def test_pairing_json_shape():
     assert p.to_json_dict() == {"pairs": [[1, 4], [2, 5]], "lone": 3}
 
 
+def test_pairing_and_singlet_product_take_numpy_qubits():
+    # integral numpy qubits are stored and used as the ints they stand for
+    import json
+
+    p = SingletPairing(3, frozenset({(np.int64(1), 2)}), np.int64(3))
+    assert type(p.lone) is int and {type(q) for pair in p.pairs for q in pair} == {int}
+    assert json.dumps(p.to_json_dict()) == '{"pairs": [[1, 2]], "lone": 3}'
+    assert p == SingletPairing(3, frozenset({(1, 2)}), 3)
+    psi = singlet_product(3, [(np.int64(2), np.int64(1))], np.int64(3), mode=EXACT)
+    assert np.array_equal(psi.parts, singlet_product(3, [(1, 2)], 3, mode=EXACT).parts)
+
+
 def test_not_minimal_json_shape():
     out = classify_min_orbit(w_state())
     assert isinstance(out, NotMinimal)

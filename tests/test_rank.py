@@ -1341,11 +1341,11 @@ def test_exact_family_takes_one_elimination_widest_first(monkeypatch):
     tm = tangent_matrix(random_rational_state(4, 5))
     calls = []
 
-    def spy(gram, cols, _exact_rank=rank_mod._exact_rank):
-        calls.append(cols)
-        return _exact_rank(gram, cols)
+    def spy(gram, cols, _exact_ranks=rank_mod._exact_ranks):
+        calls.extend(cols.tolist())
+        return _exact_ranks(gram, cols)
 
-    monkeypatch.setattr(rank_mod, "_exact_rank", spy)
+    monkeypatch.setattr(rank_mod, "_exact_ranks", spy)
     pairs = [ColumnSelector(p) for p in combinations(range(1, 5), 2)]
     assert span_dims(tm, [ColumnSelector.full(4)] + pairs) == [13] + [6] * 6
     assert calls == [list(ColumnSelector.full(4).column_indices(4))]
@@ -1919,6 +1919,61 @@ def _forty_digit_state(n: int) -> StateVector:
     return StateVector.from_rational(
         [(Fraction(10**40 + k, 3 ** (k + 30)), Fraction(-k, 10**25)) for k in range(1 << n)]
     )
+
+
+#: Tiny states whose squared norm s lies at the int64 tier's bound, just past
+#: it, and where s**2 would wrap in int64.
+_BOUND_STATES = [
+    ([2**15, 0, 0, 0], 2**30),
+    ([2**14, 2**14, -(2**14), 2**14], 2**30),
+    ([2**14, 2**14, 2**14, -(2**14), 0, 0, 0, 0], 2**30),
+    ([2**15, 1, 0, 0], 2**30 + 1),
+    ([2**14, 2**14, 2**14, -(2**14), 1, 0, 0, 0], 2**30 + 1),
+    ([2**14, 0, 2**14, 0, 2**14, 1, 0, -(2**14)], 2**30 + 1),
+    ([2**16, 2**16, 0, 0], 2**33),
+]
+
+
+def _group_pass_cases():
+    for n in range(1, 6):
+        rng = np.random.default_rng(330 + n)
+        kinds = ["rational", "singlets", "huge"] + (["pair"] if n > 1 else [])
+        for kind in kinds:
+            psi = _forty_digit_state(n) if kind == "huge" else _oracle_state(kind, n, rng)
+            yield pytest.param(psi, None, id=f"{kind}-{n}")
+    for k, (parts, s) in enumerate(_BOUND_STATES):
+        yield pytest.param(_from_parts(parts), s, id=f"bound-{k}")
+
+
+@pytest.mark.parametrize("psi, s", list(_group_pass_cases()))
+def test_exact_group_pass_matches_per_selection_elimination(psi, s):
+    # every selection, the last column alone included, in its plan's width
+    # groups, against Bareiss on its own block of the object real view's Gram
+    n = psi.n
+    tm = tangent_matrix(psi)
+    real = tm.columns(range(tm.column_count))
+    reference = real.T @ real
+    norm = int(tm.exact_gram[-1, -1])
+    assert norm == reference[-1, -1] and (s is None or norm == s)
+    selectors = [ColumnSelector((), include_last=True)] + _every_selector(n)
+    widths = set()
+    for group in rank_mod._plan(selectors, n):
+        want = [_bareiss_rank(reference[np.ix_(row, row)].tolist()) for row in group.cols.tolist()]
+        assert rank_mod._exact_ranks(tm.exact_gram, group.cols) == want, group.width
+        widths.add(group.width)
+    assert {1, 3 * n + 1} | ({4, 6, 7} if n > 1 else {4}) <= widths
+
+
+def test_principal_minors_rank_every_3x3_gram():
+    # C^T C for integer C of k rows, k = 0..3, some with a zero column: a
+    # pair's block never has rank 1, so the pair states above miss that case
+    rng = np.random.default_rng(345)
+    for k in range(4):
+        for _ in range(25):
+            c = rng.integers(-9, 10, size=(k, 3))
+            c[:, rng.integers(3)] *= rng.integers(2)
+            gram = (c.T @ c).tolist()
+            assert rank_mod._psd_rank3(gram) == _bareiss_rank(gram), gram
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
