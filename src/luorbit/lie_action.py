@@ -33,8 +33,8 @@ single-bit flips: c is then *live* (``live_codes``, found once per
 matrix: ``TangentMatrix.live``).  R (``streamed_r``) and the exact Gram
 (``_streamed_gram``) are built from the live codes' rows alone, in
 ``_BLOCK_ROWS``-row blocks (``_row_blocks``), at most once per matrix,
-which keeps what it built (``TangentMatrix.r_factor`` and
-``TangentMatrix.exact_gram``).  Rows that are
+which keeps what it built (``TangentMatrix.r_factor``, and the one
+Gram array ``TangentMatrix.gram``).  Rows that are
 zero in every column add nothing to ``real.T @ real``, so dropping them
 changes no Gram and no singular value of any column subset.  A product
 of m canonical pairs (n = 2m) has 2**m nonzero amplitudes and
@@ -79,7 +79,7 @@ from typing import Optional
 import numpy as np
 
 from .lu import GENERATORS
-from .states import EXACT, StateVector, _amplitudes_of
+from .states import EXACT, StateVector, _amplitudes_of, _qubit
 from .tolerance import INNER_PRODUCT_ATOL, PRODUCT_RESIDUAL
 
 
@@ -236,9 +236,11 @@ def _streamed_gram(tm: TangentMatrix) -> np.ndarray:
 
 
 def _triple_columns(k: int, n: int) -> tuple:
-    """Column indices of qubit k's z, y, x generators in an n-qubit tangent matrix."""
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index {k} out of range 1..{n}")
+    """Column indices of qubit k's z, y, x generators in an n-qubit tangent matrix.
+
+    k must be an integer of 1..n (``states._qubit``), else ValueError.
+    """
+    k = _qubit(k, n)
     return (3 * k - 3, 3 * k - 2, 3 * k - 1)
 
 
@@ -324,8 +326,8 @@ class TangentMatrix:
 
     Every other reader reads one (3n+1)-square factor of the real view,
     built on first read and then held: ``r_factor`` on the floating
-    backend (its Gram ``r_gram``, held too, gives a float ``gram``),
-    ``exact_gram`` on the exact one (which gives an exact ``gram``).
+    backend, and ``gram``, one array on both, from R on the floating
+    backend and streamed from the rows on the exact one.
     ``ranks`` memoizes rank verdicts by
     ``(ColumnSelector, tol)``; see ``rank.real_rank``.  A bare rank that
     ``rank.span_dims`` reads from R alone is not kept, nor is a verdict
@@ -383,42 +385,24 @@ class TangentMatrix:
         return streamed_r(self) if r is None else r
 
     @functools.cached_property
-    def r_gram(self) -> np.ndarray:
-        """``R.T @ R`` from ``r_factor``, as a (3n+1)-square array, built once; floating backend only.
-
-        The float Gram, computed once for every reader: ``gram``'s rows,
-        and the rank module's one-sided certificate of full column rank
-        for narrow selections, which allows for its rounding (``rank``
-        module docstring).  Squaring the spectrum lifts its noise floor
-        above the rank cutoff, so no other floating verdict is read from it.
-        """
-        r = self.r_factor
-        return r.T @ r
-
-    @functools.cached_property
-    def exact_gram(self) -> np.ndarray:
-        """The exact Gram ``real.T @ real`` as a (3n+1)-square array, built once; exact backend only.
-
-        Entry (i, j) is ``scale**2`` times Re<column i|column j>, summed over
-        the live rows' blocks (``_streamed_gram``): int64 where no partial
-        sum can overflow, Python ints otherwise.  Every exact verdict and
-        complement reads it.
-        """
-        return _streamed_gram(self)
-
-    @functools.cached_property
-    def gram(self) -> list:
-        """The Gram ``real.T @ real`` as (3n+1) row lists, built once.
+    def gram(self) -> np.ndarray:
+        """The Gram ``real.T @ real`` as a (3n+1)-square array, built once: the one Gram every reader indexes.
 
         Entry (i, j) is ``scale**2`` times Re<column i|column j>.  Exact:
-        ``exact_gram``'s rows, as Python ints.  Floating: ``r_gram``'s rows,
-        with no rows of the real view generated.  They serve the verify
-        oracles that read single entries, such as the orthogonality tests,
-        which on the floating backend allow an absolute slack.
+        summed over the live rows' blocks (``_streamed_gram``), int64 where
+        no partial sum can overflow and Python ints otherwise; every exact
+        verdict and complement reads it.  Floating: ``R.T @ R`` from
+        ``r_factor``, with no rows of the real view generated.  Squaring
+        the spectrum lifts its noise floor above the rank cutoff, so no
+        floating verdict is read from it but the rank module's one-sided
+        certificate of full column rank for narrow selections, which allows
+        for its rounding (``rank`` module docstring); the verify oracles
+        that read single entries allow an absolute slack.
         """
         if self.mode == EXACT:
-            return self.exact_gram.tolist()
-        return self.r_gram.tolist()
+            return _streamed_gram(self)
+        r = self.r_factor
+        return r.T @ r
 
     @property
     def n(self) -> int:

@@ -13,15 +13,17 @@ Two interchangeable backends:
   fraction-free (Bareiss) elimination; tolerance-free.
 
 The exact backend builds ``G = real.T @ real`` once per matrix
-(``TangentMatrix.exact_gram``, a (3n+1)-square array), and answers
-every query from it.  Over the rationals rank(A^T A) = rank(A) for any
-real A: A^T A x = 0 gives |A x|^2 = x^T A^T A x = 0, so both have the
-kernel of A.  Applied to A = ``real[:, S]``, whose Gram is the principal
-submatrix ``G[S, S]``, the rank of any column subset S is that of
-``G[S, S]``; the arithmetic is exact, so squaring loses nothing (it is
-only in floating point that a Gram squares the noise floor).  Exact
-complements rank the cross block C = ``G[against, inside]`` through
-its 3 x 3 Gram C^T C, by the same identity.
+(``TangentMatrix.gram``, a (3n+1)-square array, the one Gram each
+backend holds), and answers every query from it.  Over the rationals
+rank(A^T A) = rank(A) for any real A: A^T A x = 0 gives |A x|^2 =
+x^T A^T A x = 0, so both have the kernel of A.  Applied to
+A = ``real[:, S]``, whose Gram is the principal submatrix ``G[S, S]``,
+the rank of any column subset S is that of ``G[S, S]``; the arithmetic
+is exact, so squaring loses nothing (it is only in floating point that
+a Gram squares the noise floor).  Exact complements rank the cross
+block C = ``G[against, inside]`` through its 3 x 3 Gram C^T C, by the
+same identity, formed as a product of Python ints and ranked by its
+principal minors (``_psd_rank3``).
 
 Rows of the real view that are zero in every column add nothing to
 A^T A, for A any selection of columns.  So G, and R below, are built
@@ -35,8 +37,7 @@ sum are int64 when every part fits in int64 and
 ``rows * max|part|**2 <= 2**63 - 1``, rows the real view's height: every
 partial sum of an entry is at most that in magnitude, so none can
 overflow.  Otherwise they hold Python ints.  The verify oracles that
-read single entries read ``TangentMatrix.gram``, G's rows as lists of
-Python ints, made from the array once.
+read single entries index the same array.
 
 A triple's z, y and x columns are mutually orthogonal: for distinct
 Paulis P and Q on one qubit, PQ is +-i times a third Pauli, so
@@ -68,8 +69,8 @@ entries read back as Python ints.
 
 Every matrix the exact backend ranks is thus a symmetric positive
 semidefinite Gram: s times a Schur complement of G, s**2, or C^T C.
-``_psd_rank`` eliminates it on its diagonal and upper triangle alone,
-and reads nothing else.  In a PSD matrix
+``_psd_rank`` eliminates one wider than 3 x 3 on its diagonal and upper
+triangle alone, and reads nothing else.  In a PSD matrix
 |a_ij|**2 <= a_ii a_jj, so a zero diagonal entry has a zero row and
 column, and every pivot can be taken on the diagonal.  Eliminating a
 positive pivot leaves a positive multiple of a Schur complement, which
@@ -155,13 +156,14 @@ a proper subset S of at most two triples, with or without the last
 column (``_GRAM_WIDTH``), asked in a group of at least ``_GRAM_GROUP``
 such selections of one width, ``_gram_certifies`` bounds the eigenvalues of
 G_S = R_S^T R_S, the squared singular values of R's slice, by
-Gershgorin's discs of the computed Gram G' (``TangentMatrix.r_gram``,
-read once per matrix): lower = min over i in S of G'_ii - sum over the
-other j in S of |G'_ij|, and upper = max of G'_ii + the same sum, each
-then widened by the slack 4 (m + w) eps w max diag(G'), m = 3n + 1 and w
-the width.  Each entry of G' is a dot product of two of R's columns of m
-entries, within gamma_m |r_i| |r_j| <= gamma_m max diag(G) of the exact
-one, gamma_m = m eps / (1 - m eps).  So the w x w error of the block has
+Gershgorin's discs of the computed Gram G' = R^T R
+(``TangentMatrix.gram``, built once per matrix): lower = min over i in
+S of G'_ii - sum over the other j in S of |G'_ij|, and upper = max of
+G'_ii + the same sum, each then widened by the slack
+4 (m + w) eps w max diag(G'), m = 3n + 1 and w the width.  Each entry
+of G' is a dot product of two of R's columns of m entries, within
+gamma_m |r_i| |r_j| <= gamma_m max diag(G) of the exact one,
+gamma_m = m eps / (1 - m eps).  So the w x w error of the block has
 norm at most w gamma_m max diag(G), its Frobenius bound, and it moves no
 eigenvalue further (Weyl).  The discs' own sums and differences add
 about (w + 1) eps w max diag(G'), and diag(G') is diag(G) to within
@@ -603,7 +605,8 @@ def _psd_rank3(block: list) -> int:
 
     A symmetric matrix of rank k has a nonsingular k x k principal
     submatrix and no larger one, so its rank is the order of its largest
-    nonzero principal minor.  Only the upper triangle is read.
+    nonzero principal minor.  Only the upper triangle is read, as row
+    lists or as the rows of an object array.
     """
     (a, b, c), (_, d, e), (_, _, f) = block
     if a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d):
@@ -835,7 +838,7 @@ def _sample_certifies(tm: TangentMatrix, tol: float) -> bool:
 
 
 def _gram_certifies(tm: TangentMatrix, group: _Group, tol: float) -> list:
-    """Whether ``tm.r_gram`` proves each selection of ``group`` of full column rank past the kept side's margin.
+    """Whether ``tm.gram``, R's Gram, proves each selection of ``group`` of full column rank past the kept side's margin.
 
     Gershgorin's discs of each selection's principal block of the Gram,
     widened by the Gram's rounding slack, bound the block's eigenvalues,
@@ -843,7 +846,7 @@ def _gram_certifies(tm: TangentMatrix, group: _Group, tol: float) -> list:
     docstring).  One product of the Gram's absolute off-diagonal entries
     with the group's membership matrix gives every disc's radius.
     """
-    gram, cols, width = tm.r_gram, group.cols, group.width
+    gram, cols, width = tm.gram, group.cols, group.width
     diagonal = gram.diagonal()
     off = np.abs(gram)
     np.fill_diagonal(off, 0.0)
@@ -878,7 +881,7 @@ def _answer(tm: TangentMatrix, group: _Group, tol: float, keep: bool) -> tuple:
     """
     width, sels, cols = group.width, group.sels, group.cols
     if tm.mode == EXACT:
-        ranks = _exact_ranks(tm.exact_gram, cols)
+        ranks = _exact_ranks(tm.gram, cols)
         made = [RankResult(rank, math.inf, EXACT) for rank in ranks]
         tm.ranks.update(((sel, tol), verdict) for sel, verdict in zip(sels, made))
         return ranks, made, [rank == width for rank in ranks]
@@ -934,10 +937,9 @@ def complement_dim(
         return 3
     if tm.mode == FLOAT:
         return len(_complement_coeffs(tm, (inside,), against, tol)[0])
-    cross = tm.exact_gram[np.ix_(against.column_indices(tm.n), triple)].tolist()
-    # rank C = rank C^T C over the rationals, and C^T C is a 3 x 3 PSD Gram
-    upper = [[None] * a + [sum(r[a] * r[b] for r in cross) for b in range(a, 3)] for a in range(3)]
-    return 3 - _psd_rank(upper)
+    cross = tm.gram[np.ix_(against.column_indices(tm.n), triple)].astype(object)
+    # rank C = rank C^T C over the rationals, and C^T C is a 3 x 3 PSD Gram, in Python ints
+    return 3 - _psd_rank3(cross.T @ cross)
 
 
 def _complement_coeffs(tm: TangentMatrix, insides: tuple, against: ColumnSelector, tol: float) -> list:

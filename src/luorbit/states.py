@@ -65,7 +65,11 @@ class ZeroResidualError(ValueError):
 
 
 def as_code(index, n: int) -> int:
-    """Coerce an integer code, bit sequence, or bit string to a code."""
+    """Coerce an integer code, bit sequence, or bit string to a code.
+
+    An integer code is read by ``operator.index``: a non-integral one, even
+    ``2.0``, raises ValueError naming it, as a qubit does (``_qubit``).
+    """
     if isinstance(index, str):
         if len(index) != n or any(c not in "01" for c in index):
             raise ValueError(f"bit string {index!r} does not describe {n} qubits")
@@ -79,7 +83,10 @@ def as_code(index, n: int) -> int:
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
             code = (code << 1) | b
         return code
-    code = int(index)
+    try:
+        code = operator.index(index)
+    except TypeError:
+        raise ValueError(f"basis code {index!r} is not an integer") from None
     if not 0 <= code < (1 << n):
         raise ValueError(f"basis code {code} out of range for {n} qubits")
     return code

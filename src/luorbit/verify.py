@@ -175,8 +175,7 @@ def _pair_isolation(tm, l: int, lp: int, tol) -> list:
     pair_cols = [*tm.triple_indices(l), *tm.triple_indices(lp)]
     other_cols = [c for c in range(tm.column_count) if c not in pair_cols]
     # an exact Gram holds integers, so a nonzero dot is at least 1 and clears the slack
-    gram = tm.gram
-    worst = max(abs(gram[a][b]) for a in pair_cols for b in other_cols)
+    worst = np.abs(tm.gram[np.ix_(pair_cols, other_cols)]).max()
     if worst > INNER_PRODUCT_ATOL:
         failures.append(f"pair span leaks onto other columns (dot {worst / tm.scale**2:.3e})")
     return failures
@@ -202,7 +201,7 @@ def _suite_triplesprop(n, rng, tol):
     for k in range(1, n + 1):
         idx = tm.triple_indices(k)
         for a, b in combinations(idx, 2):
-            dot = gram[a][b]
+            dot = gram[a, b]
             if abs(dot) > INNER_PRODUCT_ATOL:
                 failures.append(f"triple {k}: columns {a},{b} have dot {dot / tm.scale**2:.3e}")
     return failures, [psi]

@@ -101,6 +101,8 @@ def test_qubit_index_validated():
         tm.triple_indices(0)
     with pytest.raises(ValueError):
         tm.triple_indices(3)
+    with pytest.raises(ValueError, match="qubit 2.0 is not an integer"):
+        tm.triple_indices(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1520,7 +1520,7 @@ def test_gram_certificate_reaches_the_margin_of_a_sharp_gram():
     gram = np.eye(3 * n + 1)
     gram[0, 1] = gram[1, 0] = 0.6  # qubit 1's triple: eigenvalues 0.4, 1, 1.6
     gram[-1, -1] = 0.25  # the last column
-    matrix = types.SimpleNamespace(r_gram=gram, column_count=3 * n + 1)
+    matrix = types.SimpleNamespace(gram=gram, column_count=3 * n + 1)
     for group in _narrow_plan(n):
         for j, cols in enumerate(group.cols):
             eigenvalues = np.linalg.eigvalsh(gram[np.ix_(cols, cols)])
@@ -1607,6 +1607,9 @@ def test_complement_of_a_triple_outside_the_state_is_refused(mode):
         for against in (ColumnSelector(()), ColumnSelector((1,), include_last=True)):
             with pytest.raises(ValueError, match="out of range"):
                 complement_dim(tm, inside, against)
+    for against in (ColumnSelector(()), ColumnSelector((2,))):
+        with pytest.raises(ValueError, match="qubit 1.0 is not an integer"):
+            complement_dim(tm, 1.0, against)
 
 
 def test_complement_inside_cannot_be_in_against():
@@ -1953,13 +1956,13 @@ def test_exact_group_pass_matches_per_selection_elimination(psi, s):
     tm = tangent_matrix(psi)
     real = tm.columns(range(tm.column_count))
     reference = real.T @ real
-    norm = int(tm.exact_gram[-1, -1])
+    norm = int(tm.gram[-1, -1])
     assert norm == reference[-1, -1] and (s is None or norm == s)
     selectors = [ColumnSelector((), include_last=True)] + _every_selector(n)
     widths = set()
     for group in rank_mod._plan(selectors, n):
         want = [_bareiss_rank(reference[np.ix_(row, row)].tolist()) for row in group.cols.tolist()]
-        assert rank_mod._exact_ranks(tm.exact_gram, group.cols) == want, group.width
+        assert rank_mod._exact_ranks(tm.gram, group.cols) == want, group.width
         widths.add(group.width)
     assert {1, 3 * n + 1} | ({4, 6, 7} if n > 1 else {4}) <= widths
 
@@ -1985,23 +1988,63 @@ def test_int64_gram_route_ends_exactly_at_the_bound(n):
         tm = tangent_matrix(_signed_state(n, rng, top))
         assert (lie_action._int64_parts(tm.parts) is not None) == via_int64, top
         gram = tm.gram
-        assert all(type(x) is int for row in gram for x in row)
+        assert gram.dtype == (np.int64 if via_int64 else object), top
         real = tm.columns(range(tm.column_count))
         assert np.array_equal(np.array(gram, dtype=object), real.T @ real)
         assert gram[0][0] == rows * top**2
         assert tm.gram is gram
 
 
-def test_gram_serves_both_backends():
+def test_gram_serves_both_backends(monkeypatch):
     # a float Gram is R.T @ R, from the R the matrix holds: one block at
-    # n = 3, a state with zero amplitudes at n = 6, two blocks at n = 11
+    # n = 3, a state with zero amplitudes at n = 6, two blocks at n = 11;
+    # an exact one is int64 or Python ints by its tier.  Either way it is one
+    # (3n+1)-square array per matrix, and each Gram reader is handed it
+    handed = []
+    exact_ranks, gram_certifies = rank_mod._exact_ranks, rank_mod._gram_certifies
+
+    def exact_spy(gram, cols):
+        handed.append(gram)
+        return exact_ranks(gram, cols)
+
+    def certify_spy(tm, group, tol):
+        handed.append(tm.gram)
+        # handed the Gram alone, the certificate can read nothing else of the matrix
+        return gram_certifies(types.SimpleNamespace(gram=tm.gram, column_count=tm.column_count), group, tol)
+
+    monkeypatch.setattr(rank_mod, "_exact_ranks", exact_spy)
+    monkeypatch.setattr(rank_mod, "_gram_certifies", certify_spy)
+
+    def gram_of(tm, dtype):
+        """``tm.gram``, checked, after the pair table and the full rank are asked; ``handed`` holds what the readers got."""
+        gram = tm.gram
+        assert isinstance(gram, np.ndarray) and gram.dtype == dtype
+        assert gram.shape == (tm.column_count, tm.column_count)
+        assert tm.gram is gram
+        handed.clear()
+        span_dims(tm, [ColumnSelector(pair) for pair in combinations(range(1, tm.n + 1), 2)])
+        real_rank(tm)
+        assert all(got is gram for got in handed)
+        return gram
+
     for kind, n in (("haar", 3), ("one_zero", 6), ("ghz", 6), ("haar", 11)):
         tm = tangent_matrix(_route_state(kind, n, 280 + n, 0.0))
-        gram = tm.gram
+        gram = gram_of(tm, np.float64)
         real = _reference_real(tm.state)
-        assert np.array(gram).dtype == np.float64
         assert np.allclose(gram, real.T @ real, rtol=0, atol=INNER_PRODUCT_ATOL), (kind, n)
-        assert tm.gram is gram
+        # n = 11's row sample certifies every selection, so no Gram is read there
+        assert bool(handed) == (n < 11), (kind, n)
+    rng = np.random.default_rng(285)
+    for psi, dtype in (
+        (random_rational_state(4, rng), np.int64),
+        (_signed_state(4, rng, _int64_peak(4)), np.int64),
+        (_signed_state(4, rng, _int64_peak(4) + 1), object),
+        (_forty_digit_state(3), object),
+    ):
+        tm = tangent_matrix(psi)
+        gram = gram_of(tm, dtype)
+        real = tm.columns(range(tm.column_count))
+        assert handed and np.array_equal(gram, real.T @ real), dtype
 
 
 def test_exact_queries_eliminate_only_gram_blocks(monkeypatch):

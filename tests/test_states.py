@@ -50,6 +50,9 @@ def test_as_code_accepts_bitstrings_and_sequences():
         as_code("10", 3)
     with pytest.raises(ValueError):
         as_code(8, 3)
+    for code in (1.7, 2.0):
+        with pytest.raises(ValueError, match=f"basis code {code} is not an integer"):
+            as_code(code, 3)
 
 
 # ---------------------------------------------------------------------------
